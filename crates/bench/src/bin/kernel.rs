@@ -187,16 +187,12 @@ fn time_s<R>(samples: usize, mut f: impl FnMut() -> R) -> f64 {
     let mut times: Vec<f64> = (0..samples)
         .map(|_| {
             let t0 = Instant::now();
-            criterion_black_box(f());
+            std::hint::black_box(f());
             t0.elapsed().as_secs_f64()
         })
         .collect();
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
-}
-
-fn criterion_black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
 }
 
 fn spec_l2(cfg: &CmpConfig) -> SpecL2 {

@@ -2,29 +2,32 @@
 //! experiments and print the raw dynamics (used to calibrate the workload
 //! against Table 2 / Figure 5 shapes; not itself a paper artifact).
 
-use tls_bench::{breakdown_row, paper_machine, record_benchmark, Scale};
+use tls_bench::{breakdown_row, paper_machine, record_benchmark};
 use tls_core::experiment::{run_benchmark, ExperimentKind};
+use tls_harness::cli::{self, Shared};
 use tls_minidb::Transaction;
+
+const USAGE: &str = "usage: probe [<benchmark>] [--scale paper|test] [--profile]\n";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::parse(&args);
-    let which = args.iter().find(|a| !a.starts_with("--") && *a != "test" && *a != "paper");
-    let txns: Vec<Transaction> = match which {
-        // A name was given: it must parse. Silently running all seven
-        // benchmarks on a typo wastes minutes and hides the mistake.
-        Some(name) => match Transaction::from_cli_name(name) {
-            Some(t) => vec![t],
-            None => {
-                eprintln!("unknown benchmark '{name}'; valid benchmarks:");
-                for t in Transaction::ALL {
-                    eprintln!("  {}", t.trace_name());
-                }
-                std::process::exit(2);
-            }
-        },
-        None => Transaction::ALL.to_vec(),
+    let mut txn = None;
+    let mut profile = false;
+    // A name must parse: silently running all seven benchmarks on a typo
+    // wastes minutes and hides the mistake.
+    let parsed = cli::parse(&args, USAGE, &[Shared::Scale], |arg, _| {
+        match arg {
+            "--profile" => profile = true,
+            name if txn.is_none() && !name.starts_with("--") => txn = Some(cli::benchmark(name)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    let scale = match parsed {
+        Ok(shared) => shared.scale,
+        Err(e) => std::process::exit(e.report()),
     };
+    let txns = txn.map_or_else(|| Transaction::ALL.to_vec(), |t| vec![t]);
     let machine = paper_machine();
     for txn in txns {
         let count = tls_bench::instances(txn, scale);
@@ -57,7 +60,7 @@ fn main() {
                 r.subthreads_started,
                 breakdown_row(r, seq),
             );
-            if args.iter().any(|a| a == "--profile") {
+            if profile {
                 for e in r.profile.iter().take(6) {
                     println!(
                         "    load {:?} <- store {:?}: {} failed cycles over {} violations",

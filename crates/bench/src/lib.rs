@@ -1,29 +1,22 @@
-//! Shared harness code for regenerating the paper's tables and figures.
+//! Shared code for the standalone tools in `src/bin/`.
 //!
-//! Each binary in `src/bin/` regenerates one artifact:
+//! Every paper artifact (Table 2, Figures 2/5/6, the ablations and the
+//! extension studies) comes from the declarative plans in `tls-harness`,
+//! run by `cargo run --release -p tls-harness --bin suite -- --filter
+//! <plan>`. The binaries here are the tools that are not plans:
 //!
-//! | binary | artifact |
+//! | binary | what it does |
 //! |---|---|
-//! | `table1` | Table 1 — simulation parameters |
-//! | `table2` | Table 2 — benchmark statistics |
-//! | `figure5` | Figure 5 — execution-time breakdown, 7 benchmarks × 5 experiments |
-//! | `figure6` | Figure 6 — sub-thread count × size sweep |
-//! | `figure2` | Figure 1/2 — the sub-thread rewind/tuning microbenchmark |
-//! | `ablations` | §2.1/§2.2 design ablations (victim cache, start table, spacing) |
-//! | `tuning_curve` | §3.2 — profiler-guided iterative optimization |
-//! | `scalability` | extension — CPU-count scaling (2/4/8) |
-//! | `spec_contrast` | §1 context — SPEC-like vs database-like regimes |
+//! | `table1` | Table 1 — simulation parameters (`--json DIR`) |
+//! | `chaos` | fault-injection survival matrix; exits non-zero below its gate |
+//! | `recovery` | MiniDB crash-recovery oracle over seeded disk faults |
+//! | `kernel` | simulation-kernel microbenchmark, writes `BENCH_kernel.json` |
 //! | `probe` | development probe (all experiments for one benchmark) |
+//! | `benchmark` | the repository benchmark defined by `BENCHMARK.json` |
 //!
-//! The per-figure binaries are thin wrappers over the declarative plans in
-//! `tls-harness` — `cargo run -p tls-harness --bin suite` runs all of them
-//! in one parallel, snapshot-cached pass. The evaluation vocabulary
-//! ([`Scale`], [`instances`], [`paper_machine`], the stack renderers)
-//! lives in `tls-harness::eval` and is re-exported here unchanged.
-//!
-//! Pass `--scale test` for a fast run or `--scale paper` (default) for the
-//! full-size workload; `--json DIR` additionally writes machine-readable
-//! results.
+//! The evaluation vocabulary ([`Scale`], [`instances`], [`paper_machine`],
+//! the stack renderers) lives in `tls-harness::eval` and is re-exported
+//! here unchanged.
 
 #![forbid(unsafe_code)]
 
@@ -62,13 +55,6 @@ pub fn write_json<T: serde::Serialize>(dir: &Option<std::path::PathBuf>, name: &
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_parses() {
-        let args = vec!["--scale".to_string(), "test".to_string()];
-        assert_eq!(Scale::parse(&args), Scale::Test);
-        assert_eq!(Scale::parse(&[]), Scale::Paper);
-    }
 
     #[test]
     fn render_stack_length_tracks_total() {

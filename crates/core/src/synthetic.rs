@@ -3,7 +3,7 @@
 //! Hand-built trace programs with precisely placed dependences — the
 //! fastest way to explore how TLS and sub-threads react to a dependence
 //! *shape* without recording a full database workload. Used by the
-//! Figure 1/2 microbenchmark, the Criterion benches, and the test suite;
+//! Figure 1/2 microbenchmark, the kernel microbenchmark, and the test suite;
 //! exported because the paper's closing recommendation is to apply
 //! sub-threads "in other application domains as well", and these
 //! generators are the template for modeling such a domain.

@@ -4,23 +4,18 @@
 //! Usage: `cargo run --release -p tls-harness --bin suite -- [options]`
 //! (see `--help` for the option list).
 
+use tls_harness::{suite, sweep};
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("trace") {
-        std::process::exit(tls_harness::suite::run_trace_verb(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("workload") {
-        std::process::exit(tls_harness::suite::run_workload_verb(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("sweep") {
-        std::process::exit(tls_harness::sweep::run_sweep_verb(&args[1..]));
-    }
-    let opts = match tls_harness::suite::SuiteOptions::parse(&args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
+    let code = match args.first().map(String::as_str) {
+        Some("trace") => suite::run_trace_verb(&args[1..]),
+        Some("workload") => suite::run_workload_verb(&args[1..]),
+        Some("sweep") => sweep::run_sweep_verb(&args[1..]),
+        _ => match suite::SuiteOptions::parse(&args) {
+            Ok(opts) => suite::run_suite(&opts),
+            Err(e) => e.report(),
+        },
     };
-    std::process::exit(tls_harness::suite::run_suite(&opts));
+    std::process::exit(code);
 }

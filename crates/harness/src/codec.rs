@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | 0  | 6 | magic `TLSNAP` |
 //! | 6  | 1 | payload kind (1 = trace pair, 2 = sim report) |
-//! | 7  | 1 | format version (currently 2; version-1 trace pairs still decode) |
+//! | 7  | 1 | format version (currently 2) |
 //! | 8  | 8 | cache-key hash, little-endian (see [`crate::store`]) |
 //! | 16 | 8 | payload length in bytes, little-endian |
 //! | 24 | n | payload |
@@ -65,13 +65,14 @@
 //! zero-copy path — so even a checksum collision cannot smuggle an op
 //! the simulator would choke on.
 //!
-//! Version-1 containers (inline op records, no bank) are still decoded
-//! by the owned path; the store transparently rewrites them as version 2
-//! on first touch. [`program_bytes`] keeps the version-1 single-program
-//! encoding as the canonical *fingerprint* byte stream, so content
-//! fingerprints — and therefore every report-cache key and artifact —
-//! are identical whichever container version or read path served the
-//! program.
+//! Any other version byte — including the retired version 1, which
+//! stored op records inline — is a typed
+//! [`SnapshotError::VersionMismatch`]; `traces/` is a cache, so the store
+//! quarantines such a file and records the pair afresh.
+//! [`program_bytes`] keeps the version-1 single-program encoding as the
+//! canonical *fingerprint* byte stream, so content fingerprints — and
+//! therefore every report-cache key and artifact — are identical
+//! whichever read path (owned or mapped) served the program.
 
 use std::fmt;
 use tls_core::experiment::BenchmarkPrograms;
@@ -81,9 +82,6 @@ use tls_trace::{Epoch, ProgramView, RawOpError, Region, RegionView, TraceOp, Tra
 pub const MAGIC: &[u8; 6] = b"TLSNAP";
 /// Current container format version.
 pub const VERSION: u8 = 2;
-/// The previous format version (inline op records); still decoded, never
-/// written.
-pub const LEGACY_VERSION: u8 = 1;
 /// Container payload kind: a recorded `(plain, tls)` trace pair.
 pub const KIND_TRACE_PAIR: u8 = 1;
 /// Container payload kind: a cached simulation report (JSON payload).
@@ -191,7 +189,7 @@ impl fmt::Display for SnapshotError {
                 write!(f, "payload kind {found} where {expected} expected")
             }
             SnapshotError::VersionMismatch { found } => {
-                write!(f, "format version {found} (this build reads {LEGACY_VERSION}-{VERSION})")
+                write!(f, "format version {found} (this build reads {VERSION})")
             }
             SnapshotError::KeyMismatch { found, expected } => {
                 write!(f, "cache key {found:016x} where {expected:016x} expected")
@@ -318,9 +316,7 @@ pub fn encode_container(kind: u8, key_hash: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Verifies a container's framing and returns its payload slice. Both
-/// the current and the legacy format version are accepted — use
-/// [`container_version`] to learn which payload encoding applies.
+/// Verifies a container's framing and returns its payload slice.
 pub fn decode_container(bytes: &[u8], kind: u8, key_hash: u64) -> Result<&[u8], SnapshotError> {
     if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
         return Err(SnapshotError::TooShort(bytes.len()));
@@ -331,7 +327,7 @@ pub fn decode_container(bytes: &[u8], kind: u8, key_hash: u64) -> Result<&[u8], 
     if bytes[6] != kind {
         return Err(SnapshotError::KindMismatch { found: bytes[6], expected: kind });
     }
-    if bytes[7] != VERSION && bytes[7] != LEGACY_VERSION {
+    if bytes[7] != VERSION {
         return Err(SnapshotError::VersionMismatch { found: bytes[7] });
     }
     let found_key = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
@@ -351,11 +347,6 @@ pub fn decode_container(bytes: &[u8], kind: u8, key_hash: u64) -> Result<&[u8], 
         return Err(SnapshotError::KeyMismatch { found: found_key, expected: key_hash });
     }
     Ok(&bytes[HEADER_LEN..body_end])
-}
-
-/// The format version byte of a (framing-verified) container.
-pub fn container_version(bytes: &[u8]) -> u8 {
-    bytes[7]
 }
 
 // ---------------------------------------------------------------------------
@@ -803,64 +794,6 @@ pub fn decode_pair(payload: &[u8]) -> Result<BenchmarkPrograms, SnapshotError> {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy (version-1) trace-pair payload.
-// ---------------------------------------------------------------------------
-
-impl<'a> Reader<'a> {
-    fn epoch_v1(&mut self) -> Result<Epoch, SnapshotError> {
-        let count = self.u32()? as usize;
-        // Bound the allocation by the bytes actually present.
-        if count > (self.bytes.len() - self.pos) / 16 {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut ops = Vec::with_capacity(count);
-        for _ in 0..count {
-            let raw: [u8; 16] = self.take(16)?.try_into().expect("16 bytes");
-            ops.push(TraceOp::from_raw(raw)?);
-        }
-        Ok(Epoch::new(ops))
-    }
-
-    fn program_v1(&mut self) -> Result<TraceProgram, SnapshotError> {
-        let name = self.name()?;
-        let region_count = self.u32()? as usize;
-        if region_count > self.bytes.len() - self.pos {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut regions = Vec::with_capacity(region_count);
-        for _ in 0..region_count {
-            regions.push(match self.u8()? {
-                0 => Region::Sequential(self.epoch_v1()?),
-                1 => {
-                    let n = self.u32()? as usize;
-                    if n > self.bytes.len() - self.pos {
-                        return Err(SnapshotError::Truncated);
-                    }
-                    let mut epochs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        epochs.push(self.epoch_v1()?);
-                    }
-                    Region::Parallel(epochs)
-                }
-                tag => return Err(SnapshotError::BadRegionTag(tag)),
-            });
-        }
-        Ok(TraceProgram::new(name, regions))
-    }
-}
-
-/// Decodes a legacy version-1 (kind-1) payload (inline op records).
-pub fn decode_pair_v1(payload: &[u8]) -> Result<BenchmarkPrograms, SnapshotError> {
-    let mut r = Reader { bytes: payload, pos: 0 };
-    let plain = r.program_v1()?;
-    let tls = r.program_v1()?;
-    if r.pos != payload.len() {
-        return Err(SnapshotError::TrailingBytes(payload.len() - r.pos));
-    }
-    Ok(BenchmarkPrograms { plain, tls })
-}
-
-// ---------------------------------------------------------------------------
 // Whole-file forms.
 // ---------------------------------------------------------------------------
 
@@ -870,15 +803,9 @@ pub fn encode_pair_file(key_hash: u64, pair: &BenchmarkPrograms) -> Vec<u8> {
 }
 
 /// Decodes a container file image back into an owned pair, verifying
-/// framing, checksum and key, and dispatching on the container version
-/// (the current aligned-bank format or the legacy inline format).
+/// framing, checksum and key.
 pub fn decode_pair_file(bytes: &[u8], key_hash: u64) -> Result<BenchmarkPrograms, SnapshotError> {
-    let payload = decode_container(bytes, KIND_TRACE_PAIR, key_hash)?;
-    if container_version(bytes) == LEGACY_VERSION {
-        decode_pair_v1(payload)
-    } else {
-        decode_pair(payload)
-    }
+    decode_pair(decode_container(bytes, KIND_TRACE_PAIR, key_hash)?)
 }
 
 #[cfg(test)]
@@ -913,40 +840,11 @@ mod tests {
             && a.total_ops() == b.total_ops()
     }
 
-    /// Encodes `pair` the legacy way (inline records, version-1 byte).
-    fn encode_pair_file_v1(key_hash: u64, pair: &BenchmarkPrograms) -> Vec<u8> {
-        let mut payload = Vec::new();
-        let prog = |p: &TraceProgram| {
-            let mut out = Vec::new();
-            encode_program_v1(&mut out, &p.view());
-            out
-        };
-        payload.extend_from_slice(&prog(&pair.plain));
-        payload.extend_from_slice(&prog(&pair.tls));
-        let mut out = encode_container(KIND_TRACE_PAIR, key_hash, &payload);
-        out[7] = LEGACY_VERSION;
-        // Re-checksum with the patched version byte.
-        let body_end = out.len() - CHECKSUM_LEN;
-        let sum = fnv1a(&out[..body_end]);
-        out[body_end..].copy_from_slice(&sum.to_le_bytes());
-        out
-    }
-
     #[test]
     fn pair_round_trips() {
         let pair = sample_pair();
         let file = encode_pair_file(0xABCD, &pair);
         let back = decode_pair_file(&file, 0xABCD).expect("decode");
-        assert!(programs_equal(&pair.plain, &back.plain));
-        assert!(programs_equal(&pair.tls, &back.tls));
-    }
-
-    #[test]
-    fn legacy_v1_containers_still_decode() {
-        let pair = sample_pair();
-        let file = encode_pair_file_v1(0xABCD, &pair);
-        assert_eq!(container_version(&file), LEGACY_VERSION);
-        let back = decode_pair_file(&file, 0xABCD).expect("legacy decode");
         assert!(programs_equal(&pair.plain, &back.plain));
         assert!(programs_equal(&pair.tls, &back.tls));
     }
@@ -1042,15 +940,17 @@ mod tests {
             decode_pair_file(&file, 8),
             Err(SnapshotError::KeyMismatch { found: 7, expected: 8 })
         ));
-        let mut wrong_version = file.clone();
-        wrong_version[7] = VERSION + 1;
-        // Version is checked before the checksum, so a future-format file
-        // reads as a version mismatch (then gets re-recorded), not as
-        // corruption.
-        assert!(matches!(
-            decode_pair_file(&wrong_version, 7),
-            Err(SnapshotError::VersionMismatch { .. })
-        ));
+        // Version is checked before the checksum, so a retired (1) or
+        // future-format file reads as a version mismatch (then gets
+        // re-recorded), not as corruption.
+        for version in [1, VERSION + 1] {
+            let mut wrong_version = file.clone();
+            wrong_version[7] = version;
+            assert_eq!(
+                decode_pair_file(&wrong_version, 7).err(),
+                Some(SnapshotError::VersionMismatch { found: version })
+            );
+        }
         let report = encode_container(KIND_SIM_REPORT, 7, b"{}");
         assert!(matches!(
             decode_pair_file(&report, 7),

@@ -33,18 +33,6 @@ impl Scale {
             Scale::Test => "test",
         }
     }
-
-    /// Parses `--scale` arguments.
-    pub fn parse(args: &[String]) -> Scale {
-        match args.iter().position(|a| a == "--scale") {
-            Some(i) => match args.get(i + 1).map(String::as_str) {
-                Some("test") => Scale::Test,
-                Some("paper") | None => Scale::Paper,
-                Some(other) => panic!("unknown scale '{other}' (use: paper, test)"),
-            },
-            None => Scale::Paper,
-        }
-    }
 }
 
 /// How many transaction instances each benchmark records.
@@ -140,13 +128,6 @@ pub fn initials(name: &str) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_parses() {
-        let args = vec!["--scale".to_string(), "test".to_string()];
-        assert_eq!(Scale::parse(&args), Scale::Test);
-        assert_eq!(Scale::parse(&[]), Scale::Paper);
-    }
 
     #[test]
     fn test_scale_records_fewer_instances() {

@@ -18,6 +18,8 @@
 //!   as declarative [`plan::Plan`]s over the shared runner and store.
 //! - [`suite`] — the unified driver: filtering, baseline regression
 //!   comparison, and `BENCH_suite.json` throughput accounting.
+//! - [`cli`] — the one command-line parser behind `suite`, its verbs and
+//!   the `probe` tool: shared flags, typed exit-2 usage errors.
 //! - [`eval`] — shared evaluation helpers (scales, instance counts, the
 //!   paper machine, text-bar rendering).
 //! - [`observe`] — observed runs behind the `suite trace` verb: a
@@ -33,6 +35,7 @@
 //!   memory latency), one zero-copy map per seed, interned machine
 //!   configs, deterministic JSONL row streams with crash `--resume`.
 
+pub mod cli;
 pub mod codec;
 pub mod eval;
 pub mod mapped;

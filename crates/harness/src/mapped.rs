@@ -16,12 +16,11 @@
 //!    borrowed [`ProgramView`]s for the pair; no op bytes are ever
 //!    copied after that single integrity pass.
 //!
-//! Outcomes a caller must handle (see [`MapOutcome`]): a legacy
-//! version-1 container decodes by the owned path (the store transparently
-//! rewrites it as version 2), a big-endian host falls back to the owned
-//! decoder (records are stored little-endian), and a corrupt file is a
-//! typed error for the store's quarantine-and-heal machinery — never a
-//! panic, never a misdecode.
+//! Outcomes a caller must handle (see [`MapOutcome`]): a big-endian host
+//! falls back to the owned decoder (records are stored little-endian),
+//! and a corrupt file — or one in any format version but the current
+//! one — is a typed error for the store's quarantine-and-heal machinery:
+//! never a panic, never a misdecode.
 //!
 //! # Safety
 //!
@@ -44,7 +43,7 @@
 
 use crate::codec::{
     self, cast_bank, fingerprint_view, parse_pair_layout, validate_bank, PairLayout, SnapshotError,
-    KIND_TRACE_PAIR, LEGACY_VERSION,
+    KIND_TRACE_PAIR,
 };
 use std::path::Path;
 use tls_core::experiment::BenchmarkPrograms;
@@ -263,14 +262,6 @@ impl TraceView {
             Ok(p) => p,
             Err(e) => return MapOutcome::Bad(e),
         };
-        if codec::container_version(bytes) == LEGACY_VERSION {
-            // Inline-record format: no bank to map. Decode owned; the
-            // store rewrites it as version 2 so the next open maps.
-            return match codec::decode_pair_v1(payload) {
-                Ok(pair) => MapOutcome::Legacy(Box::new(pair)),
-                Err(e) => MapOutcome::Bad(e),
-            };
-        }
         let layout = match parse_pair_layout(payload) {
             Ok(l) => l,
             Err(e) => return MapOutcome::Bad(e),
@@ -313,9 +304,6 @@ pub enum MapOutcome {
     Mapped(Box<TraceView>),
     /// No snapshot on disk (a cold cache, not an error).
     Missing,
-    /// A verified *version-1* snapshot, decoded owned; the caller should
-    /// rewrite it in the current format so the next open maps.
-    Legacy(Box<BenchmarkPrograms>),
     /// A verified snapshot this host cannot serve in place (big-endian),
     /// decoded owned. Do **not** rewrite — the bytes are fine.
     Unsupported(Box<BenchmarkPrograms>),

@@ -1,5 +1,4 @@
-//! Observed benchmark runs: the engine behind the `suite trace` verb
-//! and the `timeline` binary.
+//! Observed benchmark runs: the engine behind the `suite trace` verb.
 //!
 //! An observed run replays one TPC-C benchmark through the snapshot
 //! store exactly as the evaluation plans do, but with a

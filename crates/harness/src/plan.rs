@@ -6,8 +6,7 @@
 //! and (b) produce the artifact: fan its independent (benchmark ×
 //! experiment × configuration) simulations across the [`JobPool`],
 //! assemble the results **in plan order**, and render both the JSON
-//! artifact and the human-readable table the per-figure binaries used to
-//! print.
+//! artifact and its human-readable table.
 //!
 //! Because jobs are pure and results are assembled positionally, a plan's
 //! output is byte-identical for any `--jobs` value and for cold or warm

@@ -381,9 +381,8 @@ impl HarnessStore {
     /// served in place from a memory-mapped disk snapshot, else recorded
     /// (and persisted in the mappable format).
     ///
-    /// A snapshot in the legacy inline format still decodes (owned) and
-    /// is transparently rewritten as version 2, so the *next* open maps;
-    /// a corrupt snapshot is quarantined and re-recorded as before.
+    /// A corrupt snapshot, or one in a retired format version, is
+    /// quarantined and re-recorded.
     pub fn programs(&self, key: &TraceKey) -> Arc<StoredPrograms> {
         let hash = key.hash();
         let slot = Self::slot(&self.traces, hash);
@@ -398,14 +397,6 @@ impl HarnessStore {
                     MapOutcome::Mapped(view) => {
                         self.stats.trace_disk_hits.fetch_add(1, Ordering::Relaxed);
                         return Arc::new(StoredPrograms::from_view(Arc::new(*view)));
-                    }
-                    MapOutcome::Legacy(pair) => {
-                        // Upgrade in place so the next open maps; the
-                        // fingerprint encoding is version-independent,
-                        // so downstream artifacts are unchanged.
-                        self.stats.trace_disk_hits.fetch_add(1, Ordering::Relaxed);
-                        write_atomic(path, &codec::encode_pair_file(hash, &pair));
-                        return Arc::new(StoredPrograms::new(*pair));
                     }
                     MapOutcome::Unsupported(pair) => {
                         // Decoded owned (big-endian host); the snapshot
@@ -635,9 +626,8 @@ mod tests {
         let qdir = warm.quarantine_dir().expect("disk-backed store");
         let qfile = qdir.join(key().file_name());
         assert_eq!(std::fs::read(&qfile).expect("quarantined bytes"), bytes);
-        let reason =
-            std::fs::read_to_string(qdir.join(format!("{}.reason.txt", key().file_name())))
-                .expect("reason file");
+        let reason_path = qdir.join(format!("{}.reason.txt", key().file_name()));
+        let reason = std::fs::read_to_string(&reason_path).expect("reason file");
         assert!(reason.contains("code: checksum-mismatch"), "{reason}");
         let healed = std::fs::read(&path).expect("regenerated snapshot");
         assert!(codec::decode_pair_file(&healed, key().hash()).is_ok());
@@ -648,6 +638,22 @@ mod tests {
         again.programs(&key());
         assert_eq!(again.stats.snapshot()[1], 1, "healed snapshot served from disk");
         assert_eq!(again.stats.snapshot()[6], 0, "nothing left to quarantine");
+
+        // A container stamped with the retired version 1 (checksum intact)
+        // is not decoded: it is quarantined as a version mismatch and
+        // recorded afresh, and the rewritten snapshot maps in place.
+        let mut v1 = healed;
+        v1[7] = 1;
+        let body_end = v1.len() - codec::CHECKSUM_LEN;
+        let sum = codec::fnv1a(&v1[..body_end]);
+        v1[body_end..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &v1).expect("rewrite");
+        let upgraded = HarnessStore::new(Some(dir.clone()), true);
+        upgraded.programs(&key());
+        assert_eq!(upgraded.stats.snapshot()[2], 1, "re-recorded after version mismatch");
+        let reason = std::fs::read_to_string(&reason_path).expect("reason file");
+        assert!(reason.contains("code: version-mismatch"), "{reason}");
+        assert!(matches!(TraceView::open(&path, key().hash()), MapOutcome::Mapped(_)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

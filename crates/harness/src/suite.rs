@@ -6,6 +6,7 @@
 //! (failing on cycle-count drift), and records per-plan wall time plus
 //! simulated-cycles-per-host-second throughput in `BENCH_suite.json`.
 
+use crate::cli::{self, CliError, Shared, SharedArgs};
 use crate::eval::{paper_machine, Scale};
 use crate::plan::{all_plans, Plan, PlanCtx, PlanOutput};
 use crate::runner::{self, JobPool, Protection};
@@ -15,7 +16,6 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use tls_minidb::Transaction;
 
 /// Everything `suite` accepts on its command line.
 #[derive(Debug, Clone)]
@@ -111,53 +111,34 @@ usage: suite [options]
 
 impl SuiteOptions {
     /// Parses a `suite` command line.
-    pub fn parse(args: &[String]) -> Result<SuiteOptions, String> {
+    pub fn parse(args: &[String]) -> Result<SuiteOptions, CliError> {
         let mut opts = SuiteOptions::default();
-        let mut it = args.iter().peekable();
-        let value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-                     flag: &str|
-         -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--scale" => {
-                    opts.scale = match value(&mut it, "--scale")?.as_str() {
-                        "paper" => Scale::Paper,
-                        "test" => Scale::Test,
-                        other => return Err(format!("unknown scale '{other}' (use: paper, test)")),
-                    }
-                }
-                "--jobs" => {
-                    let v = value(&mut it, "--jobs")?;
-                    opts.jobs =
-                        v.parse().map_err(|_| format!("--jobs needs a number, got '{v}'"))?;
-                }
-                "--filter" => opts.filter = Some(value(&mut it, "--filter")?),
-                "--out" => opts.out_dir = PathBuf::from(value(&mut it, "--out")?),
-                "--traces" => opts.trace_dir = Some(PathBuf::from(value(&mut it, "--traces")?)),
-                "--no-cache" => opts.trace_dir = None,
-                "--baseline" => opts.baseline = Some(PathBuf::from(value(&mut it, "--baseline")?)),
-                "--bench" => opts.bench_path = PathBuf::from(value(&mut it, "--bench")?),
+        let shared = cli::parse(args, USAGE, cli::ALL, |arg, rest| {
+            match arg {
+                "--filter" => opts.filter = Some(rest.value(arg)?.to_string()),
+                "--baseline" => opts.baseline = Some(rest.value(arg)?.into()),
+                "--bench" => opts.bench_path = rest.value(arg)?.into(),
                 "--compare-serial" => opts.compare_serial = Some(true),
                 "--no-compare-serial" => opts.compare_serial = Some(false),
                 "--quiet" => opts.quiet = true,
                 "--list" => opts.list = true,
                 "--resume" => opts.resume = true,
                 "--job-timeout" => {
-                    let v = value(&mut it, "--job-timeout")?;
-                    let secs: f64 =
-                        v.parse().map_err(|_| format!("--job-timeout needs seconds, got '{v}'"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err(format!("--job-timeout needs positive seconds, got '{v}'"));
-                    }
-                    opts.job_timeout = Some(secs);
+                    let v = rest.value(arg)?;
+                    let secs = v.parse::<f64>().ok().filter(|s| s.is_finite() && *s > 0.0);
+                    opts.job_timeout = Some(secs.ok_or_else(|| {
+                        cli::bad(format!("--job-timeout needs positive seconds, got '{v}'"))
+                    })?);
                 }
-                "--force-panic" => opts.force_panic = Some(value(&mut it, "--force-panic")?),
-                "--help" | "-h" => return Err(USAGE.to_string()),
-                other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
+                "--force-panic" => opts.force_panic = Some(rest.value(arg)?.to_string()),
+                _ => return Ok(false),
             }
-        }
+            Ok(true)
+        })?;
+        opts.scale = shared.scale;
+        opts.jobs = shared.jobs;
+        opts.out_dir = shared.out_dir;
+        opts.trace_dir = shared.trace_dir;
         Ok(opts)
     }
 
@@ -229,8 +210,8 @@ struct BenchFailure {
 #[derive(Serialize)]
 struct BenchSerial {
     /// Back-to-back wall time of the uncached single-worker equivalent
-    /// of every selected plan — what the pre-existing per-figure
-    /// binaries cost.
+    /// of every selected plan — what running each plan on its own, one
+    /// simulation at a time, costs.
     serial_wall_s: f64,
     /// Serial wall time over the suite's wall time.
     speedup_vs_serial: f64,
@@ -330,64 +311,24 @@ mod sigint {
 /// exit code.
 pub fn run_trace_verb(args: &[String]) -> i32 {
     let mut txn = None;
-    let mut scale = Scale::Paper;
-    let mut out_dir = PathBuf::from("results");
-    let mut trace_dir = Some(PathBuf::from("traces"));
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => match it.next().map(String::as_str) {
-                Some("paper") => scale = Scale::Paper,
-                Some("test") => scale = Scale::Test,
-                other => {
-                    eprintln!("--scale needs paper or test, got {other:?}");
-                    return 2;
-                }
-            },
-            "--out" => match it.next() {
-                Some(v) => out_dir = PathBuf::from(v),
-                None => {
-                    eprintln!("--out needs a value");
-                    return 2;
-                }
-            },
-            "--traces" => match it.next() {
-                Some(v) => trace_dir = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("--traces needs a value");
-                    return 2;
-                }
-            },
-            "--no-cache" => trace_dir = None,
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return 0;
+    let parsed =
+        cli::parse(args, USAGE, &[Shared::Scale, Shared::Out, Shared::Traces], |arg, _| {
+            if txn.is_some() || arg.starts_with("--") {
+                return Ok(false);
             }
-            name if txn.is_none() => match Transaction::from_cli_name(name) {
-                Some(t) => txn = Some(t),
-                None => {
-                    eprintln!("unknown benchmark '{name}'; valid benchmarks:");
-                    for t in Transaction::ALL {
-                        eprintln!("  {}", t.trace_name());
-                    }
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("unknown argument '{other}'\n{USAGE}");
-                return 2;
-            }
-        }
-    }
-    let Some(txn) = txn else {
-        eprintln!("suite trace: which benchmark? valid benchmarks:");
-        for t in Transaction::ALL {
-            eprintln!("  {}", t.trace_name());
-        }
-        return 2;
+            txn = Some(cli::benchmark(arg)?);
+            Ok(true)
+        });
+    let shared = match parsed {
+        Ok(shared) => shared,
+        Err(e) => return e.report(),
     };
-    let store = HarnessStore::new(trace_dir, true);
-    let req = crate::observe::ObserveRequest::new(txn, scale, out_dir);
+    let Some(txn) = txn else {
+        return cli::bad(format!("suite trace: which benchmark? {}", cli::valid_benchmarks()))
+            .report();
+    };
+    let store = HarnessStore::new(shared.trace_dir, true);
+    let req = crate::observe::ObserveRequest::new(txn, shared.scale, shared.out_dir);
     match crate::observe::observe_run(&store, &req) {
         Ok(out) => {
             println!(
@@ -418,60 +359,20 @@ pub fn run_trace_verb(args: &[String]) -> i32 {
 /// the probe binary uses for unknown benchmarks). Returns the process
 /// exit code.
 pub fn run_workload_verb(args: &[String]) -> i32 {
-    let mut spec_path: Option<PathBuf> = None;
-    let mut scale = Scale::Paper;
-    let mut out_dir = PathBuf::from("results");
-    let mut trace_dir = Some(PathBuf::from("traces"));
-    let mut jobs = JobPool::available();
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => match it.next().map(String::as_str) {
-                Some("paper") => scale = Scale::Paper,
-                Some("test") => scale = Scale::Test,
-                other => {
-                    eprintln!("--scale needs paper or test, got {other:?}");
-                    return 2;
-                }
-            },
-            "--out" => match it.next() {
-                Some(v) => out_dir = PathBuf::from(v),
-                None => {
-                    eprintln!("--out needs a value");
-                    return 2;
-                }
-            },
-            "--traces" => match it.next() {
-                Some(v) => trace_dir = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("--traces needs a value");
-                    return 2;
-                }
-            },
-            "--no-cache" => trace_dir = None,
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => jobs = n,
-                None => {
-                    eprintln!("--jobs needs a number");
-                    return 2;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return 0;
-            }
-            path if spec_path.is_none() && !path.starts_with("--") => {
-                spec_path = Some(PathBuf::from(path));
-            }
-            other => {
-                eprintln!("unknown argument '{other}'\n{USAGE}");
-                return 2;
-            }
+    let mut spec_path = None;
+    let parsed = cli::parse(args, USAGE, cli::ALL, |arg, _| {
+        if spec_path.is_some() || arg.starts_with("--") {
+            return Ok(false);
         }
-    }
+        spec_path = Some(PathBuf::from(arg));
+        Ok(true)
+    });
+    let SharedArgs { scale, jobs, out_dir, trace_dir } = match parsed {
+        Ok(shared) => shared,
+        Err(e) => return e.report(),
+    };
     let Some(spec_path) = spec_path else {
-        eprintln!("suite workload: which spec file?\n{USAGE}");
-        return 2;
+        return cli::bad(format!("suite workload: which spec file?\n{USAGE}")).report();
     };
     let src = match std::fs::read_to_string(&spec_path) {
         Ok(s) => s,
@@ -692,8 +593,7 @@ pub fn run_suite(opts: &SuiteOptions) -> i32 {
     let total_sim_cycles: u64 = bench_plans.iter().map(|p| p.sim_cycles).sum();
 
     // Optional honesty check + denominator for the speedup claim: run the
-    // same plans with no cache and one worker, the way the standalone
-    // per-figure binaries execute.
+    // same plans again with no cache and one worker.
     let compare_serial = opts.compare_serial.unwrap_or(opts.scale == Scale::Test) && !interrupted;
     let mut serial_equivalent = None;
     if compare_serial {
@@ -913,39 +813,6 @@ fn diff_values(path: &str, a: &Value, b: &Value, drifts: &mut Vec<String>) {
     }
 }
 
-/// The engine behind the thin per-figure wrapper binaries in `tls-bench`:
-/// runs one plan with the standalone binaries' historical CLI (`--scale
-/// paper|test`, `--json DIR`), printing the table to stdout. Honors
-/// `--jobs N` and `--traces DIR` too, defaulting to every core and the
-/// shared `traces/` cache.
-pub fn run_single_plan(name: &str, args: &[String]) {
-    let scale = Scale::parse(args);
-    let flag = |f: &str| -> Option<&String> {
-        args.iter().position(|a| a == f).and_then(|i| args.get(i + 1))
-    };
-    let jobs = flag("--jobs")
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("--jobs needs a number, got '{v}'")))
-        .unwrap_or_else(JobPool::available);
-    let trace_dir = if args.iter().any(|a| a == "--no-cache") {
-        None
-    } else {
-        Some(PathBuf::from(flag("--traces").map(String::as_str).unwrap_or("traces")))
-    };
-    let plan = crate::plan::find_plan(name).unwrap_or_else(|| panic!("no plan named '{name}'"));
-    let pool = JobPool::new(jobs);
-    let store = HarnessStore::new(trace_dir, true);
-    let ctx = PlanCtx { scale, machine: paper_machine(), store: &store, pool: &pool };
-    let out = (plan.run)(&ctx);
-    print!("{}", out.text);
-    if let Some(dir) = flag("--json").map(PathBuf::from) {
-        std::fs::create_dir_all(&dir).expect("create json dir");
-        let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, &out.json)
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!("wrote {}", path.display());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -999,9 +866,43 @@ mod tests {
 
     #[test]
     fn rejects_unknown_arguments() {
-        assert!(SuiteOptions::parse(&args(&["--bogus"])).is_err());
-        assert!(SuiteOptions::parse(&args(&["--scale", "huge"])).is_err());
-        assert!(SuiteOptions::parse(&args(&["--jobs", "many"])).is_err());
+        // A malformed command line is a usage error naming the offending
+        // token: exit 2, never a panic.
+        for bad in [
+            &["--bogus"][..],
+            &["--scale", "huge"],
+            &["--jobs", "many"],
+            &["--out"],
+            &["--job-timeout", "-1"],
+        ] {
+            let err = SuiteOptions::parse(&args(bad)).expect_err("rejected");
+            assert!(err.to_string().contains(bad[bad.len() - 1]), "{bad:?}: {err}");
+            assert_eq!(err.report(), 2, "{bad:?}");
+        }
+        assert_eq!(SuiteOptions::parse(&args(&["--help"])).unwrap_err().report(), 0);
+        // The verbs share the parser; each rejects the flags it does not
+        // take (`trace` has no --jobs) before doing any work.
+        for bad in [
+            &["new_order", "--scale", "huge"][..],
+            &["new_order", "--jobs", "many"],
+            &["new_order", "--out"],
+            &["no_such_benchmark"],
+            &[],
+        ] {
+            assert_eq!(run_trace_verb(&args(bad)), 2, "trace {bad:?}");
+        }
+        for bad in [
+            &["spec.json", "--scale", "huge"][..],
+            &["spec.json", "--jobs", "many"],
+            &["spec.json", "--traces"],
+            &["spec.json", "--bogus"],
+            &[],
+        ] {
+            assert_eq!(run_workload_verb(&args(bad)), 2, "workload {bad:?}");
+        }
+        // `probe` takes only the shared --scale flag.
+        let probe = cli::parse(&args(&["--scale", "huge"]), "", &[Shared::Scale], |_, _| Ok(false));
+        assert_eq!(probe.expect_err("unknown scale").report(), 2);
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //! process's peak RSS in a `sweep` section merged into
 //! `BENCH_suite.json`.
 
+use crate::cli::{self, CliError};
 use crate::codec::{self, encode_container, KIND_SIM_REPORT};
 use crate::eval::{instances, paper_machine, Scale};
 use crate::runner::JobPool;
 use crate::store::{HarnessStore, StoredPrograms, TraceKey};
+use crate::suite::USAGE;
 use serde::{Serialize, Value};
 use std::fmt;
 use std::io::Write as _;
@@ -934,50 +936,29 @@ fn merge_bench_section(path: &Path, section: &BenchSweep) -> Result<(), String> 
 }
 
 /// Parses the `suite sweep` command line.
-pub fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
+pub fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, CliError> {
     let mut opts = SweepOptions::default();
     let mut spec_path = None;
-    let mut it = args.iter().peekable();
-    let value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-                 flag: &str|
-     -> Result<String, String> {
-        it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => {
-                opts.scale = match value(&mut it, "--scale")?.as_str() {
-                    "paper" => Scale::Paper,
-                    "test" => Scale::Test,
-                    other => return Err(format!("unknown scale '{other}' (use: paper, test)")),
-                }
-            }
-            "--jobs" => {
-                let v = value(&mut it, "--jobs")?;
-                opts.jobs = v.parse().map_err(|_| format!("--jobs needs a number, got '{v}'"))?;
-            }
-            "--filter" => opts.filter = Some(value(&mut it, "--filter")?),
-            "--out" => opts.out_dir = PathBuf::from(value(&mut it, "--out")?),
-            "--traces" => opts.trace_dir = Some(PathBuf::from(value(&mut it, "--traces")?)),
-            "--no-cache" => opts.trace_dir = None,
+    let shared = cli::parse(args, USAGE, cli::ALL, |arg, rest| {
+        match arg {
+            "--filter" => opts.filter = Some(rest.value(arg)?.to_string()),
             "--resume" => opts.resume = true,
-            "--bench" => opts.bench_path = PathBuf::from(value(&mut it, "--bench")?),
-            "--baseline-sample" => {
-                let v = value(&mut it, "--baseline-sample")?;
-                opts.baseline_sample = v
-                    .parse()
-                    .map_err(|_| format!("--baseline-sample needs a number, got '{v}'"))?;
-            }
+            "--bench" => opts.bench_path = rest.value(arg)?.into(),
+            "--baseline-sample" => opts.baseline_sample = rest.parsed(arg, "a number")?,
             "--quiet" => opts.quiet = true,
-            "--help" | "-h" => return Err(crate::suite::USAGE.to_string()),
             path if spec_path.is_none() && !path.starts_with("--") => {
-                spec_path = Some(PathBuf::from(path));
+                spec_path = Some(PathBuf::from(path))
             }
-            other => return Err(format!("unknown argument '{other}'\n{}", crate::suite::USAGE)),
+            _ => return Ok(false),
         }
-    }
-    opts.spec_path = spec_path
-        .ok_or_else(|| format!("suite sweep: which grid file?\n{}", crate::suite::USAGE))?;
+        Ok(true)
+    })?;
+    opts.spec_path =
+        spec_path.ok_or_else(|| cli::bad(format!("suite sweep: which grid file?\n{USAGE}")))?;
+    opts.scale = shared.scale;
+    opts.jobs = shared.jobs;
+    opts.out_dir = shared.out_dir;
+    opts.trace_dir = shared.trace_dir;
     Ok(opts)
 }
 
@@ -985,10 +966,7 @@ pub fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
 pub fn run_sweep_verb(args: &[String]) -> i32 {
     let opts = match parse_sweep_args(args) {
         Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return 2;
-        }
+        Err(e) => return e.report(),
     };
     let src = match std::fs::read_to_string(&opts.spec_path) {
         Ok(s) => s,
@@ -1282,7 +1260,18 @@ mod tests {
         assert_eq!(o.scale, Scale::Test);
         assert_eq!(o.jobs, 3);
         assert!(o.resume);
-        assert!(parse_sweep_args(&["--bogus".to_string()]).is_err());
-        assert!(parse_sweep_args(&[]).is_err(), "grid file required");
+        let bad = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for args in [
+            &["--bogus"][..],
+            &[],
+            &["grid.json", "--scale", "huge"],
+            &["grid.json", "--jobs", "many"],
+            &["grid.json", "--baseline-sample"],
+            &["grid.json", "--compare-serial"],
+        ] {
+            let err = parse_sweep_args(&bad(args)).expect_err("rejected");
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}");
+            assert_eq!(run_sweep_verb(&bad(args)), 2, "{args:?}");
+        }
     }
 }

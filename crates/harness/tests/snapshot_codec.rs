@@ -62,6 +62,7 @@ fn program(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    #[test]
     fn arbitrary_pairs_round_trip(
         prefix in vec(op_desc(), 0..12),
         epochs in vec(vec(op_desc(), 0..16), 0..5),
@@ -82,6 +83,7 @@ proptest! {
         prop_assert_eq!(encode_pair_file(key, &decoded), bytes);
     }
 
+    #[test]
     fn corrupt_bytes_never_decode_to_different_data(
         epochs in vec(vec(op_desc(), 0..12), 1..4),
         key in any::<u64>(),
@@ -107,6 +109,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn truncations_are_always_rejected(
         epochs in vec(vec(op_desc(), 0..12), 1..4),
         key in any::<u64>(),
@@ -121,6 +124,7 @@ proptest! {
         prop_assert!(decode_pair_file(&good[..cut], key).is_err(), "cut at {}", cut);
     }
 
+    #[test]
     fn wrong_keys_are_always_rejected(
         epochs in vec(vec(op_desc(), 0..8), 1..3),
         key in any::<u64>(),

@@ -32,8 +32,9 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
 }
 
-/// Defines property tests: `proptest! { #![proptest_config(...)] fn
-/// name(x in strategy, ...) { body } ... }`.
+/// Defines property tests: `proptest! { #![proptest_config(...)] #[test]
+/// fn name(x in strategy, ...) { body } ... }`. As upstream, attributes
+/// pass through unchanged and each function carries its own `#[test]`.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -54,7 +55,6 @@ macro_rules! __proptest_fns {
     (cfg = $cfg:expr; $($(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let __config = $cfg;
                 $crate::test_runner::run_test(
