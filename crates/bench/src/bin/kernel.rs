@@ -98,8 +98,10 @@ struct TraceStoreBench {
     decode_ns_per_op: f64,
     /// Ops per host-second through the owned decode path.
     decode_ops_per_s: f64,
-    /// ns per op for the zero-copy warm path: map the file, validate the
-    /// container + bank once, stream both fingerprints — no op copies.
+    /// ns per op for the zero-copy warm path: map the file, then one walk
+    /// that yields the checksum and all four fingerprints (both programs
+    /// and both serialized forms), then one record-validation pass — no
+    /// op copies.
     mmap_ns_per_op: f64,
     /// Ops per host-second through the mapped path.
     mmap_ops_per_s: f64,
@@ -449,8 +451,10 @@ fn bench_trace_store() -> TraceStoreBench {
     assert_eq!(program_bytes(&view.tls().to_program()), program_bytes(&owned.tls));
     let trace_ops = (owned.plain.view().total_ops() + owned.tls.view().total_ops()) as u64;
 
-    // Both timings produce the same end state — a StoredPrograms with
-    // both fingerprints computed, ready for report-cache lookups.
+    // Both timings produce a StoredPrograms ready for report-cache
+    // lookups of the recorded pair. The mapped one has done more: its
+    // open also fingerprinted both serialized forms, which the owned one
+    // would copy and fingerprint on first use.
     let decode_secs = time_s(7, || {
         let bytes = std::fs::read(&path).expect("read snapshot");
         StoredPrograms::new(decode_pair_file(&bytes, hash).expect("owned decode"))

@@ -528,14 +528,15 @@ impl CmpSimulator {
 
 /// Scheduling state of one CPU.
 ///
-/// `Running` is kept inline rather than boxed: there are at most
-/// [`MAX_CPUS`] slots and `execute_cpu` moves the run in and out every
-/// cycle, so the indirection would cost more than the enum's size.
-#[allow(clippy::large_enum_variant)]
+/// `Running` is boxed: `execute_cpu`, `force_merge` and `commit_ready`
+/// take the run out of its slot and put it back, every cycle for every
+/// CPU, and moving a pointer is far cheaper than moving the whole
+/// `EpochRun` (inline, those moves were a fifth of the host time of a
+/// Figure-5 simulation, nearly all of it in `memmove`).
 #[derive(Debug)]
 enum Slot<'p> {
     Free,
-    Running(EpochRun<'p>),
+    Running(Box<EpochRun<'p>>),
 }
 
 /// Per-cycle op-examination budget per CPU (latch ops and sub-thread
@@ -2137,7 +2138,7 @@ impl<'p> Machine<'p> {
                 let order = self.next_order;
                 self.next_order += 1;
                 emit!(self, EventKind::EpochStart, cpu, order, 0, epoch.len() as u64, 0);
-                self.slots[cpu] = Slot::Running(EpochRun::new(order, epoch, spacing));
+                self.slots[cpu] = Slot::Running(Box::new(EpochRun::new(order, epoch, spacing)));
             }
         }
     }

@@ -13,9 +13,19 @@
 //! | 24 | n | payload |
 //! | 24 + n | 8 | FNV-1a-64 checksum of bytes `0 .. 24 + n` |
 //!
-//! The decoder verifies magic, kind, version, key hash, length and
-//! checksum *before* interpreting a single payload byte, so a corrupt or
-//! truncated snapshot is rejected — never misdecoded.
+//! [`decode_container`] checks magic, kind, version and length, then the
+//! checksum, then the key hash, before it hands out a single payload
+//! byte, so a corrupt or truncated snapshot is rejected — never
+//! misdecoded. The mapped reader ([`crate::mapped`]) keeps that contract
+//! but reorders the work to touch each byte once: after the same header
+//! checks it parses the trace-pair *structure* from the still-unverified
+//! payload, only to learn where each epoch begins (a bounded parse with
+//! typed errors), and then [`digest_pair`] computes the checksum and every
+//! content fingerprint in one walk. Nothing from the payload — view,
+//! fingerprint or op — is handed out before the checksum and the key
+//! verify, and a payload whose structure does not parse is judged by its
+//! checksum alone, so every corrupt file gets the same [`SnapshotError`]
+//! either way.
 //!
 //! # Version-2 trace-pair payload: the zero-copy record bank
 //!
@@ -261,6 +271,9 @@ impl From<RawOpError> for SnapshotError {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// A streaming FNV-1a-64 hasher: the container checksum, the cache-key
 /// fingerprint hash, and the content-fingerprint stream — without ever
 /// materializing the hashed bytes.
@@ -270,15 +283,14 @@ pub struct Fnv(u64);
 impl Fnv {
     /// A hasher at the FNV-1a offset basis.
     pub fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(FNV_OFFSET)
     }
 
     /// Folds `bytes` into the running hash.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut h = self.0;
         for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
         }
         self.0 = h;
     }
@@ -318,6 +330,15 @@ pub fn encode_container(kind: u8, key_hash: u64, payload: &[u8]) -> Vec<u8> {
 
 /// Verifies a container's framing and returns its payload slice.
 pub fn decode_container(bytes: &[u8], kind: u8, key_hash: u64) -> Result<&[u8], SnapshotError> {
+    let payload = check_header(bytes, kind)?;
+    verify_seal(bytes, fnv1a(&bytes[..bytes.len() - CHECKSUM_LEN]), key_hash)?;
+    Ok(payload)
+}
+
+/// The header half of [`decode_container`]: magic, kind, version and
+/// length, reading no payload byte. Returns the payload, which is **not**
+/// yet verified — pair with [`verify_seal`] before trusting any of it.
+pub(crate) fn check_header(bytes: &[u8], kind: u8) -> Result<&[u8], SnapshotError> {
     if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
         return Err(SnapshotError::TooShort(bytes.len()));
     }
@@ -330,23 +351,31 @@ pub fn decode_container(bytes: &[u8], kind: u8, key_hash: u64) -> Result<&[u8], 
     if bytes[7] != VERSION {
         return Err(SnapshotError::VersionMismatch { found: bytes[7] });
     }
-    let found_key = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
     let declared = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
     let present = (bytes.len() - HEADER_LEN - CHECKSUM_LEN) as u64;
     if declared != present {
         return Err(SnapshotError::LengthMismatch { declared, present });
     }
+    Ok(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN])
+}
+
+/// The seal half of [`decode_container`], for a container that passed
+/// [`check_header`]: the stored checksum must equal `checksum` (the
+/// FNV-1a of header + payload), and then the stored key must equal
+/// `key_hash`.
+pub(crate) fn verify_seal(bytes: &[u8], checksum: u64, key_hash: u64) -> Result<(), SnapshotError> {
     let body_end = bytes.len() - CHECKSUM_LEN;
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    if fnv1a(&bytes[..body_end]) != stored {
+    if checksum != stored {
         return Err(SnapshotError::ChecksumMismatch);
     }
     // Key verified after integrity so a flipped key bit reads as
     // corruption, not as somebody else's (valid) snapshot.
+    let found_key = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
     if found_key != key_hash {
         return Err(SnapshotError::KeyMismatch { found: found_key, expected: key_hash });
     }
-    Ok(&bytes[HEADER_LEN..body_end])
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -487,6 +516,34 @@ impl ProgramLayout {
                     RegionLayout::Parallel(es) => RegionView::Parallel(
                         es.iter().map(|x| &bank[x.start..x.start + x.count]).collect(),
                     ),
+                })
+                .collect(),
+        }
+    }
+
+    /// Builds the borrowed *serialized* view over a casted op bank: the
+    /// region list of [`serialize_view`], with each parallel region as one
+    /// sequential run. A parallel region's epochs are consecutive records
+    /// of the bank (the parser assigns extents from a running cursor), so
+    /// the run is a single slice from its first epoch to its last — an
+    /// empty slice for a region without epochs — and nothing is copied.
+    ///
+    /// [`serialize_view`]: tls_core::experiment::serialize_view
+    pub fn serialized_view<'a>(&'a self, bank: &'a [TraceOp]) -> ProgramView<'a> {
+        ProgramView {
+            name: &self.name,
+            regions: self
+                .regions
+                .iter()
+                .map(|r| {
+                    let (start, end) = match r {
+                        RegionLayout::Sequential(x) => (x.start, x.start + x.count),
+                        RegionLayout::Parallel(es) => match (es.first(), es.last()) {
+                            (Some(first), Some(last)) => (first.start, last.start + last.count),
+                            _ => (0, 0),
+                        },
+                    };
+                    RegionView::Sequential(&bank[start..end])
                 })
                 .collect(),
         }
@@ -753,6 +810,99 @@ pub fn validate_bank(bank: &[u8]) -> Result<(), SnapshotError> {
         TraceOp::from_raw(raw.try_into().expect("16 bytes"))?;
     }
     Ok(())
+}
+
+/// The five FNV-1a-64 digests of a trace-pair container.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairDigest {
+    /// The container checksum: FNV-1a of header + payload.
+    pub checksum: u64,
+    /// The plain program's content fingerprint ([`fingerprint_view`]).
+    pub plain: u64,
+    /// The TLS program's content fingerprint.
+    pub tls: u64,
+    /// The fingerprint of the plain program's serialized form
+    /// (`fingerprint_view(&serialize_view(..).view())`).
+    pub plain_serialized: u64,
+    /// The fingerprint of the TLS program's serialized form.
+    pub tls_serialized: u64,
+}
+
+/// Computes all five [`PairDigest`] values in one walk over a container
+/// `body` (header + payload: the file without its trailing checksum)
+/// whose payload parsed as `layout`. Each op-bank byte feeds three
+/// interleaved FNV-1a chains — checksum, program fingerprint, serialized
+/// fingerprint — that are independent of one another, so the walk costs
+/// about what the checksum alone did. The framing bytes of the two
+/// canonical fingerprint streams (names, region tags, counts) come from
+/// the layout, at the epoch boundaries where those streams carry them.
+///
+/// # Panics
+///
+/// If `layout` was not parsed from this body's payload (the bank would
+/// not be where, or as long as, the layout says).
+pub fn digest_pair(body: &[u8], layout: &PairLayout) -> PairDigest {
+    let bank_at = HEADER_LEN + layout.bank_offset;
+    let mut checksum = Fnv::new();
+    checksum.update(&body[..bank_at]);
+    let bank = &body[bank_at..];
+    assert_eq!(bank.len(), RECORD_LEN * layout.total_ops, "layout does not match the body");
+    let (plain, plain_serialized) = digest_program(&mut checksum, &layout.plain, bank);
+    let (tls, tls_serialized) = digest_program(&mut checksum, &layout.tls, bank);
+    PairDigest { checksum: checksum.finish(), plain, tls, plain_serialized, tls_serialized }
+}
+
+/// One program's `(fingerprint, serialized fingerprint)`, feeding its
+/// bank bytes to `checksum` on the way. The program's extents are
+/// consecutive in the bank, so the checksum sees the bank in order.
+fn digest_program(checksum: &mut Fnv, program: &ProgramLayout, bank: &[u8]) -> (u64, u64) {
+    let (mut fp, mut ser) = (Fnv::new(), Fnv::new());
+    for f in [&mut fp, &mut ser] {
+        f.update(&(program.name.len() as u32).to_le_bytes());
+        f.update(program.name.as_bytes());
+        f.update(&(program.regions.len() as u32).to_le_bytes());
+    }
+    let ops = |chains: [&mut Fnv; 3], x: &OpRange| {
+        fnv3(chains, &bank[RECORD_LEN * x.start..RECORD_LEN * (x.start + x.count)]);
+    };
+    for region in &program.regions {
+        match region {
+            RegionLayout::Sequential(x) => {
+                for f in [&mut fp, &mut ser] {
+                    f.update(&[0]);
+                    f.update(&(x.count as u32).to_le_bytes());
+                }
+                ops([&mut *checksum, &mut fp, &mut ser], x);
+            }
+            RegionLayout::Parallel(es) => {
+                fp.update(&[1]);
+                fp.update(&(es.len() as u32).to_le_bytes());
+                // Serialized, the region is one sequential epoch of all
+                // its ops (the count truncates as the encoder's does).
+                let total: usize = es.iter().map(|x| x.count).sum();
+                ser.update(&[0]);
+                ser.update(&(total as u32).to_le_bytes());
+                for x in es {
+                    fp.update(&(x.count as u32).to_le_bytes());
+                    ops([&mut *checksum, &mut fp, &mut ser], x);
+                }
+            }
+        }
+    }
+    (fp.finish(), ser.finish())
+}
+
+/// Folds `bytes` into three FNV-1a chains at once. The chains do not
+/// depend on one another, so their multiplies overlap in the pipeline.
+fn fnv3([a, b, c]: [&mut Fnv; 3], bytes: &[u8]) {
+    let (mut x, mut y, mut z) = (a.0, b.0, c.0);
+    for &byte in bytes {
+        let v = byte as u64;
+        x = (x ^ v).wrapping_mul(FNV_PRIME);
+        y = (y ^ v).wrapping_mul(FNV_PRIME);
+        z = (z ^ v).wrapping_mul(FNV_PRIME);
+    }
+    (a.0, b.0, c.0) = (x, y, z);
 }
 
 /// Casts a (validated) op bank to records in place. Fails with a typed

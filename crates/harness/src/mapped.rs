@@ -11,10 +11,19 @@
 //!
 //! 1. [`Mapping`] — a read-only `mmap(2)` of the snapshot file (with an
 //!    aligned heap fallback for non-unix hosts), `munmap`ed on drop.
-//! 2. [`TraceView::open`] — verifies the container framing + checksum
-//!    and validates every record **once per map**, then hands out
-//!    borrowed [`ProgramView`]s for the pair; no op bytes are ever
-//!    copied after that single integrity pass.
+//! 2. [`TraceView::open`] — verifies the container framing, checksum
+//!    and key, and validates every record, **once per map**; then hands
+//!    out borrowed [`ProgramView`]s for the pair and for each program's
+//!    serialized form (the SEQUENTIAL and TLS-SEQ input); no op bytes are
+//!    ever copied after open.
+//!
+//! The checksum and the four content fingerprints (each program and
+//! each serialized program) come from one walk over the file
+//! ([`codec::digest_pair`]), not one pass each. The header is checked
+//! first, the structure is parsed from the unverified payload only to
+//! find the epoch boundaries, and nothing is served until the checksum
+//! and key have verified (see the [`crate::codec`] module doc for the
+//! order).
 //!
 //! Outcomes a caller must handle (see [`MapOutcome`]): a big-endian host
 //! falls back to the owned decoder (records are stored little-endian),
@@ -42,15 +51,12 @@
 //! means snapshot files are never modified in place anyway.
 
 use crate::codec::{
-    self, cast_bank, fingerprint_view, parse_pair_layout, validate_bank, PairLayout, SnapshotError,
-    KIND_TRACE_PAIR,
+    self, cast_bank, check_header, digest_pair, parse_pair_layout, validate_bank, verify_seal,
+    PairDigest, PairLayout, SnapshotError, CHECKSUM_LEN, HEADER_LEN, KIND_TRACE_PAIR,
 };
 use std::path::Path;
 use tls_core::experiment::BenchmarkPrograms;
 use tls_trace::{ProgramView, TraceOp};
-
-const HEADER_LEN: usize = 24;
-const CHECKSUM_LEN: usize = 8;
 
 // ---------------------------------------------------------------------------
 // Mapping: read-only bytes, page-aligned, unmapped on drop.
@@ -184,35 +190,29 @@ impl Mapping {
 /// A trace pair served in place from a mapped version-2 snapshot.
 ///
 /// Construction performs the *single* integrity pass — container
-/// framing, checksum, layout validation, and per-record validation — so
-/// the `view()` accessors afterwards are pure pointer arithmetic. Both
-/// content fingerprints are computed here too (streamed over the mapped
-/// bank, no allocation), because every consumer of a program needs its
-/// fingerprint for report-cache keys.
+/// framing, checksum, key, layout validation and per-record validation —
+/// so the view accessors afterwards are pure pointer arithmetic. The
+/// content fingerprints of both programs and of both serialized forms
+/// come out of the same pass ([`PairDigest`]), because every consumer of
+/// a program needs its fingerprint for report-cache keys.
 #[derive(Debug)]
 pub struct TraceView {
     map: Mapping,
     layout: PairLayout,
     /// Byte offset of the (validated) bank within the whole file.
     bank_at: usize,
-    /// Content fingerprint of the plain program (canonical v1 stream).
-    pub plain_fingerprint: u64,
-    /// Content fingerprint of the TLS program.
-    pub tls_fingerprint: u64,
+    /// The container checksum and the four content fingerprints.
+    pub digest: PairDigest,
 }
 
 impl TraceView {
-    /// The mapped op bank as records. Infallible after construction's
-    /// validation pass (alignment and record validity already checked).
-    fn bank(&self) -> &[TraceOp] {
-        cast_bank(self.bank_bytes()).expect("bank alignment and size verified at open")
-    }
-
-    /// The bank's bytes: after the container header + layout prefix,
-    /// before the trailing checksum.
-    fn bank_bytes(&self) -> &[u8] {
+    /// The mapped op bank: every record of both programs, in place.
+    /// Infallible after construction's validation pass (alignment and
+    /// record validity already checked).
+    pub fn bank(&self) -> &[TraceOp] {
         let bytes = self.map.bytes();
-        &bytes[self.bank_at..bytes.len() - CHECKSUM_LEN]
+        cast_bank(&bytes[self.bank_at..bytes.len() - CHECKSUM_LEN])
+            .expect("bank alignment and size verified at open")
     }
 
     /// Borrowed view of the unmodified execution's program.
@@ -223,6 +223,14 @@ impl TraceView {
     /// Borrowed view of the TLS-transformed execution's program.
     pub fn tls(&self) -> ProgramView<'_> {
         self.layout.tls.view(self.bank())
+    }
+
+    /// Borrowed view of the serialized form of the TLS (`tls`) or plain
+    /// program — region for region what `serialize_view` builds, with
+    /// every op still served from the mapping.
+    pub fn serialized(&self, tls: bool) -> ProgramView<'_> {
+        let program = if tls { &self.layout.tls } else { &self.layout.plain };
+        program.serialized_view(self.bank())
     }
 
     /// Total records in the shared bank (both programs).
@@ -251,6 +259,11 @@ impl TraceView {
     }
 
     /// Opens, verifies and maps the snapshot at `path` for `key_hash`.
+    ///
+    /// Returns the same [`SnapshotError`] for a corrupt file as
+    /// [`codec::decode_container`], then [`parse_pair_layout`], then
+    /// [`validate_bank`] would, in that order — while reading each byte
+    /// once for the checksum and the fingerprints together.
     pub fn open(path: &Path, key_hash: u64) -> MapOutcome {
         let map = match Mapping::open(path) {
             Ok(m) => m,
@@ -258,14 +271,26 @@ impl TraceView {
             Err(e) => return MapOutcome::Io(e.to_string()),
         };
         let bytes = map.bytes();
-        let payload = match codec::decode_container(bytes, KIND_TRACE_PAIR, key_hash) {
+        let payload = match check_header(bytes, KIND_TRACE_PAIR) {
             Ok(p) => p,
             Err(e) => return MapOutcome::Bad(e),
         };
+        let body = &bytes[..bytes.len() - CHECKSUM_LEN];
+        // The layout comes from the unverified payload and only places
+        // the epoch boundaries of the digest walk. A payload it cannot
+        // parse is judged on its checksum alone: a bad seal outranks the
+        // layout error, as in the verify-first order.
         let layout = match parse_pair_layout(payload) {
             Ok(l) => l,
-            Err(e) => return MapOutcome::Bad(e),
+            Err(e) => {
+                let seal = verify_seal(bytes, codec::fnv1a(body), key_hash);
+                return MapOutcome::Bad(seal.err().unwrap_or(e));
+            }
         };
+        let digest = digest_pair(body, &layout);
+        if let Err(e) = verify_seal(bytes, digest.checksum, key_hash) {
+            return MapOutcome::Bad(e);
+        }
         if cfg!(not(target_endian = "little")) {
             // Records are stored little-endian; this host cannot serve
             // them in place. Decode owned (endian-correct) instead.
@@ -275,7 +300,7 @@ impl TraceView {
             };
         }
         let bank_at = HEADER_LEN + layout.bank_offset;
-        let bank_bytes = &bytes[bank_at..bytes.len() - CHECKSUM_LEN];
+        let bank_bytes = &body[bank_at..];
         if let Err(e) = validate_bank(bank_bytes) {
             return MapOutcome::Bad(e);
         }
@@ -284,16 +309,7 @@ impl TraceView {
             // heap fallback; kept as a typed rejection, not an assert.
             return MapOutcome::Bad(e);
         }
-        // cast_bank above checked the slice ending before the checksum;
-        // rebuild the view's notion of the bank to exclude it.
-        let view = TraceView { map, layout, bank_at, plain_fingerprint: 0, tls_fingerprint: 0 };
-        let plain_fp = fingerprint_view(&view.plain());
-        let tls_fp = fingerprint_view(&view.tls());
-        MapOutcome::Mapped(Box::new(TraceView {
-            plain_fingerprint: plain_fp,
-            tls_fingerprint: tls_fp,
-            ..view
-        }))
+        MapOutcome::Mapped(Box::new(TraceView { map, layout, bank_at, digest }))
     }
 }
 
@@ -365,8 +381,8 @@ mod tests {
         assert_eq!(owned_plain.name, pair.plain.name);
         assert!(pair.plain.iter_ops().eq(owned_plain.iter_ops()));
         assert!(pair.tls.iter_ops().eq(owned_tls.iter_ops()));
-        assert_eq!(view.plain_fingerprint, fnv1a(&program_bytes(&pair.plain)));
-        assert_eq!(view.tls_fingerprint, fnv1a(&program_bytes(&pair.tls)));
+        assert_eq!(view.digest.plain, fnv1a(&program_bytes(&pair.plain)));
+        assert_eq!(view.digest.tls, fnv1a(&program_bytes(&pair.tls)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -142,12 +142,14 @@ impl StoreStats {
 enum ProgramRepr {
     /// An owned, heap-decoded program.
     Owned(Arc<TraceProgram>),
-    /// One side of a memory-mapped snapshot: the ops are served in place
-    /// from the page cache, never copied.
+    /// One side of a memory-mapped snapshot, as recorded or serialized:
+    /// the ops are served in place from the page cache, never copied.
     Mapped {
         view: Arc<TraceView>,
         /// Which program of the pair (`true` = TLS-transformed).
         tls: bool,
+        /// The serialized form (every region one sequential run).
+        serialized: bool,
     },
 }
 
@@ -182,11 +184,18 @@ impl KeyedProgram {
         KeyedProgram { repr: ProgramRepr::Owned(program), fingerprint }
     }
 
-    /// Wraps one side of a mapped snapshot (fingerprints were computed at
-    /// map time, streamed over the mapped bank).
-    pub fn from_mapped(view: Arc<TraceView>, tls: bool) -> Self {
-        let fingerprint = if tls { view.tls_fingerprint } else { view.plain_fingerprint };
-        KeyedProgram { repr: ProgramRepr::Mapped { view, tls }, fingerprint }
+    /// Wraps one side of a mapped snapshot, or (`serialized`) that
+    /// side's serialized form. The fingerprints were computed at map
+    /// time, in the same pass over the mapped bytes as the checksum.
+    fn from_mapped(view: Arc<TraceView>, tls: bool, serialized: bool) -> Self {
+        let d = &view.digest;
+        let fingerprint = match (tls, serialized) {
+            (false, false) => d.plain,
+            (true, false) => d.tls,
+            (false, true) => d.plain_serialized,
+            (true, true) => d.tls_serialized,
+        };
+        KeyedProgram { repr: ProgramRepr::Mapped { view, tls, serialized }, fingerprint }
     }
 
     /// The FNV-1a hash of the program's canonical byte encoding.
@@ -199,13 +208,9 @@ impl KeyedProgram {
     pub fn view(&self) -> ProgramView<'_> {
         match &self.repr {
             ProgramRepr::Owned(p) => p.view(),
-            ProgramRepr::Mapped { view, tls } => {
-                if *tls {
-                    view.tls()
-                } else {
-                    view.plain()
-                }
-            }
+            ProgramRepr::Mapped { view, tls, serialized: true } => view.serialized(*tls),
+            ProgramRepr::Mapped { view, tls: true, .. } => view.tls(),
+            ProgramRepr::Mapped { view, tls: false, .. } => view.plain(),
         }
     }
 
@@ -213,13 +218,8 @@ impl KeyedProgram {
     pub fn name(&self) -> &str {
         match &self.repr {
             ProgramRepr::Owned(p) => &p.name,
-            ProgramRepr::Mapped { view, tls } => {
-                if *tls {
-                    view.tls_name()
-                } else {
-                    view.plain_name()
-                }
-            }
+            ProgramRepr::Mapped { view, tls: true, .. } => view.tls_name(),
+            ProgramRepr::Mapped { view, tls: false, .. } => view.plain_name(),
         }
     }
 
@@ -279,24 +279,30 @@ impl StoredPrograms {
     /// the shared map, zero op bytes copied.
     pub fn from_view(view: Arc<TraceView>) -> Self {
         StoredPrograms {
-            plain: KeyedProgram::from_mapped(view.clone(), false),
-            tls: KeyedProgram::from_mapped(view, true),
+            plain: KeyedProgram::from_mapped(view.clone(), false, false),
+            tls: KeyedProgram::from_mapped(view, true, false),
             plain_serialized: OnceLock::new(),
             tls_serialized: OnceLock::new(),
         }
     }
 
     /// The serialized variant (epochs concatenated onto one CPU) of the
-    /// TLS or plain trace, built and fingerprinted on first use. (This
-    /// one is owned by construction — serialization rewrites the region
-    /// structure, so there is nothing to borrow in place.)
+    /// TLS or plain trace, made on first use. A mapped pair borrows it in
+    /// place: a parallel region's epochs are consecutive in the op bank,
+    /// so each serialized region is one slice of the mapping, and its
+    /// fingerprint was computed when the snapshot was opened. An owned
+    /// pair (in-memory stores, big-endian hosts) copies its ops into a
+    /// new program and fingerprints that.
     pub fn serialized(&self, tls: bool) -> &KeyedProgram {
         let (cell, source) = if tls {
             (&self.tls_serialized, &self.tls)
         } else {
             (&self.plain_serialized, &self.plain)
         };
-        cell.get_or_init(|| KeyedProgram::new(serialize_view(&source.view())))
+        cell.get_or_init(|| match &source.repr {
+            ProgramRepr::Mapped { view, .. } => KeyedProgram::from_mapped(view.clone(), tls, true),
+            ProgramRepr::Owned(p) => KeyedProgram::new(serialize_view(&p.view())),
+        })
     }
 }
 
@@ -654,6 +660,33 @@ mod tests {
         let reason = std::fs::read_to_string(&reason_path).expect("reason file");
         assert!(reason.contains("code: version-mismatch"), "{reason}");
         assert!(matches!(TraceView::open(&path, key().hash()), MapOutcome::Mapped(_)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serialized_programs_are_borrowed_from_disk_and_match_memory() {
+        use tls_core::experiment::ExperimentKind;
+        let dir = std::env::temp_dir().join(format!("tls-harness-serial-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = HarnessStore::new(Some(dir.clone()), false);
+        let memory = HarnessStore::new(None, false);
+        let (mapped, owned) = (disk.programs(&key()), memory.programs(&key()));
+        let machine = crate::eval::paper_machine();
+        for kind in [ExperimentKind::Sequential, ExperimentKind::TlsSeq] {
+            let tls = kind.uses_tls_trace();
+            let (m, o) = (mapped.serialized(tls), owned.serialized(tls));
+            assert!(matches!(m.repr, ProgramRepr::Mapped { serialized: true, .. }), "{kind:?}");
+            assert!(matches!(o.repr, ProgramRepr::Owned(_)), "{kind:?}");
+            assert_eq!(m.fingerprint(), o.fingerprint(), "{kind:?} fingerprint");
+            assert_eq!(m.fingerprint(), fingerprint_view(&m.view()), "{kind:?} fingerprint");
+            let cfg = kind.configure(&machine);
+            let (a, b) = (disk.simulate(m, &cfg), memory.simulate(o, &cfg));
+            assert_eq!(
+                serde_json::to_string(&*a).expect("report json"),
+                serde_json::to_string(&*b).expect("report json"),
+                "{kind:?} report"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

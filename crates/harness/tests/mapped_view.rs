@@ -6,12 +6,16 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::path::PathBuf;
-use tls_core::experiment::BenchmarkPrograms;
+use tls_core::experiment::{serialize_view, BenchmarkPrograms};
 use tls_harness::codec::{
-    self, encode_pair_file, fingerprint_view, fnv1a, program_bytes, CHECKSUM_LEN, HEADER_LEN,
+    self, digest_pair, encode_pair_file, fingerprint_view, fnv1a, program_bytes, PairDigest,
+    SnapshotError, CHECKSUM_LEN, HEADER_LEN, KIND_TRACE_PAIR,
 };
 use tls_harness::mapped::{MapOutcome, TraceView};
-use tls_trace::{Addr, LatchId, OpSink, Pc, ProgramBuilder, TraceOp, TraceProgram};
+use tls_trace::{
+    Addr, Epoch, LatchId, OpSink, Pc, ProgramBuilder, ProgramView, Region, RegionView, TraceOp,
+    TraceProgram,
+};
 
 /// A generated op: `(class, module, site, arg, addr, dep)`.
 type OpDesc = (u8, u16, u16, u8, u64, u16);
@@ -72,8 +76,96 @@ fn reseal(bytes: &mut [u8]) {
     bytes[n..].copy_from_slice(&sum);
 }
 
+/// A generated region: `(shape, epochs)`. Shape 0 is a sequential
+/// region of the epochs' ops, 1 a parallel region of the epochs (some of
+/// them empty), 2 a parallel region with no epochs at all, and 3 a
+/// parallel region of 50 epochs cycling through the generated ones.
+type RegionDesc = (u8, Vec<Vec<OpDesc>>);
+
+fn shaped(name: &str, regions: &[RegionDesc], sequential_only: bool) -> TraceProgram {
+    let epoch = |ops: &[OpDesc]| Epoch::new(ops.iter().map(|&d| op(d)).collect());
+    let regions = regions
+        .iter()
+        .map(|(shape, epochs)| match if sequential_only { 0 } else { shape % 4 } {
+            0 => Region::Sequential(epoch(&epochs.concat())),
+            1 => Region::Parallel(epochs.iter().map(|e| epoch(e)).collect()),
+            2 => Region::Parallel(Vec::new()),
+            _ => Region::Parallel(
+                (0..50)
+                    .map(|i| epochs.get(i % epochs.len().max(1)).map_or(epoch(&[]), |e| epoch(e)))
+                    .collect(),
+            ),
+        })
+        .collect();
+    TraceProgram::new(name, regions)
+}
+
+/// The verify-first reference order of checks on a snapshot.
+fn reference_open(bytes: &[u8], key: u64) -> Result<(), SnapshotError> {
+    let payload = codec::decode_container(bytes, KIND_TRACE_PAIR, key)?;
+    let layout = codec::parse_pair_layout(payload)?;
+    codec::validate_bank(layout.bank(payload))
+}
+
+/// The op runs of a view, region by region.
+fn runs<'a>(view: &ProgramView<'a>) -> Vec<Vec<&'a [TraceOp]>> {
+    view.regions
+        .iter()
+        .map(|r| match r {
+            RegionView::Sequential(e) => vec![*e],
+            RegionView::Parallel(es) => es.clone(),
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One digest walk gives the checksum and all four fingerprints the
+    /// separate passes give, and the mapped serialized programs equal
+    /// `serialize_view` op for op while borrowing the mapping.
+    #[test]
+    fn digest_and_serialized_views_match_the_reference(
+        regions in vec((0u8..4, vec(vec((any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>(), any::<u64>(), any::<u16>()), 0..4), 0..5)), 0..6),
+        key in any::<u64>(),
+    ) {
+        let pair = BenchmarkPrograms {
+            plain: shaped("plain-prog", &regions, true),
+            tls: shaped("tls-prog", &regions, false),
+        };
+        let bytes = encode_pair_file(key, &pair);
+        let body = &bytes[..bytes.len() - CHECKSUM_LEN];
+        let layout = codec::parse_pair_layout(&body[HEADER_LEN..]).expect("layout");
+        let serialized_fp = |p: &TraceProgram| fingerprint_view(&serialize_view(&p.view()).view());
+        let want = PairDigest {
+            checksum: fnv1a(body),
+            plain: fingerprint_view(&pair.plain.view()),
+            tls: fingerprint_view(&pair.tls.view()),
+            plain_serialized: serialized_fp(&pair.plain),
+            tls_serialized: serialized_fp(&pair.tls),
+        };
+        prop_assert_eq!(digest_pair(body, &layout), want);
+
+        let MapOutcome::Mapped(view) = open_bytes("digest", &bytes, key) else {
+            panic!("fresh v2 snapshot must map");
+        };
+        prop_assert_eq!(view.digest, want);
+        let bank = view.bank().as_ptr_range();
+        for (tls, program) in [(false, &pair.plain), (true, &pair.tls)] {
+            let owned = serialize_view(&program.view());
+            let mapped = view.serialized(tls);
+            prop_assert_eq!(mapped.name, owned.name.as_str());
+            prop_assert_eq!(runs(&mapped), runs(&owned.view()));
+            for run in runs(&mapped).concat() {
+                let r = run.as_ptr_range();
+                prop_assert!(
+                    run.is_empty() || (bank.start <= r.start && r.end <= bank.end),
+                    "a serialized run of {} ops lies outside the mapped bank",
+                    run.len()
+                );
+            }
+        }
+    }
 
     /// The mapped view and the owned decode of the same snapshot agree
     /// on every observable: canonical bytes, fingerprints, op counts.
@@ -100,9 +192,9 @@ proptest! {
         prop_assert_eq!(view.plain().total_ops(), owned.plain.view().total_ops());
         prop_assert_eq!(view.tls().total_ops(), owned.tls.view().total_ops());
         // The map-time fingerprints are the canonical content hashes.
-        prop_assert_eq!(view.plain_fingerprint, fnv1a(&program_bytes(&owned.plain)));
-        prop_assert_eq!(view.tls_fingerprint, fnv1a(&program_bytes(&owned.tls)));
-        prop_assert_eq!(view.plain_fingerprint, fingerprint_view(&view.plain()));
+        prop_assert_eq!(view.digest.plain, fnv1a(&program_bytes(&owned.plain)));
+        prop_assert_eq!(view.digest.tls, fnv1a(&program_bytes(&owned.tls)));
+        prop_assert_eq!(view.digest.plain, fingerprint_view(&view.plain()));
     }
 
     /// Every byte-boundary truncation is rejected by the mapped opener —
@@ -119,6 +211,55 @@ proptest! {
         match open_bytes("cut", &bytes[..cut], 7) {
             MapOutcome::Bad(_) => {}
             other => prop_assert!(false, "a {cut}-byte prefix produced {other:?}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Mutated snapshots — bit flips, truncations, appended bytes, and
+    /// bit flips under a resealed checksum that reach the layout parser
+    /// and the record validator — never panic the opener, and it reports
+    /// the same error as the verify-first reference order.
+    #[test]
+    fn mutated_snapshots_fail_like_the_reference_order(
+        mutation in 0u8..4,
+        at in any::<u64>(),
+        bit in 0u8..8,
+        extra in vec(any::<u8>(), 1..24),
+    ) {
+        let pair = BenchmarkPrograms {
+            plain: program("p", &[(0, 1, 1, 1, 0, 0), (4, 1, 2, 1, 0, 0)], &[]),
+            tls: shaped(
+                "t",
+                &[
+                    (0, vec![vec![(2, 1, 2, 1, 64, 0)]]),
+                    (2, vec![]),
+                    (1, vec![vec![], vec![(3, 2, 1, 7, 72, 1)]]),
+                ],
+                false,
+            ),
+        };
+        let mut bytes = encode_pair_file(5, &pair);
+        let (file_len, body_len) = (bytes.len(), bytes.len() - CHECKSUM_LEN);
+        let flip = |bytes: &mut Vec<u8>, len: usize| bytes[at as usize % len] ^= 1 << bit;
+        match mutation {
+            0 => flip(&mut bytes, file_len),
+            1 => bytes.truncate(1 + at as usize % (file_len - 1)),
+            2 => bytes.extend_from_slice(&extra),
+            _ => {
+                flip(&mut bytes, body_len);
+                reseal(&mut bytes);
+            }
+        }
+        match (open_bytes("fuzz", &bytes, 5), reference_open(&bytes, 5)) {
+            (MapOutcome::Bad(got), Err(want)) => prop_assert_eq!(got.code(), want.code()),
+            (MapOutcome::Mapped(view), Ok(())) => {
+                prop_assert_eq!(view.digest.plain, fingerprint_view(&view.plain()));
+                prop_assert_eq!(view.digest.tls, fingerprint_view(&view.tls()));
+            }
+            (other, want) => prop_assert!(false, "open gave {other:?}, reference {want:?}"),
         }
     }
 }
