@@ -12,9 +12,10 @@ use std::fmt;
 use std::ops::AddAssign;
 
 /// What a CPU spent one cycle doing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CycleCategory {
     /// Executing instructions that were ultimately kept.
+    #[default]
     Busy,
     /// Stalled with the oldest instruction waiting on the memory
     /// hierarchy.
@@ -282,17 +283,8 @@ impl FaultStats {
 
     /// Applied-fault count for `class`.
     pub fn get(&self, class: FaultClass) -> u64 {
-        match class {
-            FaultClass::SpuriousPrimary => self.spurious_primary,
-            FaultClass::SpuriousSecondary => self.spurious_secondary,
-            FaultClass::VictimSqueeze => self.victim_squeeze,
-            FaultClass::ForcedMerge => self.forced_merge,
-            FaultClass::DelayedToken => self.delayed_token,
-            FaultClass::LatchHazard => self.latch_hazard,
-            FaultClass::StuckDrain => self.stuck_drain,
-            FaultClass::ReorderedDrain => self.reordered_drain,
-            FaultClass::DroppedEntry => self.dropped_entry,
-        }
+        let mut copy = *self;
+        *copy.slot_mut(class)
     }
 
     /// Total faults applied, across every class.

@@ -9,9 +9,15 @@
 //! turn "the protocol survived" into a checkable property rather than a
 //! hope. See `DESIGN.md` §7 for the fault model and the invariants each
 //! class is meant to stress.
+//!
+//! [`Chaos`] is the simulator's chaos component.
 
+use crate::accounting::FaultStats;
+use crate::l2spec::{PendingViolation, ViolationKind};
+use crate::simulator::{Machine, Slot};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use tls_trace::Addr;
 
 /// The classes of protocol-level faults the harness can inject.
 ///
@@ -418,6 +424,165 @@ impl RunOptions {
         let checked = cfg!(debug_assertions);
         RunOptions { audit: checked, oracle: checked, ..RunOptions::default() }
     }
+}
+
+/// The chaos harness on the machine: injector, faults in flight, ledger.
+#[derive(Debug, Default)]
+pub(crate) struct Chaos {
+    injector: FaultInjector,
+    /// Due events still waiting for an eligible target; each stays armed
+    /// until its window (`at_cycle + duration`) closes, then is skipped.
+    pub(crate) armed: Vec<FaultEvent>,
+    stats: FaultStats,
+    /// The homefree token is withheld until this cycle (delayed-token
+    /// fault).
+    pub(crate) token_until: u64,
+    /// Restore the victim cache to this capacity at this cycle
+    /// (victim-squeeze fault).
+    victim_restore: Option<(u64, usize)>,
+    /// A latch hazard was injected, so latch-consistency audits and the
+    /// unexpected-release check are suspended for the rest of the run.
+    pub(crate) latch_hazard: bool,
+    pub(crate) sabotage_rewind: bool,
+}
+
+impl Chaos {
+    pub(crate) fn new(opts: &RunOptions) -> Chaos {
+        Chaos {
+            injector: opts.plan.as_ref().map(FaultInjector::new).unwrap_or_default(),
+            sabotage_rewind: opts.sabotage_rewind,
+            ..Chaos::default()
+        }
+    }
+
+    /// Step hook (cycle start): expire timed faults and apply every
+    /// event the plan schedules at or before this cycle. Returns whether
+    /// anything touched the machine (fast-forward must not skip it).
+    pub(crate) fn apply_due_faults(m: &mut Machine<'_>) -> bool {
+        let mut active = false;
+        if let Some((at, cap)) = m.chaos.victim_restore {
+            if m.cycle >= at {
+                m.chaos.victim_restore = None;
+                let displaced = m.mem.l2.set_victim_capacity(cap);
+                debug_assert!(displaced.is_empty(), "growing the victim cache displaces nothing");
+                active = true;
+            }
+        }
+        if !m.chaos.injector.exhausted() {
+            let due = m.chaos.injector.due(m.cycle);
+            active |= !due.is_empty();
+            m.chaos.armed.extend(due);
+        }
+        if m.chaos.armed.is_empty() {
+            return active;
+        }
+        // Each armed fault fires at the first cycle in its window with an
+        // eligible target; a window that closes without one is skipped.
+        let mut still_armed = Vec::new();
+        for ev in std::mem::take(&mut m.chaos.armed) {
+            if Chaos::apply_fault(m, ev) {
+                m.chaos.stats.record(ev.class);
+                active = true;
+            } else if m.cycle >= ev.at_cycle + ev.duration.max(1) {
+                m.chaos.stats.skipped += 1;
+                active = true;
+            } else {
+                still_armed.push(ev);
+            }
+        }
+        m.chaos.armed = still_armed;
+        active
+    }
+
+    /// Attempts one fault; returns whether it found a target and applied.
+    fn apply_fault(m: &mut Machine<'_>, ev: FaultEvent) -> bool {
+        let until = m.cycle + ev.duration.max(1);
+        match ev.class {
+            FaultClass::SpuriousPrimary => inject_violation(m, false),
+            FaultClass::SpuriousSecondary => inject_violation(m, true),
+            FaultClass::VictimSqueeze if m.chaos.victim_restore.is_some() => false, // in flight
+            FaultClass::VictimSqueeze => {
+                m.chaos.victim_restore = Some((until, m.mem.l2.victim_capacity()));
+                let orders = m.orders_snapshot();
+                let victims = m.mem.l2.set_victim_capacity(0);
+                m.mem.queue_overflow(&victims, Addr(0), &orders);
+                true
+            }
+            FaultClass::ForcedMerge => force_merge(m),
+            FaultClass::DelayedToken => {
+                m.chaos.token_until = m.chaos.token_until.max(until);
+                true
+            }
+            FaultClass::LatchHazard => match m.latches.held().first() {
+                Some(&latch) => {
+                    // Latch audits are best-effort from here on: the
+                    // owner's bookkeeping is deliberately desynchronized.
+                    m.chaos.latch_hazard = true;
+                    m.latches.force_release(latch);
+                    true
+                }
+                None => false,
+            },
+            // Store-buffer chaos needs a TSO machine with at least one
+            // buffered store — on an SC machine (or with every buffer
+            // drained) the event stays armed until its window closes and
+            // is counted skipped.
+            FaultClass::StuckDrain | FaultClass::ReorderedDrain | FaultClass::DroppedEntry => {
+                m.tso.as_mut().is_some_and(|t| t.apply_fault(ev.class, m.cycle, ev.duration))
+            }
+        }
+    }
+
+    /// The cycles at which chaos next changes the machine.
+    pub(crate) fn wakeups(&self) -> impl Iterator<Item = u64> {
+        let restore = self.victim_restore.map(|(at, _)| at);
+        [Some(self.token_until), self.injector.next_due(), restore].into_iter().flatten()
+    }
+
+    /// End-of-run hook: faults still armed (or never due) count as
+    /// skipped, so applied + skipped equals the plan's length.
+    pub(crate) fn finish(mut self) -> FaultStats {
+        self.stats.skipped += (self.armed.len() + self.injector.remaining()) as u64;
+        self.stats
+    }
+}
+
+/// Queues a spurious violation. `full_restart` picks the youngest
+/// speculative epoch and rewinds it to sub-thread 0 (the worst case);
+/// otherwise the oldest speculative epoch rewinds to its current
+/// sub-thread, which also drives secondary violations through every
+/// later thread's start table.
+fn inject_violation(m: &mut Machine<'_>, full_restart: bool) -> bool {
+    // Orders are unique, so the tuples order by epoch.
+    let candidates = m.slots.iter().enumerate().filter_map(|(cpu, s)| match s {
+        Slot::Running(r) if r.order > m.next_commit => Some((r.order, cpu, r.cur_sub())),
+        _ => None,
+    });
+    let target = if full_restart { candidates.max() } else { candidates.min() };
+    let Some((order, cpu, cur_sub)) = target else { return false };
+    let sub = if full_restart { 0 } else { cur_sub };
+    let kind = ViolationKind::Injected;
+    m.mem.pending.push(PendingViolation { cpu, sub, order, kind, line: Addr(0), store_pc: None });
+    true
+}
+
+/// Forces a sub-thread context merge on the first speculative epoch
+/// that has one to give — as if its context supply were exhausted.
+fn force_merge(m: &mut Machine<'_>) -> bool {
+    for cpu in 0..m.cfg.cpus {
+        let Slot::Running(mut run) = std::mem::replace(&mut m.slots[cpu], Slot::Free) else {
+            continue;
+        };
+        let eligible = run.order > m.next_commit && run.checkpoints.len() >= 2;
+        if eligible {
+            m.merge_one_context(cpu, &mut run);
+        }
+        m.slots[cpu] = Slot::Running(run);
+        if eligible {
+            return true;
+        }
+    }
+    false
 }
 
 #[cfg(test)]

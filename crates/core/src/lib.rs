@@ -69,6 +69,7 @@
 
 mod accounting;
 pub mod chaos;
+mod checks;
 mod config;
 pub mod experiment;
 mod l2spec;

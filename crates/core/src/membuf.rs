@@ -19,12 +19,17 @@
 //! panic — whenever adding an epoch would close a cycle, i.e. whenever
 //! a commit would have to be ordered *before* something that already
 //! committed. The paired store-flow invariant (every logged store is
-//! either still buffered or was drained: checked in the simulator at
+//! either still buffered or was drained: checked by `checks.rs` at
 //! every commit and rewind) is what turns a silently dropped buffer
 //! entry into a detected [`crate::ProtocolError`].
+//!
+//! [`Tso`] is the simulator's TSO component (`None` is SC).
 
+use crate::chaos::FaultClass;
+use crate::config::{MemoryModel, MAX_CPUS};
+use crate::l2spec::AccessCtx;
 use std::collections::HashMap;
-use tls_trace::{Addr, Pc};
+use tls_trace::{Addr, OpKind, Pc};
 
 /// One store held in a CPU's TSO store buffer, carrying everything the
 /// memory system needs to apply it at drain time.
@@ -196,6 +201,159 @@ impl StoreBuffer {
     /// store-flow invariant must detect the hole.
     pub fn drop_oldest(&mut self) -> Option<BufferedStore> {
         self.pop_oldest()
+    }
+}
+
+/// The store buffer's verdict on one dispatching op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dispatch {
+    /// The op goes on to the caches.
+    Pass,
+    /// Completed locally: a buffered store or a forwarded load.
+    Bypass,
+    /// Drain first; the drain-stall event's cause code (1 = full
+    /// buffer, 2 = forwarding conflict, 3 = ordering point).
+    Stall(u64),
+}
+
+/// The TSO memory model on the machine: the per-CPU buffers, the drain
+/// engine's state and the TSO counters.
+#[derive(Debug, Default)]
+pub(crate) struct Tso {
+    pub(crate) bufs: Vec<StoreBuffer>,
+    /// Per CPU: `(op cursor, addr, size)` of the running epoch's stores
+    /// already drained into the memory system, mirroring its write log
+    /// (kept under the same condition; not cursor-sorted, since a
+    /// reordered-drain fault permutes it).
+    pub(crate) drained: Vec<Vec<(usize, Addr, u8)>>,
+    /// Per CPU: cycle before which drains are frozen (stuck-drain fault).
+    stuck_until: [u64; MAX_CPUS],
+    /// Per CPU: inside a drain-stall episode.
+    episode: [bool; MAX_CPUS],
+    /// Stores that entered a store buffer.
+    pub(crate) buffered_stores: u64,
+    /// Loads satisfied by same-address store-to-load forwarding.
+    pub(crate) forwarded_loads: u64,
+    /// Buffered stores retired into the memory system.
+    pub(crate) store_drains: u64,
+}
+
+impl Tso {
+    /// The component for `model`, or `None` under SC.
+    pub(crate) fn new(model: MemoryModel, cpus: usize) -> Option<Tso> {
+        let MemoryModel::Tso { buffer_entries } = model else { return None };
+        Some(Tso {
+            bufs: (0..cpus).map(|_| StoreBuffer::new(buffer_entries)).collect(),
+            drained: vec![Vec::new(); cpus],
+            ..Tso::default()
+        })
+    }
+
+    pub(crate) fn holds_stores(&self, cpu: usize) -> bool {
+        !self.bufs[cpu].is_empty()
+    }
+
+    /// Dispatch hook for a load or store at op `cursor`: a store enters
+    /// the buffer; a load probes it youngest-first for forwarding.
+    pub(crate) fn dispatch(
+        &mut self,
+        kind: OpKind,
+        pc: Pc,
+        cursor: usize,
+        ctx: AccessCtx,
+    ) -> Dispatch {
+        let buf = &mut self.bufs[ctx.cpu];
+        match kind {
+            OpKind::Store { .. } if buf.is_full() => Dispatch::Stall(1),
+            OpKind::Store { addr, size } => {
+                let (sub, speculative) = (ctx.sub, ctx.speculative);
+                buf.push(BufferedStore { cursor, addr, size, pc, sub, speculative });
+                self.buffered_stores += 1;
+                Dispatch::Bypass
+            }
+            OpKind::Load { addr, size } => match buf.forward(addr, size) {
+                ForwardOutcome::Hit => {
+                    self.forwarded_loads += 1;
+                    Dispatch::Bypass
+                }
+                ForwardOutcome::Conflict => Dispatch::Stall(2),
+                ForwardOutcome::Miss => Dispatch::Pass,
+            },
+            _ => Dispatch::Pass,
+        }
+    }
+
+    /// Drain hook: one entry leaves `cpu`'s buffer per stalled cycle —
+    /// at an ordering point (`stall`; a finished epoch still holding
+    /// stores adds the pre-commit flush) or when the CPU did no work.
+    /// A stuck-drain fault freezes drains until its window closes.
+    /// Returns the entry for the memory system to apply.
+    pub(crate) fn drain(
+        &mut self,
+        cpu: usize,
+        now: u64,
+        finished: bool,
+        idle: bool,
+        stall: &mut Option<u64>,
+        log: bool,
+    ) -> Option<BufferedStore> {
+        if finished && stall.is_none() && self.holds_stores(cpu) {
+            *stall = Some(3);
+        }
+        if now < self.stuck_until[cpu] || !(stall.is_some() || idle) {
+            return None;
+        }
+        let e = self.bufs[cpu].pop_oldest()?;
+        self.store_drains += 1;
+        if log {
+            self.drained[cpu].push((e.cursor, e.addr, e.size));
+        }
+        Some(e)
+    }
+
+    /// The entries `cpu` still buffers when a drain-stall episode starts
+    /// this cycle (one event per episode, not per stalled cycle).
+    pub(crate) fn episode_start(&mut self, cpu: usize, stalled: bool) -> Option<u64> {
+        let starts = stalled && !self.episode[cpu];
+        self.episode[cpu] = stalled;
+        starts.then(|| self.bufs[cpu].len() as u64)
+    }
+
+    /// Merge hook: buffered stores replay under remapped context ids.
+    pub(crate) fn merge(&mut self, cpu: usize, m: u8) {
+        self.bufs[cpu].remap_merged_sub(m);
+    }
+
+    /// Rewind hook: forget the stores at or after op `cursor`.
+    pub(crate) fn rewind(&mut self, cpu: usize, cursor: usize) {
+        self.bufs[cpu].truncate_from(cursor);
+        self.drained[cpu].retain(|&(c, _, _)| c < cursor);
+    }
+
+    /// Commit hook (the buffer has already drained).
+    pub(crate) fn commit(&mut self, cpu: usize) {
+        self.drained[cpu].clear();
+        self.episode[cpu] = false;
+    }
+
+    /// Chaos hook: applies a store-buffer fault class to the first CPU
+    /// with a buffered store; returns whether one was found.
+    pub(crate) fn apply_fault(&mut self, class: FaultClass, now: u64, duration: u64) -> bool {
+        match class {
+            FaultClass::StuckDrain => match self.bufs.iter().position(|b| !b.is_empty()) {
+                Some(cpu) => {
+                    self.stuck_until[cpu] = self.stuck_until[cpu].max(now + duration.max(1));
+                    true
+                }
+                None => false,
+            },
+            FaultClass::ReorderedDrain => self.bufs.iter_mut().any(|b| b.swap_oldest_pair()),
+            // Silently lose the oldest buffered store of the first CPU
+            // that has one: the machine must *not* survive this — the
+            // commit-time store-flow audit reports the hole.
+            FaultClass::DroppedEntry => self.bufs.iter_mut().any(|b| b.drop_oldest().is_some()),
+            _ => unreachable!("{class} is not a store-buffer fault"),
+        }
     }
 }
 

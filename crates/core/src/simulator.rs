@@ -16,20 +16,27 @@
 //!    its speculative state and passes the homefree token.
 //! 4. **Schedule** — free CPUs pick up the next epochs of the current
 //!    region; a region barrier separates regions.
+//!
+//! [`Machine`] is the paper's protocol core: epochs and their sub-thread
+//! checkpoints, the memory system, start tables, latches, violations,
+//! commit and scheduling. Every other mechanism is an owned component
+//! called at fixed hooks (dispatch, drain, rewind, merge, commit, end of
+//! run): [`Tso`] (store buffers; `None` is SC), [`ValueSpec`] (value
+//! prediction; `None` when off), [`Chaos`] (fault injection) and
+//! [`Checks`] (auditor, serializability audits, oracle).
 
 use crate::accounting::{Breakdown, CycleCategory, FaultStats, SubThreadLedger};
-use crate::chaos::{FaultClass, FaultEvent, FaultInjector, RunOptions};
-use crate::config::{
-    CmpConfig, ExhaustionPolicy, MemoryModel, SecondaryPolicy, MAX_CPUS, MAX_SUBTHREADS,
-};
+use crate::chaos::{Chaos, RunOptions};
+use crate::checks::Checks;
+use crate::config::{CmpConfig, ExhaustionPolicy, SecondaryPolicy, MAX_CPUS, MAX_SUBTHREADS};
 use crate::l2spec::{AccessCtx, L2Outcome, PendingViolation, SpecL2, ViolationKind};
 use crate::latch::{LatchError, LatchTable};
-use crate::membuf::{BufferedStore, ForwardOutcome, HbAuditor, StoreBuffer};
+use crate::membuf::{Dispatch, Tso};
 use crate::predictor::DependencePredictor;
 use crate::profile::{DependenceProfiler, ExposedLoadTable};
-use crate::report::{LivelockReport, ProtocolError, SimReport, ViolationCounts};
-use crate::vpredict::{value_model, ValuePredictor};
-use std::collections::{HashMap, VecDeque};
+use crate::report::{LivelockReport, SimReport, ViolationCounts};
+use crate::vpredict::ValueSpec;
+use std::collections::VecDeque;
 use tls_cache::{CacheStats, L1Data, MshrFile};
 use tls_cpu::{Core, CoreStats, HeadStall, MemKind};
 use tls_obs::{CycleClass, Event, EventKind, Observer};
@@ -57,6 +64,10 @@ fn cycle_class(cat: CycleCategory) -> CycleClass {
 /// core, the current run) still compile; the disabled path is the one
 /// `Option` discriminant test.
 macro_rules! emit {
+    // An event about `$run`'s epoch at its current sub-thread.
+    ($self:ident, $kind:expr, $cpu:expr, $run:ident, $a:expr, $b:expr) => {
+        emit!($self, $kind, $cpu, $run.order, $run.cur_sub(), $a, $b)
+    };
     ($self:ident, $kind:expr, $cpu:expr, $epoch:expr, $sub:expr, $a:expr, $b:expr) => {
         if let Some(o) = $self.obs.as_deref_mut() {
             let cycle = $self.cycle;
@@ -135,13 +146,9 @@ impl StartTable {
         debug_assert!(m >= 1, "sub-thread 0 cannot merge downward");
         let m = m as usize;
         let row = &mut self.entries[cpu];
-        row[m - 1] = match (row[m - 1], row[m]) {
-            (NO_ENTRY, v) | (v, NO_ENTRY) => v,
-            (a, b) => a.min(b),
-        };
-        for s in m..MAX_SUBTHREADS - 1 {
-            row[s] = row[s + 1];
-        }
+        // The sentinel is the largest id, so `min` keeps a present entry.
+        row[m - 1] = row[m - 1].min(row[m]);
+        row.copy_within(m + 1.., m);
         row[MAX_SUBTHREADS - 1] = NO_ENTRY;
     }
 
@@ -170,48 +177,40 @@ impl StartTable {
 }
 
 /// The execution state of one epoch on one CPU.
-#[derive(Debug)]
-struct EpochRun<'p> {
+#[derive(Debug, Default)]
+pub(crate) struct EpochRun<'p> {
     /// Global logical order (commit order).
-    order: u32,
+    pub(crate) order: u32,
     ops: &'p [TraceOp],
     /// Next op to dispatch.
     cursor: usize,
     /// Op index where each started sub-thread began; `checkpoints.len()-1`
     /// is the current sub-thread.
-    checkpoints: Vec<usize>,
+    pub(crate) checkpoints: Vec<usize>,
     /// Instructions between sub-thread starts for this epoch.
     spacing: u64,
-    ledger: SubThreadLedger,
-    start_table: StartTable,
-    waiting_latch: bool,
+    pub(crate) ledger: SubThreadLedger,
+    pub(crate) start_table: StartTable,
+    /// The latch this epoch blocked on, retried first thing next cycle;
+    /// while set, the epoch waits (as Latch) and dispatches nothing.
+    latch_retry: Option<LatchId>,
     /// Latches held, with the op index of each acquisition (so a partial
     /// rewind releases only acquisitions made after the rewind point —
     /// escaped critical sections that completed are never reopened).
-    held_latches: Vec<(LatchId, usize)>,
+    pub(crate) held_latches: Vec<(LatchId, usize)>,
     /// Stalled by the dependence predictor this cycle.
     waiting_sync: bool,
     /// Cursor of the last predictor stall already counted.
     last_sync_cursor: Option<usize>,
     /// Cursor reached the end and the core drained; awaiting the token.
     finished: bool,
-    /// Differential-oracle write log: `(op cursor, addr, size)` of every
-    /// store dispatched and not yet undone by a rewind. Sorted by cursor;
-    /// populated when the oracle is enabled, and also when value
-    /// prediction is on (the commit-time store counts drive the
-    /// synthetic value model).
+    /// Cycle category recorded in the last step; a quiet streak repeats
+    /// it, so fast-forward replays it for skipped cycles.
+    last_category: CycleCategory,
+    /// Write log: `(op cursor, addr, size)` of every store dispatched
+    /// and not yet undone by a rewind, sorted by cursor. Kept when the
+    /// oracle, value prediction, or the auditor under TSO is on.
     stores: Vec<(usize, Addr, u8)>,
-    /// Exposed speculative loads tracked for value prediction, sorted by
-    /// cursor and truncated on rewind exactly like `stores`. Empty
-    /// unless [`crate::VPredictConfig`] is enabled.
-    vloads: Vec<VLoad>,
-    /// TSO drain mirror of `stores`: `(op cursor, addr, size)` of every
-    /// buffered store already retired into the memory system. The
-    /// store-flow invariant — `stores` equals `drained` plus the live
-    /// buffer contents — is what catches a chaos-dropped buffer entry.
-    /// Populated under the same condition as `stores`; always empty
-    /// under SC. Not cursor-sorted (a reordered-drain fault permutes it).
-    drained: Vec<(usize, Addr, u8)>,
     /// Consecutive rewinds of this epoch with no intervening commit by
     /// *any* epoch (forward-progress watchdog input).
     rewind_streak: u64,
@@ -232,68 +231,25 @@ struct EpochRun<'p> {
 /// Bound on per-streak PC collection ([`EpochRun::storm_pcs`]).
 const STORM_PC_CAP: usize = 16;
 
-/// One exposed speculative load tracked by the value predictor: where
-/// it happened, what was predicted for it, and whether a conflicting
-/// store arrived (so the prediction is actually load-bearing and must
-/// validate at commit).
-#[derive(Debug, Clone, Copy)]
-struct VLoad {
-    /// Op index of the load within its epoch.
-    cursor: usize,
-    /// The load's L2 line (violations report lines, not byte addresses).
-    line: Addr,
-    /// The exact byte address — the value model's key.
-    addr: Addr,
-    /// The load's PC (commit-time training key).
-    pc: Pc,
-    /// The predicted value, or `None` when the predictor declined.
-    predicted: Option<u64>,
-    /// A logically-earlier store hit this line after the load: the RAW
-    /// violation was suppressed on the strength of the prediction.
-    conflicted: bool,
-}
-
 impl<'p> EpochRun<'p> {
-    fn new(order: u32, ops: &'p [TraceOp], spacing: u64) -> Self {
-        EpochRun {
-            order,
-            ops,
-            cursor: 0,
-            checkpoints: vec![0],
-            spacing,
-            ledger: SubThreadLedger::new(),
-            start_table: StartTable::new(),
-            waiting_latch: false,
-            held_latches: Vec::new(),
-            waiting_sync: false,
-            last_sync_cursor: None,
-            finished: false,
-            stores: Vec::new(),
-            vloads: Vec::new(),
-            drained: Vec::new(),
-            rewind_streak: 0,
-            storm_pcs: Vec::new(),
-            last_raw_pcs: Event::pack_pcs(None, None),
-            livelock_idx: None,
-            serialized: false,
-        }
-    }
-
-    fn cur_sub(&self) -> u8 {
+    pub(crate) fn cur_sub(&self) -> u8 {
         (self.checkpoints.len() - 1) as u8
     }
 }
 
 /// The memory side of the machine: everything a load/store touches.
-struct MemSystem {
+pub(crate) struct MemSystem {
     l1s: Vec<L1Data>,
-    l2: SpecL2,
+    pub(crate) l2: SpecL2,
     mshrs: Vec<MshrFile>,
     exposed: Vec<ExposedLoadTable>,
-    pending: Vec<PendingViolation>,
+    pub(crate) pending: Vec<PendingViolation>,
+    /// Swapped with `pending` to drain it without reallocating.
+    spare: Vec<PendingViolation>,
     /// Reused L2-outcome buffer: accesses are serviced one at a time, so
     /// a single buffer keeps the victim/reader vectors' capacity across
-    /// the whole run instead of allocating per access.
+    /// the whole run instead of allocating per access. Commits reuse its
+    /// overflow-victim vector too.
     scratch: L2Outcome,
     /// Track sub-threads in the L1 (the §2.2 extension, off by default).
     l1_subthread_aware: bool,
@@ -343,86 +299,86 @@ impl MemSystem {
                 completion
             }
             MemKind::Store => {
-                self.l1s[ctx.cpu].write_sub(addr, ctx.speculative, ctx.sub);
-                let mut out = std::mem::take(&mut self.scratch);
-                self.l2.write_into(start + 1, addr, size, ctx, &mut out);
-                self.queue_overflow(&out.overflow_victims, addr, orders);
-                // RAW violations: only logically-later readers.
-                let my_order = orders[ctx.cpu].expect("storer is running");
-                for &(cpu, sub) in &out.readers {
-                    if let Some(o) = orders[cpu] {
-                        if o > my_order {
-                            self.pending.push(PendingViolation {
-                                cpu,
-                                sub,
-                                order: o,
-                                kind: ViolationKind::Raw,
-                                line: addr,
-                                store_pc: Some(op.pc()),
-                            });
-                        }
-                    }
-                }
-                self.scratch = out;
-                // Aggressive update propagation: other L1 copies of the
-                // line are invalidated so later loads re-fetch from the L2.
-                for (i, l1) in self.l1s.iter_mut().enumerate() {
-                    if i != ctx.cpu {
-                        l1.invalidate_line(addr.align_down(l1.params().line_shift()));
-                    }
-                }
+                self.write(addr, size, op.pc(), ctx, orders, start);
                 start + 1
             }
         }
     }
 
-    /// Retires one TSO store-buffer entry into the memory hierarchy —
-    /// the store arm of [`MemSystem::access`], replayed at drain time
-    /// with the entry's captured context. Dependence readers are judged
-    /// against the *current* epoch orders: a violation targets whoever
-    /// is logically later at the moment the store becomes visible.
-    fn drain_store(&mut self, e: &BufferedStore, cpu: usize, orders: &[Option<u32>], now: u64) {
-        let ctx = AccessCtx { cpu, sub: e.sub, speculative: e.speculative };
-        self.l1s[cpu].write_sub(e.addr, ctx.speculative, ctx.sub);
+    /// Applies one store to the hierarchy at cycle `now`: a dispatched
+    /// store under SC, or a TSO store-buffer entry replayed at drain time
+    /// with its captured context. Dependence readers are judged against
+    /// the *current* epoch orders: a RAW violation targets whoever is
+    /// logically later when the store becomes visible.
+    fn write(
+        &mut self,
+        addr: Addr,
+        size: u8,
+        pc: Pc,
+        ctx: AccessCtx,
+        orders: &[Option<u32>],
+        now: u64,
+    ) {
+        self.l1s[ctx.cpu].write_sub(addr, ctx.speculative, ctx.sub);
         let mut out = std::mem::take(&mut self.scratch);
-        self.l2.write_into(now + 1, e.addr, e.size, ctx, &mut out);
-        self.queue_overflow(&out.overflow_victims, e.addr, orders);
-        let my_order = orders[cpu].expect("draining CPU's epoch is running");
-        for &(rcpu, sub) in &out.readers {
-            if let Some(o) = orders[rcpu] {
-                if o > my_order {
-                    self.pending.push(PendingViolation {
-                        cpu: rcpu,
-                        sub,
-                        order: o,
-                        kind: ViolationKind::Raw,
-                        line: e.addr,
-                        store_pc: Some(e.pc),
-                    });
-                }
+        self.l2.write_into(now + 1, addr, size, ctx, &mut out);
+        self.queue_overflow(&out.overflow_victims, addr, orders);
+        // RAW violations: only logically-later readers.
+        let my_order = orders[ctx.cpu].expect("storer is running");
+        for &(cpu, sub) in &out.readers {
+            if let Some(order) = orders[cpu].filter(|&o| o > my_order) {
+                let kind = ViolationKind::Raw;
+                let store_pc = Some(pc);
+                self.pending.push(PendingViolation { cpu, sub, order, kind, line: addr, store_pc });
             }
         }
         self.scratch = out;
+        // Aggressive update propagation: other L1 copies of the
+        // line are invalidated so later loads re-fetch from the L2.
         for (i, l1) in self.l1s.iter_mut().enumerate() {
-            if i != cpu {
-                l1.invalidate_line(e.addr.align_down(l1.params().line_shift()));
+            if i != ctx.cpu {
+                l1.invalidate_line(addr.align_down(l1.params().line_shift()));
             }
         }
     }
 
-    fn queue_overflow(&mut self, victims: &[(usize, u8)], line: Addr, orders: &[Option<u32>]) {
+    pub(crate) fn queue_overflow(
+        &mut self,
+        victims: &[(usize, u8)],
+        line: Addr,
+        orders: &[Option<u32>],
+    ) {
         for &(cpu, sub) in victims {
             if let Some(order) = orders[cpu] {
-                self.pending.push(PendingViolation {
-                    cpu,
-                    sub,
-                    order,
-                    kind: ViolationKind::Overflow,
-                    line,
-                    store_pc: None,
-                });
+                let kind = ViolationKind::Overflow;
+                self.pending.push(PendingViolation { cpu, sub, order, kind, line, store_pc: None });
             }
         }
+    }
+
+    /// Rewind: drops `cpu`'s misses and speculative L1 state from `sub`
+    /// on, and its L2 state unless the sabotage test clears `wash_l2`.
+    fn rewind(&mut self, cpu: usize, sub: u8, wash_l2: bool) {
+        self.mshrs[cpu].clear();
+        if self.l1_subthread_aware {
+            self.l1s[cpu].invalidate_speculative_from(sub);
+        } else {
+            self.l1s[cpu].invalidate_speculative();
+        }
+        if wash_l2 {
+            self.l2.rewind(cpu, sub);
+        }
+    }
+
+    /// Commit: `cpu`'s speculative state becomes architectural.
+    fn commit(&mut self, cpu: usize, orders: &[Option<u32>]) {
+        let mut out = std::mem::take(&mut self.scratch);
+        out.overflow_victims.clear();
+        self.l2.commit_into(cpu, &mut out.overflow_victims);
+        self.queue_overflow(&out.overflow_victims, Addr(0), orders);
+        self.scratch = out;
+        self.l1s[cpu].clear_speculative_marks();
+        self.exposed[cpu].clear();
     }
 }
 
@@ -534,7 +490,7 @@ impl CmpSimulator {
 /// `EpochRun` (inline, those moves were a fifth of the host time of a
 /// Figure-5 simulation, nearly all of it in `memmove`).
 #[derive(Debug)]
-enum Slot<'p> {
+pub(crate) enum Slot<'p> {
     Free,
     Running(Box<EpochRun<'p>>),
 }
@@ -544,94 +500,48 @@ enum Slot<'p> {
 /// separately).
 const OPS_PER_CYCLE_CAP: usize = 64;
 
-struct Machine<'p> {
-    cfg: &'p CmpConfig,
-    program: &'p ProgramView<'p>,
+/// The machine of one run: the protocol core plus its mechanism
+/// components.
+pub(crate) struct Machine<'p> {
+    pub(crate) cfg: &'p CmpConfig,
+    pub(crate) program: &'p ProgramView<'p>,
     cores: Vec<Core>,
-    mem: MemSystem,
-    latches: LatchTable,
-    slots: Vec<Slot<'p>>,
-    latch_retry: Vec<Option<LatchId>>,
+    pub(crate) mem: MemSystem,
+    pub(crate) latches: LatchTable,
+    pub(crate) slots: Vec<Slot<'p>>,
     /// Epochs of the current region not yet started, as contiguous op
     /// runs (borrowed straight from the view — owned or memory-mapped).
     region_queue: VecDeque<&'p [TraceOp]>,
     region_index: usize,
     next_order: u32,
-    next_commit: u32,
-    cycle: u64,
+    /// Logical order of the epoch the homefree token waits for — also
+    /// the number of epochs committed so far.
+    pub(crate) next_commit: u32,
+    pub(crate) cycle: u64,
     // --- results ---
     acct: Breakdown,
     violations: ViolationCounts,
-    committed: u64,
     subthreads_started: u64,
     subthread_merges: u64,
     profiler: DependenceProfiler,
     predictor: DependencePredictor,
-    /// The Prophet value predictor (inert unless `cfg.vpredict.enabled`).
-    vpredict: ValuePredictor,
-    /// Committed stores per exact byte address — the synthetic value
-    /// model's clock (populated only when value prediction is on).
-    commit_counts: HashMap<u64, u64>,
-    /// Suppressed RAW violations whose predictions validated correct.
-    predicted_hits: u64,
-    /// Predictions that validated wrong and rewound instead.
-    value_mispredicts: u64,
-    // --- TSO memory model ---
-    /// Per-CPU store buffers; empty under [`MemoryModel::Sc`] (the
-    /// one-test `tso` flag every hook branches on).
-    membufs: Vec<StoreBuffer>,
-    /// Per-CPU cycle before which drains are frozen (stuck-drain fault).
-    drain_stuck_until: [u64; MAX_CPUS],
-    /// Per-CPU flag: inside a drain-stall episode (the event is emitted
-    /// once at episode start, not per stalled cycle).
-    drain_episode: [bool; MAX_CPUS],
-    /// Commit-serializability auditor (audit runs only).
-    hb: HbAuditor,
-    /// Stores that entered a store buffer.
-    buffered_stores: u64,
-    /// Loads satisfied by same-address store-to-load forwarding.
-    forwarded_loads: u64,
-    /// Buffered stores retired into the memory system.
-    store_drains: u64,
-    /// Happens-before cycles and store-flow violations detected.
-    serializability_breaches: u64,
-    // --- chaos harness ---
-    opts: RunOptions,
-    injector: FaultInjector,
-    /// Due events still waiting for an eligible target; each stays armed
-    /// until its window (`at_cycle + duration`) closes, then is skipped.
-    armed: Vec<FaultEvent>,
-    faults: FaultStats,
-    protocol_errors: Vec<ProtocolError>,
-    audit_failures: Vec<String>,
     /// Violation storms flagged by the forward-progress watchdog.
     livelocks: Vec<LivelockReport>,
-    /// An audit failed (non-panicking mode): finish the current step,
-    /// then stop.
-    audit_aborted: bool,
-    /// A latch hazard was injected, so latch-consistency audits and the
-    /// unexpected-release check are suspended for the rest of the run.
-    latch_hazard_active: bool,
-    /// The homefree token is withheld until this cycle (delayed-token
-    /// fault).
-    commit_block_until: u64,
-    /// Restore the victim cache to this capacity at this cycle
-    /// (victim-squeeze fault).
-    victim_restore: Option<(u64, usize)>,
-    /// Cycle category each CPU's epoch recorded in the last step; a quiet
-    /// streak repeats it, so fast-forward replays it for skipped cycles.
-    last_category: [CycleCategory; MAX_CPUS],
-    /// Reused violation/secondary/commit-overflow buffers so stepping
-    /// allocates nothing once their capacities warm up.
-    pending_scratch: Vec<PendingViolation>,
-    later_scratch: Vec<(u32, u8)>,
-    overflow_scratch: Vec<(usize, u8)>,
-    /// Sequential op-index base of each epoch by logical order, matching
-    /// [`TraceProgram::iter_ops`] — the oracle's token space.
-    epoch_base: Vec<u64>,
-    /// Committed symbolic memory image: byte address → global index of
-    /// the last committed store writing it (oracle only).
-    image: HashMap<u64, u64>,
+    /// Reused buffer of secondary violations: `(cpu, epoch, target sub)`.
+    later_scratch: Vec<(usize, u32, u8)>,
+    // --- the [`RunOptions`] the protocol reads ---
+    /// `fast_forward`.
+    skip_quiet: bool,
+    livelock_threshold: u64,
+    progress_fallback: bool,
+    /// Whether epochs keep their write log ([`EpochRun::stores`]) for the
+    /// oracle, the value model's store counts and the store-flow audit.
+    log_stores: bool,
+    // --- mechanism components ---
+    pub(crate) tso: Option<Tso>,
+    vp: Option<ValueSpec>,
+    pub(crate) chaos: Chaos,
+    pub(crate) checks: Checks,
     /// Attached observer (event ring + metrics), or `None` for a plain
     /// run. Observation is passive: every hook only reads machine state
     /// and appends to the observer's own buffers.
@@ -649,23 +559,9 @@ impl<'p> Machine<'p> {
         obs: Option<&'p mut Observer>,
     ) -> Self {
         let n = cfg.cpus;
-        let injector = opts.plan.as_ref().map(FaultInjector::new).unwrap_or_default();
-        let mut epoch_base = Vec::new();
-        let mut base = 0u64;
-        for region in &program.regions {
-            match region {
-                RegionView::Sequential(e) => {
-                    epoch_base.push(base);
-                    base += e.len() as u64;
-                }
-                RegionView::Parallel(es) => {
-                    for e in es {
-                        epoch_base.push(base);
-                        base += e.len() as u64;
-                    }
-                }
-            }
-        }
+        let tso = Tso::new(cfg.memory_model, n);
+        let vp = ValueSpec::new(cfg);
+        let log_stores = opts.oracle || vp.is_some() || (opts.audit && tso.is_some());
         Machine {
             cfg,
             program,
@@ -685,13 +581,13 @@ impl<'p> Machine<'p> {
                     .map(|_| ExposedLoadTable::new(cfg.exposed_load_entries, cfg.l2.line_shift()))
                     .collect(),
                 pending: Vec::new(),
+                spare: Vec::new(),
                 scratch: L2Outcome::default(),
                 l1_subthread_aware: cfg.l1_subthread_aware,
                 last_exposed: false,
             },
             latches: LatchTable::new(),
             slots: (0..n).map(|_| Slot::Free).collect(),
-            latch_retry: vec![None; n],
             region_queue: VecDeque::new(),
             region_index: 0,
             next_order: 0,
@@ -699,79 +595,49 @@ impl<'p> Machine<'p> {
             cycle: 0,
             acct: Breakdown::default(),
             violations: ViolationCounts::default(),
-            committed: 0,
             subthreads_started: 0,
             subthread_merges: 0,
             profiler: DependenceProfiler::new(1024),
             predictor: DependencePredictor::new(&cfg.predictor),
-            vpredict: ValuePredictor::new(&cfg.vpredict),
-            commit_counts: HashMap::new(),
-            predicted_hits: 0,
-            value_mispredicts: 0,
-            membufs: match cfg.memory_model {
-                MemoryModel::Sc => Vec::new(),
-                MemoryModel::Tso { buffer_entries } => {
-                    (0..n).map(|_| StoreBuffer::new(buffer_entries)).collect()
-                }
-            },
-            drain_stuck_until: [0; MAX_CPUS],
-            drain_episode: [false; MAX_CPUS],
-            hb: HbAuditor::new(),
-            buffered_stores: 0,
-            forwarded_loads: 0,
-            store_drains: 0,
-            serializability_breaches: 0,
-            opts,
-            injector,
-            armed: Vec::new(),
-            faults: FaultStats::default(),
-            protocol_errors: Vec::new(),
-            audit_failures: Vec::new(),
             livelocks: Vec::new(),
-            audit_aborted: false,
-            latch_hazard_active: false,
-            commit_block_until: 0,
-            victim_restore: None,
-            last_category: [CycleCategory::Busy; MAX_CPUS],
-            pending_scratch: Vec::new(),
             later_scratch: Vec::new(),
-            overflow_scratch: Vec::new(),
-            epoch_base,
-            image: HashMap::new(),
+            skip_quiet: opts.fast_forward,
+            livelock_threshold: opts.livelock_threshold,
+            progress_fallback: opts.progress_fallback,
+            log_stores,
+            tso,
+            vp,
+            chaos: Chaos::new(&opts),
+            checks: Checks::new(&opts, program, cfg.l2.line_shift()),
             obs,
             victim_inserts_seen: 0,
         }
     }
 
     fn run(mut self) -> SimReport {
-        let program_ops = self.program.total_ops() as u64;
         self.schedule();
         while !self.done() {
             let quiet = !self.step();
             self.cycle += 1;
-            if self.audit_aborted {
+            if self.checks.aborted {
                 break;
+            }
+            // Fast-forward clamps its target to `max_cycles + 1`, so the
+            // overrun fires at the same cycle count either way.
+            if quiet && self.skip_quiet && !self.done() {
+                self.fast_forward();
             }
             if self.cfg.max_cycles > 0 && self.cycle > self.cfg.max_cycles {
                 panic!(
                     "simulation of '{}' exceeded {} cycles (region {}, {} committed)",
-                    self.program.name, self.cfg.max_cycles, self.region_index, self.committed
+                    self.program.name, self.cfg.max_cycles, self.region_index, self.next_commit
                 );
-            }
-            if quiet && self.opts.fast_forward && !self.done() {
-                self.fast_forward();
-                if self.cfg.max_cycles > 0 && self.cycle > self.cfg.max_cycles {
-                    panic!(
-                        "simulation of '{}' exceeded {} cycles (region {}, {} committed)",
-                        self.program.name, self.cfg.max_cycles, self.region_index, self.committed
-                    );
-                }
             }
             if self.obs.is_some() {
                 self.sample_metrics();
             }
         }
-        if self.audit_aborted {
+        if self.checks.aborted {
             // Partial run: fold the cycles of still-running epochs into
             // the global accounting so the identity holds even here.
             for s in &mut self.slots {
@@ -780,14 +646,9 @@ impl<'p> Machine<'p> {
                 }
             }
         } else {
-            self.audit_end();
-            self.check_oracle();
+            Checks::end_of_run(&mut self);
         }
-        // Faults still armed (or never due) when the run ends were never
-        // delivered: count them skipped so applied + skipped == plan len.
-        self.faults.skipped += (self.armed.len() + self.injector.remaining()) as u64;
-        self.armed.clear();
-        self.finish(program_ops)
+        self.finish()
     }
 
     fn done(&self) -> bool {
@@ -803,21 +664,25 @@ impl<'p> Machine<'p> {
     /// subsequent cycle will be identical until the next timed event — so
     /// the caller may [`fast_forward`](Machine::fast_forward).
     fn step(&mut self) -> bool {
-        let mut active = self.apply_due_faults();
+        let mut active = Chaos::apply_due_faults(self);
         let orders = self.orders_snapshot();
-        for cpu in 0..self.cfg.cpus {
-            active |= self.execute_cpu(cpu, &orders);
+        // Each core is borrowed across its CPU's dispatch loop, which calls
+        // machine methods: measurably faster than re-indexing `self.cores`.
+        let mut cores = std::mem::take(&mut self.cores);
+        for (cpu, core) in cores.iter_mut().enumerate() {
+            active |= self.execute_cpu(cpu, core, &orders);
             if self.obs.is_some() {
                 self.note_victim_spills(cpu, &orders);
             }
         }
+        self.cores = cores;
         active |= !self.mem.pending.is_empty();
         self.apply_violations();
-        let committed = self.committed;
+        let committed = self.next_commit;
         self.commit_ready();
         let scheduled = (self.next_order, self.region_index);
         self.schedule();
-        active || self.committed != committed || (self.next_order, self.region_index) != scheduled
+        active || self.next_commit != committed || (self.next_order, self.region_index) != scheduled
     }
 
     /// Emits a victim-spill event when `cpu`'s just-executed accesses
@@ -848,7 +713,7 @@ impl<'p> Machine<'p> {
         o.metrics.sample(self.cycle, rob, spec_lines, victim_lines, mshr);
     }
 
-    fn orders_snapshot(&self) -> [Option<u32>; MAX_CPUS] {
+    pub(crate) fn orders_snapshot(&self) -> [Option<u32>; MAX_CPUS] {
         let mut orders = [None; MAX_CPUS];
         for (cpu, s) in self.slots.iter().enumerate() {
             if let Slot::Running(r) = s {
@@ -890,11 +755,7 @@ impl<'p> Machine<'p> {
                 consider(at);
             }
         }
-        consider(self.commit_block_until);
-        if let Some(at) = self.injector.next_due() {
-            consider(at);
-        }
-        if let Some((at, _)) = self.victim_restore {
+        for at in self.chaos.wakeups() {
             consider(at);
         }
         (next != u64::MAX).then_some(next)
@@ -915,9 +776,9 @@ impl<'p> Machine<'p> {
         // eligibility is state- not time-gated, so never skip past them.
         // A non-empty store buffer drains one entry per stalled cycle,
         // so those cycles are not repeats either.
-        if !self.armed.is_empty()
+        if !self.chaos.armed.is_empty()
             || !self.mem.pending.is_empty()
-            || self.membufs.iter().any(|b| !b.is_empty())
+            || self.tso.as_ref().is_some_and(|t| t.bufs.iter().any(|b| !b.is_empty()))
         {
             return;
         }
@@ -938,9 +799,8 @@ impl<'p> Machine<'p> {
                     CycleCategory::Idle
                 }
                 Slot::Running(r) => {
-                    let c = self.last_category[cpu];
-                    r.ledger.record_n(c, skipped);
-                    c
+                    r.ledger.record_n(r.last_category, skipped);
+                    r.last_category
                 }
             };
             if let Some(o) = self.obs.as_deref_mut() {
@@ -953,170 +813,11 @@ impl<'p> Machine<'p> {
         self.cycle = target;
     }
 
-    /// Chaos phase (cycle start): expire timed faults and apply every
-    /// event the plan schedules at or before this cycle. Returns whether
-    /// anything touched the machine (fast-forward must not skip it).
-    fn apply_due_faults(&mut self) -> bool {
-        let mut active = false;
-        if let Some((at, cap)) = self.victim_restore {
-            if self.cycle >= at {
-                self.victim_restore = None;
-                let displaced = self.mem.l2.set_victim_capacity(cap);
-                debug_assert!(displaced.is_empty(), "growing the victim cache displaces nothing");
-                active = true;
-            }
-        }
-        if !self.injector.exhausted() {
-            let before = self.armed.len();
-            self.armed.extend(self.injector.due(self.cycle));
-            active |= self.armed.len() != before;
-        }
-        if self.armed.is_empty() {
-            return active;
-        }
-        // Each armed fault fires at the first cycle in its window with an
-        // eligible target; a window that closes without one is skipped.
-        let mut still_armed = Vec::new();
-        for ev in std::mem::take(&mut self.armed) {
-            if self.apply_fault(ev) {
-                self.faults.record(ev.class);
-                active = true;
-            } else if self.cycle >= ev.at_cycle + ev.duration.max(1) {
-                self.faults.skipped += 1;
-                active = true;
-            } else {
-                still_armed.push(ev);
-            }
-        }
-        self.armed = still_armed;
-        active
-    }
-
-    /// Attempts one fault; returns whether it found a target and applied.
-    fn apply_fault(&mut self, ev: FaultEvent) -> bool {
-        match ev.class {
-            FaultClass::SpuriousPrimary => self.inject_violation(false),
-            FaultClass::SpuriousSecondary => self.inject_violation(true),
-            FaultClass::VictimSqueeze => {
-                if self.victim_restore.is_some() {
-                    false // a squeeze is already in flight
-                } else {
-                    let cap = self.mem.l2.victim_capacity();
-                    self.victim_restore = Some((self.cycle + ev.duration.max(1), cap));
-                    let orders = self.orders_snapshot();
-                    let victims = self.mem.l2.set_victim_capacity(0);
-                    self.mem.queue_overflow(&victims, Addr(0), &orders);
-                    true
-                }
-            }
-            FaultClass::ForcedMerge => self.force_merge(),
-            FaultClass::DelayedToken => {
-                self.commit_block_until =
-                    self.commit_block_until.max(self.cycle + ev.duration.max(1));
-                true
-            }
-            FaultClass::LatchHazard => match self.latches.held().first() {
-                Some(&latch) => {
-                    // Latch audits are best-effort from here on: the
-                    // owner's bookkeeping is deliberately desynchronized.
-                    self.latch_hazard_active = true;
-                    self.latches.force_release(latch);
-                    true
-                }
-                None => false,
-            },
-            // Store-buffer chaos: every class needs a TSO machine with
-            // at least one buffered store — on an SC machine (or with
-            // every buffer drained) the event stays armed until its
-            // window closes and is counted skipped.
-            FaultClass::StuckDrain => {
-                match (0..self.membufs.len()).find(|&c| !self.membufs[c].is_empty()) {
-                    Some(cpu) => {
-                        self.drain_stuck_until[cpu] =
-                            self.drain_stuck_until[cpu].max(self.cycle + ev.duration.max(1));
-                        true
-                    }
-                    None => false,
-                }
-            }
-            FaultClass::ReorderedDrain => self.membufs.iter_mut().any(|b| b.swap_oldest_pair()),
-            // Silently lose the oldest buffered store of the first CPU
-            // that has one: the machine must *not* survive this — the
-            // commit-time store-flow audit reports the hole.
-            FaultClass::DroppedEntry => self.membufs.iter_mut().any(|b| b.drop_oldest().is_some()),
-        }
-    }
-
-    /// Queues a spurious violation. `full_restart` picks the youngest
-    /// speculative epoch and rewinds it to sub-thread 0 (the worst case);
-    /// otherwise the oldest speculative epoch rewinds to its current
-    /// sub-thread, which also drives secondary violations through every
-    /// later thread's start table.
-    fn inject_violation(&mut self, full_restart: bool) -> bool {
-        let candidates = self.slots.iter().filter_map(|s| match s {
-            Slot::Running(r) if r.order > self.next_commit => Some((r.order, r.cur_sub())),
-            _ => None,
-        });
-        let target = if full_restart {
-            candidates.max_by_key(|&(order, _)| order)
-        } else {
-            candidates.min_by_key(|&(order, _)| order)
-        };
-        let Some((order, cur_sub)) = target else { return false };
-        let Some(cpu) = self.cpu_running(order) else { return false };
-        let sub = if full_restart { 0 } else { cur_sub };
-        self.mem.pending.push(PendingViolation {
-            cpu,
-            sub,
-            order,
-            kind: ViolationKind::Injected,
-            line: Addr(0),
-            store_pc: None,
-        });
-        true
-    }
-
-    /// Forces a sub-thread context merge on the first speculative epoch
-    /// that has one to give — as if its context supply were exhausted.
-    fn force_merge(&mut self) -> bool {
-        for cpu in 0..self.cfg.cpus {
-            let mut run = match std::mem::replace(&mut self.slots[cpu], Slot::Free) {
-                Slot::Running(r) => r,
-                Slot::Free => continue,
-            };
-            let eligible = run.order > self.next_commit && run.checkpoints.len() >= 2;
-            if eligible {
-                Self::merge_one_context(
-                    &mut self.mem,
-                    &mut self.slots,
-                    &mut self.membufs,
-                    &mut self.subthread_merges,
-                    cpu,
-                    &mut run,
-                );
-                emit!(self, EventKind::SubThreadMerge, cpu, run.order, run.cur_sub(), 0, 0);
-            }
-            self.slots[cpu] = Slot::Running(run);
-            if eligible {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Recycles one sub-thread context of `cpu`'s running epoch (taken
     /// out of its slot) by merging the adjacent checkpoint pair with the
     /// smallest combined span. Shared by the Merge exhaustion policy and
-    /// the chaos harness's forced-merge fault. Takes the disjoint pieces
-    /// of the machine it needs so callers may hold other borrows.
-    fn merge_one_context(
-        mem: &mut MemSystem,
-        slots: &mut [Slot<'p>],
-        membufs: &mut [StoreBuffer],
-        subthread_merges: &mut u64,
-        cpu: usize,
-        run: &mut EpochRun<'p>,
-    ) {
+    /// the chaos harness's forced-merge fault.
+    pub(crate) fn merge_one_context(&mut self, cpu: usize, run: &mut EpochRun<'p>) {
         let m = (1..run.checkpoints.len())
             .min_by_key(|&k| {
                 let end = run.checkpoints.get(k + 1).copied().unwrap_or(run.cursor);
@@ -1126,232 +827,28 @@ impl<'p> Machine<'p> {
         run.checkpoints.remove(m);
         run.ledger.merge_bucket(m);
         run.start_table.remap_values(m as u8);
-        mem.l2.merge_subthread(cpu, m as u8);
-        for s in slots.iter_mut() {
+        self.mem.l2.merge_subthread(cpu, m as u8);
+        for s in &mut self.slots {
             if let Slot::Running(o) = s {
                 o.start_table.remap_keys_for(cpu, m as u8);
             }
         }
-        for v in &mut mem.pending {
+        for v in &mut self.mem.pending {
             if v.cpu == cpu && v.sub >= m as u8 {
                 v.sub = (v.sub - 1).max(m as u8 - 1);
             }
         }
-        // TSO: buffered (not yet drained) stores carry the context id
-        // they will replay under; remap them with everything else.
-        if let Some(buf) = membufs.get_mut(cpu) {
-            buf.remap_merged_sub(m as u8);
+        if let Some(tso) = &mut self.tso {
+            tso.merge(cpu, m as u8);
         }
-        *subthread_merges += 1;
+        self.subthread_merges += 1;
+        emit!(self, EventKind::SubThreadMerge, cpu, run, 0, 0);
     }
 
-    /// Records a recoverable protocol error; an unexpected one (no latch
-    /// hazard was injected) is also an invariant-audit failure.
-    fn latch_release_error(&mut self, e: LatchError) {
-        let message = e.to_string();
-        if self.opts.audit && !self.latch_hazard_active {
-            self.audit_fail(format!("unexpected latch protocol error: {message}"));
-        }
-        self.faults.protocol_errors += 1;
-        if self.protocol_errors.len() < 32 {
-            self.protocol_errors.push(ProtocolError { cycle: self.cycle, message });
-        }
-    }
-
-    /// TSO store-flow identity: every store the epoch logged must be
-    /// accounted for — drained into the memory system or still sitting
-    /// in the CPU's buffer. Compared as op-cursor multisets (a
-    /// reordered drain permutes the mirror, which is legal; a *missing*
-    /// cursor is a lost store). Returns the first imbalance found.
-    fn store_flow_breach(
-        stores: &[(usize, Addr, u8)],
-        drained: &[(usize, Addr, u8)],
-        buf: &StoreBuffer,
-    ) -> Option<String> {
-        let mut seen: Vec<usize> =
-            drained.iter().map(|&(c, _, _)| c).chain(buf.iter().map(|e| e.cursor)).collect();
-        seen.sort_unstable();
-        let logged: Vec<usize> = stores.iter().map(|&(c, _, _)| c).collect();
-        if logged == seen {
-            return None;
-        }
-        let missing = logged.iter().find(|c| !seen.contains(c));
-        Some(format!(
-            "store-flow violation: epoch logged {} stores but {} drained and {} are buffered{}",
-            logged.len(),
-            drained.len(),
-            buf.len(),
-            missing.map(|c| format!(" (first lost store: op cursor {c})")).unwrap_or_default()
-        ))
-    }
-
-    /// Records a serializability breach found by the commit-time
-    /// auditor: a structured, recoverable [`ProtocolError`] plus an
-    /// observer event — never a panic, even in audit runs, so the
-    /// chaos grid proves *detection* rather than a crash.
+    /// Records a serializability breach [`Checks`] found, with its event.
     fn serializability_breach(&mut self, cpu: usize, epoch: u32, message: String) {
-        self.serializability_breaches += 1;
-        emit!(
-            self,
-            EventKind::SerializabilityBreach,
-            cpu,
-            epoch,
-            0,
-            0,
-            self.serializability_breaches
-        );
-        self.faults.protocol_errors += 1;
-        if self.protocol_errors.len() < 32 {
-            self.protocol_errors.push(ProtocolError { cycle: self.cycle, message });
-        }
-    }
-
-    /// Registers an invariant-audit failure: panic when configured to
-    /// (the test default), otherwise collect it and stop the run after
-    /// the current step completes.
-    fn audit_fail(&mut self, msg: String) {
-        if self.opts.panic_on_audit_failure {
-            panic!("invariant audit failed at cycle {}: {msg}", self.cycle);
-        }
-        if self.audit_failures.len() < 32 {
-            self.audit_failures.push(format!("cycle {}: {msg}", self.cycle));
-        }
-        self.audit_aborted = true;
-    }
-
-    /// Audits run after every rewind: the rewound sub-threads must leave
-    /// no speculative residue in the L2, and the structural invariants of
-    /// every running epoch must hold.
-    fn audit_after_rewind(&mut self, cpu: usize, sub: u8) {
-        if !self.opts.audit {
-            return;
-        }
-        if self.cfg.track_dependences {
-            for msg in self.mem.l2.audit_subthread_residue(cpu, sub) {
-                self.audit_fail(format!("post-rewind: {msg}"));
-            }
-        }
-        self.audit_slots();
-    }
-
-    /// Audits run as each epoch commits: commits happen in logical order
-    /// and the committing CPU leaves nothing speculative behind.
-    fn audit_after_commit(&mut self, cpu: usize, order: u32) {
-        if !self.opts.audit {
-            return;
-        }
-        if order != self.next_commit {
-            self.audit_fail(format!(
-                "out-of-order commit: epoch {order} committed while the token was at {}",
-                self.next_commit
-            ));
-        }
-        if self.cfg.track_dependences {
-            for msg in self.mem.l2.audit_cpu_clear(cpu) {
-                self.audit_fail(format!("post-commit: {msg}"));
-            }
-        }
-        self.audit_slots();
-    }
-
-    /// Structural invariants of every running epoch: strictly increasing
-    /// checkpoints, ledger buckets in lockstep with checkpoints, sane
-    /// start-table entries, and latch bookkeeping consistent with the
-    /// global table.
-    fn audit_slots(&mut self) {
-        let mut failures: Vec<String> = Vec::new();
-        let contexts = self.cfg.subthreads.contexts;
-        for (cpu, s) in self.slots.iter().enumerate() {
-            let Slot::Running(run) = s else { continue };
-            if !run.checkpoints.windows(2).all(|w| w[0] < w[1]) {
-                failures.push(format!(
-                    "cpu {cpu}: checkpoints not strictly increasing: {:?}",
-                    run.checkpoints
-                ));
-            }
-            if run.checkpoints.len() > contexts.max(1) as usize {
-                failures.push(format!(
-                    "cpu {cpu}: {} live sub-threads exceed {contexts} contexts",
-                    run.checkpoints.len()
-                ));
-            }
-            if run.ledger.current() + 1 != run.checkpoints.len() {
-                failures.push(format!(
-                    "cpu {cpu}: {} ledger buckets for {} checkpoints",
-                    run.ledger.current() + 1,
-                    run.checkpoints.len()
-                ));
-            }
-            for ((sender, sub), local) in run.start_table.iter() {
-                // `local` may legitimately exceed the *current* sub-thread
-                // after a rewind (restart_point guards with `target > cur`),
-                // but every recorded value must be a valid context id from
-                // a real, different CPU.
-                if sender == cpu || sender >= self.cfg.cpus || sub >= contexts || local >= contexts
-                {
-                    failures.push(format!(
-                        "cpu {cpu}: corrupt start-table entry ({sender},{sub})->{local}"
-                    ));
-                }
-            }
-            if !self.latch_hazard_active {
-                for &(latch, _) in &run.held_latches {
-                    if self.latches.owner(latch) != Some(cpu) {
-                        failures.push(format!(
-                            "cpu {cpu}: held latch {latch:?} is not owned in the latch table"
-                        ));
-                    }
-                }
-            }
-        }
-        for f in failures {
-            self.audit_fail(f);
-        }
-    }
-
-    /// End-of-run audit: with every epoch committed there must be no
-    /// speculative metadata or versions left anywhere in the hierarchy.
-    fn audit_end(&mut self) {
-        if !self.opts.audit || !self.cfg.track_dependences {
-            return;
-        }
-        for msg in self.mem.l2.audit_quiescent() {
-            self.audit_fail(format!("end-of-run: {msg}"));
-        }
-    }
-
-    /// Differential oracle: replay the program sequentially as a symbolic
-    /// last-writer image and compare with what the speculative machine
-    /// committed. The simulator models no data values, so two runs agree
-    /// exactly when every byte's last writer (in logical order) agrees.
-    fn check_oracle(&mut self) {
-        if !self.opts.oracle {
-            return;
-        }
-        let mut expected: HashMap<u64, u64> = HashMap::new();
-        for (i, op) in self.program.iter_ops().enumerate() {
-            if let OpKind::Store { addr, size } = op.kind() {
-                for b in 0..size as u64 {
-                    expected.insert(addr.0 + b, i as u64);
-                }
-            }
-        }
-        if expected != self.image {
-            let mut diffs: Vec<u64> = expected
-                .keys()
-                .chain(self.image.keys())
-                .filter(|a| expected.get(*a) != self.image.get(*a))
-                .copied()
-                .collect();
-            diffs.sort_unstable();
-            diffs.dedup();
-            let shown: Vec<String> = diffs.iter().take(4).map(|a| format!("{a:#x}")).collect();
-            self.audit_fail(format!(
-                "oracle divergence: committed image disagrees with the sequential replay \
-                 at {} bytes (first: {shown:?})",
-                diffs.len()
-            ));
-        }
+        let n = self.checks.breach(self.cycle, message);
+        emit!(self, EventKind::SerializabilityBreach, cpu, epoch, 0, 0, n);
     }
 
     /// One CPU's execute phase. Returns whether the epoch made progress
@@ -1359,7 +856,7 @@ impl<'p> Machine<'p> {
     /// sub-thread, finished, or hit a latch error. A no-progress cycle
     /// recomputes exactly the state it inherited, which is what licenses
     /// fast-forwarding streaks of them.
-    fn execute_cpu(&mut self, cpu: usize, orders: &[Option<u32>]) -> bool {
+    fn execute_cpu(&mut self, cpu: usize, core: &mut Core, orders: &[Option<u32>]) -> bool {
         let mut run = match std::mem::replace(&mut self.slots[cpu], Slot::Free) {
             Slot::Free => {
                 self.acct.add(CycleCategory::Idle, 1);
@@ -1375,36 +872,30 @@ impl<'p> Machine<'p> {
         let finished_in = run.finished;
         let started_in = self.subthreads_started;
         let merges_in = self.subthread_merges;
-        let core = &mut self.cores[cpu];
         core.begin_cycle(self.cycle);
         let retired = core.retire();
         let speculative = run.order > self.next_commit;
         let mut dispatched = 0usize;
         let mut examined = 0usize;
         let mut latch_errors: Vec<LatchError> = Vec::new();
-        run.waiting_latch = false;
         run.waiting_sync = false;
-        // TSO bookkeeping for this cycle. `drain_stall` carries the
-        // cause code when the CPU hit an explicit ordering point (1 =
-        // full buffer, 2 = forwarding conflict, 3 = ordering-point
-        // flush); the write log mirrors additionally feed the
-        // store-flow audit whenever auditing is armed.
-        let tso = !self.membufs.is_empty();
-        let log_stores = self.opts.oracle || self.cfg.vpredict.enabled || (self.opts.audit && tso);
+        // The drain-stall cause code when the CPU hit a TSO ordering
+        // point ([`Dispatch::Stall`]).
         let mut drain_stall: Option<u64> = None;
 
         // Retry a latch we blocked on last cycle.
-        if let Some(latch) = self.latch_retry[cpu] {
+        if let Some(latch) = run.latch_retry {
             if self.latches.try_acquire(cpu, latch) {
-                self.latch_retry[cpu] = None;
+                run.latch_retry = None;
                 run.held_latches.push((latch, run.cursor));
                 run.cursor += 1;
-            } else {
-                run.waiting_latch = true;
             }
         }
 
-        while !run.waiting_latch && run.cursor < run.ops.len() && examined < OPS_PER_CYCLE_CAP {
+        while run.latch_retry.is_none()
+            && run.cursor < run.ops.len()
+            && examined < OPS_PER_CYCLE_CAP
+        {
             examined += 1;
             // Progress fallback: a serialized (livelock-degraded) epoch
             // dispatches nothing while speculative — it waits, as Sync,
@@ -1425,44 +916,22 @@ impl<'p> Machine<'p> {
             // would replay an unbalanced half of the section. The
             // boundary is simply deferred a few instructions until the
             // latches are released.
-            let may_checkpoint = run.held_latches.is_empty();
-            if speculative
-                && may_checkpoint
-                && since >= run.spacing
+            let boundary = speculative && run.held_latches.is_empty() && since >= run.spacing;
+            if boundary
                 && contexts >= 2
                 && (run.checkpoints.len() as u8) == contexts
                 && self.cfg.subthreads.exhaustion == ExhaustionPolicy::Merge
             {
                 // Recycle a context: merge the adjacent checkpoint pair
                 // with the smallest combined span.
-                Self::merge_one_context(
-                    &mut self.mem,
-                    &mut self.slots,
-                    &mut self.membufs,
-                    &mut self.subthread_merges,
-                    cpu,
-                    &mut run,
-                );
-                emit!(self, EventKind::SubThreadMerge, cpu, run.order, run.cur_sub(), 0, 0);
+                self.merge_one_context(cpu, &mut run);
             }
-            if speculative
-                && may_checkpoint
-                && since >= run.spacing
-                && (run.checkpoints.len() as u8) < self.cfg.subthreads.contexts
-            {
+            if boundary && (run.checkpoints.len() as u8) < contexts {
                 run.checkpoints.push(run.cursor);
                 run.ledger.push_subthread();
                 self.subthreads_started += 1;
                 let new_sub = run.cur_sub();
-                emit!(
-                    self,
-                    EventKind::SubThreadStart,
-                    cpu,
-                    run.order,
-                    new_sub,
-                    run.cursor as u64,
-                    0
-                );
+                emit!(self, EventKind::SubThreadStart, cpu, run, run.cursor as u64, 0);
                 for (other, order) in orders.iter().enumerate() {
                     if other != cpu && order.is_some_and(|o| o > run.order) {
                         if let Slot::Running(o) = &mut self.slots[other] {
@@ -1479,7 +948,7 @@ impl<'p> Machine<'p> {
                     // TSO ordering point: older stores must be visible
                     // before the critical section opens, so the buffer
                     // drains fully before the acquire is attempted.
-                    if tso && !self.membufs[cpu].is_empty() {
+                    if self.tso.as_ref().is_some_and(|t| t.holds_stores(cpu)) {
                         drain_stall = Some(3);
                         break;
                     }
@@ -1487,17 +956,8 @@ impl<'p> Machine<'p> {
                         run.held_latches.push((latch, run.cursor));
                         run.cursor += 1;
                     } else {
-                        self.latch_retry[cpu] = Some(latch);
-                        run.waiting_latch = true;
-                        emit!(
-                            self,
-                            EventKind::LatchStall,
-                            cpu,
-                            run.order,
-                            run.cur_sub(),
-                            latch.0 as u64,
-                            0
-                        );
+                        run.latch_retry = Some(latch);
+                        emit!(self, EventKind::LatchStall, cpu, run, latch.0 as u64, 0);
                     }
                 }
                 OpKind::LatchRelease(latch) => {
@@ -1515,46 +975,22 @@ impl<'p> Machine<'p> {
                     }
                     // TSO: a store enters this CPU's bounded buffer
                     // (reaching the caches only when it drains) and a
-                    // load probes the buffer youngest-first for
-                    // same-address forwarding. Either bypass completes
-                    // locally in one cycle — exactly a store's SC
-                    // latency — so TSO's timing delta comes entirely
-                    // from drain stalls, never from the bypass itself.
-                    let mut bypass = false;
-                    if tso {
-                        match kind {
-                            OpKind::Store { addr, size } => {
-                                if self.membufs[cpu].is_full() {
-                                    drain_stall = Some(1);
-                                    break;
-                                }
-                                self.membufs[cpu].push(BufferedStore {
-                                    cursor: run.cursor,
-                                    addr,
-                                    size,
-                                    pc: op.pc(),
-                                    sub: run.cur_sub(),
-                                    speculative,
-                                });
-                                self.buffered_stores += 1;
-                                bypass = true;
-                            }
-                            OpKind::Load { addr, size } => {
-                                match self.membufs[cpu].forward(addr, size) {
-                                    ForwardOutcome::Hit => {
-                                        self.forwarded_loads += 1;
-                                        bypass = true;
-                                    }
-                                    ForwardOutcome::Conflict => {
-                                        drain_stall = Some(2);
-                                        break;
-                                    }
-                                    ForwardOutcome::Miss => {}
-                                }
-                            }
-                            _ => {}
+                    // load probes the buffer for forwarding. Either
+                    // bypass completes locally in one cycle — exactly a
+                    // store's SC latency — so TSO's timing delta comes
+                    // entirely from drain stalls, never from the bypass.
+                    let ctx = AccessCtx { cpu, sub: run.cur_sub(), speculative };
+                    let gate = match (&mut self.tso, kind) {
+                        (Some(t), OpKind::Load { .. } | OpKind::Store { .. }) => {
+                            t.dispatch(kind, op.pc(), run.cursor, ctx)
                         }
+                        _ => Dispatch::Pass,
+                    };
+                    if let Dispatch::Stall(cause) = gate {
+                        drain_stall = Some(cause);
+                        break;
                     }
+                    let bypass = gate == Dispatch::Bypass;
                     if !bypass && matches!(kind, OpKind::Load { .. }) {
                         if !self.mem.mshrs[cpu].can_accept(self.cycle) {
                             break;
@@ -1577,7 +1013,7 @@ impl<'p> Machine<'p> {
                             break;
                         }
                     }
-                    if log_stores {
+                    if self.log_stores {
                         if let OpKind::Store { addr, size } = kind {
                             run.stores.push((run.cursor, addr, size));
                         }
@@ -1585,26 +1021,16 @@ impl<'p> Machine<'p> {
                     if bypass {
                         core.dispatch(op, |start, _, _| start + 1);
                     } else {
-                        let ctx = AccessCtx { cpu, sub: run.cur_sub(), speculative };
                         let mem = &mut self.mem;
                         core.dispatch(op, |start, _, mk| mem.access(op, ctx, orders, start, mk));
-                        // Value prediction covers exposed speculative loads:
-                        // the access callback (synchronous) just flagged
-                        // whether this load recorded an exposure. Tracking is
-                        // timing-passive — the probe neither stalls nor
-                        // accelerates the load. (A forwarded load consumes
-                        // this CPU's own buffered value: no exposure, no
-                        // prediction to track.)
-                        if self.cfg.vpredict.enabled && speculative && self.mem.last_exposed {
-                            if let OpKind::Load { addr, .. } = kind {
-                                run.vloads.push(VLoad {
-                                    cursor: run.cursor,
-                                    line: addr.align_down(self.cfg.l2.line_shift()),
-                                    addr,
-                                    pc: op.pc(),
-                                    predicted: self.vpredict.probe(op.pc()),
-                                    conflicted: false,
-                                });
+                        // Value prediction covers exposed speculative
+                        // loads: the access callback (synchronous) just
+                        // flagged whether this load recorded an exposure.
+                        // (A forwarded load consumes this CPU's own
+                        // buffered value: no exposure, nothing to track.)
+                        if let (Some(vp), OpKind::Load { addr, .. }) = (&mut self.vp, kind) {
+                            if speculative && self.mem.last_exposed {
+                                vp.track(cpu, run.cursor, addr, op.pc());
                             }
                         }
                     }
@@ -1614,32 +1040,21 @@ impl<'p> Machine<'p> {
             }
         }
 
-        if run.cursor == run.ops.len() && core.is_drained() && self.latch_retry[cpu].is_none() {
+        if run.cursor == run.ops.len() && core.is_drained() && run.latch_retry.is_none() {
             run.finished = true;
         }
 
-        // TSO drain engine: one entry per cycle leaves the buffer
-        // whenever the CPU is stalled — at an explicit ordering point
-        // (full buffer, forwarding conflict, latch acquire, the
-        // pre-commit flush of a finished epoch) or opportunistically
-        // while it waits on anything else. A stuck-drain fault freezes
-        // drains until its window closes; the buffer simply holds.
+        // TSO drain engine: the buffer drains at ordering points and
+        // opportunistically while the CPU waits on anything else.
         let mut drained_one = false;
-        if tso {
-            if run.finished && !self.membufs[cpu].is_empty() && drain_stall.is_none() {
-                drain_stall = Some(3);
-            }
-            let frozen = self.cycle < self.drain_stuck_until[cpu];
-            let stalled = drain_stall.is_some() || (dispatched == 0 && retired.retired == 0);
-            if !frozen && stalled {
-                if let Some(e) = self.membufs[cpu].pop_oldest() {
-                    self.mem.drain_store(&e, cpu, orders, self.cycle);
-                    self.store_drains += 1;
-                    if log_stores {
-                        run.drained.push((e.cursor, e.addr, e.size));
-                    }
-                    drained_one = true;
-                }
+        if let Some(tso) = &mut self.tso {
+            let idle = dispatched == 0 && retired.retired == 0;
+            let log = self.log_stores;
+            let drained = tso.drain(cpu, self.cycle, run.finished, idle, &mut drain_stall, log);
+            if let Some(e) = drained {
+                let ctx = AccessCtx { cpu, sub: e.sub, speculative: e.speculative };
+                self.mem.write(e.addr, e.size, e.pc, ctx, orders, self.cycle);
+                drained_one = true;
             }
         }
 
@@ -1647,7 +1062,7 @@ impl<'p> Machine<'p> {
             CycleCategory::Busy
         } else if drain_stall.is_some() {
             CycleCategory::DrainStall
-        } else if run.waiting_latch {
+        } else if run.latch_retry.is_some() {
             CycleCategory::Latch
         } else if run.waiting_sync || run.finished {
             CycleCategory::Sync
@@ -1657,17 +1072,11 @@ impl<'p> Machine<'p> {
             CycleCategory::Busy
         };
         run.ledger.record(category);
-        self.last_category[cpu] = category;
-        if category == CycleCategory::DrainStall {
-            // One event per stall episode, at its start.
-            if !self.drain_episode[cpu] {
-                self.drain_episode[cpu] = true;
-                let buffered = self.membufs[cpu].len() as u64 + drained_one as u64;
-                let cause = drain_stall.unwrap_or(0);
-                emit!(self, EventKind::DrainStall, cpu, run.order, run.cur_sub(), buffered, cause);
-            }
-        } else {
-            self.drain_episode[cpu] = false;
+        run.last_category = category;
+        let stalled = category == CycleCategory::DrainStall;
+        if let Some(buffered) = self.tso.as_mut().and_then(|t| t.episode_start(cpu, stalled)) {
+            let (buffered, cause) = (buffered + drained_one as u64, drain_stall.unwrap_or(0));
+            emit!(self, EventKind::DrainStall, cpu, run, buffered, cause);
         }
         if let Some(o) = self.obs.as_deref_mut() {
             o.metrics.tick(cpu, cycle_class(category));
@@ -1683,7 +1092,7 @@ impl<'p> Machine<'p> {
             || !latch_errors.is_empty();
         self.slots[cpu] = Slot::Running(run);
         for e in latch_errors {
-            self.latch_release_error(e);
+            self.checks.latch_error(self.cycle, self.chaos.latch_hazard, e);
         }
         progress
     }
@@ -1692,9 +1101,9 @@ impl<'p> Machine<'p> {
         if self.mem.pending.is_empty() {
             return;
         }
-        // Swap the queue with a reused scratch vector so draining it
-        // (and anything queued while we work) never reallocates.
-        let mut pending = std::mem::take(&mut self.pending_scratch);
+        // Swap the queue with the spare vector so draining it (and
+        // anything queued while we work) never reallocates.
+        let mut pending = std::mem::take(&mut self.mem.spare);
         std::mem::swap(&mut pending, &mut self.mem.pending);
         for v in pending.drain(..) {
             let (order, cur_sub) = match &self.slots[v.cpu] {
@@ -1713,35 +1122,10 @@ impl<'p> Machine<'p> {
                 } else {
                     None
                 };
-            // Value prediction: a RAW violation whose line was consumed
-            // only through predicted loads is suppressed — the victim
-            // keeps running on the predicted values, and the guess is
-            // settled at commit time. One unpredicted load on the line
-            // and the violation stands (the thread consumed a value
-            // nobody vouched for).
-            if v.kind == ViolationKind::Raw && self.cfg.vpredict.enabled {
-                let suppressed = match &mut self.slots[v.cpu] {
-                    Slot::Running(r) => {
-                        let line = v.line.align_down(self.cfg.l2.line_shift());
-                        let mut on_line = 0usize;
-                        let mut covered = 0usize;
-                        for vl in r.vloads.iter().filter(|vl| vl.line == line) {
-                            on_line += 1;
-                            covered += vl.predicted.is_some() as usize;
-                        }
-                        if on_line > 0 && covered == on_line {
-                            for vl in r.vloads.iter_mut().filter(|vl| vl.line == line) {
-                                vl.conflicted = true;
-                            }
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    Slot::Free => false,
-                };
-                if suppressed {
-                    let pcs = Event::pack_pcs(raw_load_pc.map(|p| p.0), v.store_pc.map(|p| p.0));
+            let pcs = Event::pack_pcs(raw_load_pc.map(|p| p.0), v.store_pc.map(|p| p.0));
+            // Value prediction may suppress a RAW violation.
+            if let (Some(vp), ViolationKind::Raw) = (&mut self.vp, v.kind) {
+                if vp.suppress(v.cpu, v.line) {
                     emit!(self, EventKind::ValuePredicted, v.cpu, order, v.sub, v.line.0, pcs);
                     continue;
                 }
@@ -1749,7 +1133,6 @@ impl<'p> Machine<'p> {
             match v.kind {
                 ViolationKind::Raw => {
                     self.violations.primary += 1;
-                    let pcs = Event::pack_pcs(raw_load_pc.map(|p| p.0), v.store_pc.map(|p| p.0));
                     emit!(self, EventKind::ViolationRaw, v.cpu, order, v.sub, v.line.0, pcs);
                     // Feed the forward-progress watchdog: remember the
                     // PCs implicated in the victim's current storm.
@@ -1780,8 +1163,9 @@ impl<'p> Machine<'p> {
                 // validation: the deferred rewind lands here, through
                 // the same sub-thread machinery as a direct violation.
                 ViolationKind::ValueMispredict => {
-                    self.value_mispredicts += 1;
-                    let pcs = Event::pack_pcs(raw_load_pc.map(|p| p.0), None);
+                    if let Some(vp) = &mut self.vp {
+                        vp.value_mispredicts += 1;
+                    }
                     emit!(self, EventKind::ValueMispredict, v.cpu, order, v.sub, v.line.0, pcs);
                 }
             }
@@ -1800,45 +1184,25 @@ impl<'p> Machine<'p> {
             self.rewind(v.cpu, v.sub);
             // Secondary violations for logically-later threads.
             let mut later = std::mem::take(&mut self.later_scratch);
-            later.extend(self.slots.iter().filter_map(|s| match s {
-                Slot::Running(r) if r.order > order => {
-                    let target = match self.cfg.secondary {
-                        SecondaryPolicy::StartTable => r.start_table.restart_point(v.cpu, v.sub),
-                        SecondaryPolicy::RestartAll => 0,
-                    };
-                    Some((r.order, target))
-                }
-                _ => None,
-            }));
-            for &(victim_order, target) in &later {
-                let Some(cpu) = self.cpu_running(victim_order) else { continue };
-                let cur = match &self.slots[cpu] {
-                    Slot::Running(r) => r.cur_sub(),
-                    Slot::Free => continue,
+            for (cpu, s) in self.slots.iter().enumerate() {
+                let Slot::Running(r) = s else { continue };
+                let target = match self.cfg.secondary {
+                    SecondaryPolicy::StartTable => r.start_table.restart_point(v.cpu, v.sub),
+                    SecondaryPolicy::RestartAll => 0,
                 };
-                if target > cur {
-                    continue;
+                if r.order > order && target <= r.cur_sub() {
+                    later.push((cpu, r.order, target));
                 }
+            }
+            for &(cpu, epoch, target) in &later {
                 self.violations.secondary += 1;
-                emit!(
-                    self,
-                    EventKind::ViolationSecondary,
-                    cpu,
-                    victim_order,
-                    target,
-                    order as u64,
-                    0
-                );
+                emit!(self, EventKind::ViolationSecondary, cpu, epoch, target, order as u64, 0);
                 self.rewind(cpu, target);
             }
             later.clear();
             self.later_scratch = later;
         }
-        self.pending_scratch = pending;
-    }
-
-    fn cpu_running(&self, order: u32) -> Option<usize> {
-        self.slots.iter().position(|s| matches!(s, Slot::Running(r) if r.order == order))
+        self.mem.spare = pending;
     }
 
     /// Rewinds `cpu` to sub-thread `sub`: discards speculative state,
@@ -1848,10 +1212,7 @@ impl<'p> Machine<'p> {
         let mut latch_errors: Vec<LatchError> = Vec::new();
         let mut flow_breach: Option<(u32, String)> = None;
         {
-            let run = match &mut self.slots[cpu] {
-                Slot::Running(r) => r,
-                Slot::Free => return,
-            };
+            let Slot::Running(run) = &mut self.slots[cpu] else { return };
             debug_assert!((sub as usize) < run.checkpoints.len());
             let failed = run.ledger.rewind_to(sub as usize);
             self.acct += failed;
@@ -1864,18 +1225,9 @@ impl<'p> Machine<'p> {
             run.cursor = run.checkpoints[sub as usize];
             run.checkpoints.truncate(sub as usize + 1);
             run.finished = false;
-            run.waiting_latch = false;
-            self.latch_retry[cpu] = None;
+            run.latch_retry = None;
             self.cores[cpu].flush();
-            self.mem.mshrs[cpu].clear();
-            if self.mem.l1_subthread_aware {
-                self.mem.l1s[cpu].invalidate_speculative_from(sub);
-            } else {
-                self.mem.l1s[cpu].invalidate_speculative();
-            }
-            if !self.opts.sabotage_rewind {
-                self.mem.l2.rewind(cpu, sub);
-            }
+            self.mem.rewind(cpu, sub, !self.chaos.sabotage_rewind);
             // Escaped synchronization: only acquisitions the rewind undoes
             // are released; critical sections that completed (or that the
             // rewind target sits inside) keep their latches, so the replay's
@@ -1891,59 +1243,40 @@ impl<'p> Machine<'p> {
                 }
                 true
             });
-            // TSO: the store-flow identity — logged stores equal
-            // drained plus still-buffered — is audited on the
-            // pre-rewind state (truncation must not mask a
-            // chaos-dropped entry), then the buffer and the drain
-            // mirror forget the rewound suffix alongside the write log.
-            if !self.membufs.is_empty() {
-                if self.opts.audit {
-                    flow_breach =
-                        Self::store_flow_breach(&run.stores, &run.drained, &self.membufs[cpu])
-                            .map(|msg| (run.order, msg));
-                }
-                self.membufs[cpu].truncate_from(rewound_to);
-                run.drained.retain(|&(c, _, _)| c < rewound_to);
+            // TSO: the store-flow identity is audited on the pre-rewind
+            // state (truncation must not mask a chaos-dropped entry),
+            // then the buffer forgets the rewound suffix.
+            if let Some(tso) = &mut self.tso {
+                flow_breach = self.checks.store_flow(cpu, &run.stores, tso).map(|m| (run.order, m));
+                tso.rewind(cpu, rewound_to);
             }
-            // The oracle's write log forgets the stores the rewind undid;
+            // The write log forgets the stores the rewind undid;
             // re-execution re-records them, keeping commit exactly-once.
             let keep = run.stores.partition_point(|&(c, _, _)| c < rewound_to);
             run.stores.truncate(keep);
-            // Tracked value-predicted loads past the rewind point are
-            // discarded the same way (their predictions were never
-            // consumed by anything that survives).
-            let keep = run.vloads.partition_point(|vl| vl.cursor < rewound_to);
-            run.vloads.truncate(keep);
+            if let Some(vp) = &mut self.vp {
+                vp.rewind(cpu, rewound_to);
+            }
             // Forward-progress watchdog: commit-free consecutive rewinds
             // of one epoch past the threshold are a violation storm. The
             // homefree token only protects the oldest epoch; this is the
             // detector for everyone younger.
             run.rewind_streak += 1;
-            let threshold = self.opts.livelock_threshold;
-            if threshold > 0 && run.rewind_streak >= threshold {
+            let (threshold, streak) = (self.livelock_threshold, run.rewind_streak);
+            if threshold > 0 && streak >= threshold {
                 match run.livelock_idx {
                     // Storm already flagged: track how long it grows.
-                    Some(i) => self.livelocks[i].storm_len = run.rewind_streak,
+                    Some(i) => self.livelocks[i].storm_len = streak,
                     None => {
-                        emit!(
-                            self,
-                            EventKind::Livelock,
-                            cpu,
-                            run.order,
-                            sub,
-                            run.rewind_streak,
-                            run.last_raw_pcs
-                        );
-                        if self.opts.progress_fallback {
-                            run.serialized = true;
-                        }
+                        emit!(self, EventKind::Livelock, cpu, run, streak, run.last_raw_pcs);
+                        run.serialized |= self.progress_fallback;
                         run.livelock_idx = Some(self.livelocks.len());
                         self.livelocks.push(LivelockReport {
                             epoch: run.order,
                             detected_at_cycle: self.cycle,
-                            storm_len: run.rewind_streak,
+                            storm_len: streak,
                             violation_pcs: run.storm_pcs.clone(),
-                            serialized: self.opts.progress_fallback,
+                            serialized: self.progress_fallback,
                         });
                     }
                 }
@@ -1953,46 +1286,15 @@ impl<'p> Machine<'p> {
             self.serializability_breach(cpu, epoch, msg);
         }
         for e in latch_errors {
-            self.latch_release_error(e);
+            self.checks.latch_error(self.cycle, self.chaos.latch_hazard, e);
         }
-        self.audit_after_rewind(cpu, sub);
-    }
-
-    /// Checks `cpu`'s (next-to-commit, finished) epoch's load-bearing
-    /// value predictions against the synthetic value model. Returns the
-    /// deferred violation for the *earliest* wrong one, targeting the
-    /// sub-thread that performed the load — everything before it
-    /// consumed validated values and survives the rewind.
-    fn validate_predictions(&self, cpu: usize) -> Option<PendingViolation> {
-        let run = match &self.slots[cpu] {
-            Slot::Running(r) => r,
-            Slot::Free => return None,
-        };
-        for vl in &run.vloads {
-            if !vl.conflicted {
-                continue; // no conflicting store arrived: nothing consumed the guess
-            }
-            let predicted = vl.predicted.expect("conflicted implies predicted");
-            let k = self.commit_counts.get(&vl.addr.0).copied().unwrap_or(0);
-            if predicted != value_model(vl.addr, k) {
-                let sub = (run.checkpoints.partition_point(|&c| c <= vl.cursor) - 1) as u8;
-                return Some(PendingViolation {
-                    cpu,
-                    sub,
-                    order: run.order,
-                    kind: ViolationKind::ValueMispredict,
-                    line: vl.line,
-                    store_pc: None,
-                });
-            }
-        }
-        None
+        Checks::after_rewind(self, cpu, sub);
     }
 
     fn commit_ready(&mut self) {
         // Delayed-token fault: the homefree token is withheld; finished
         // epochs accrue Sync time until it is released.
-        if self.cycle < self.commit_block_until {
+        if self.cycle < self.chaos.token_until {
             return;
         }
         loop {
@@ -2004,93 +1306,42 @@ impl<'p> Machine<'p> {
             // committing epoch's buffer must fully drain (one entry
             // per stalled cycle in `execute_cpu`, accounted as
             // DrainStall) before its state becomes architectural.
-            if !self.membufs.is_empty() && !self.membufs[cpu].is_empty() {
+            if self.tso.as_ref().is_some_and(|t| t.holds_stores(cpu)) {
                 break;
             }
-            // Value-prediction settlement: the epoch is next-to-commit,
-            // so every older store is architecturally visible and the
-            // synthetic value model is exact. A prediction that carried
-            // a suppressed violation and turns out wrong becomes a
+            // Value-prediction settlement: a prediction that carried a
+            // suppressed violation and turns out wrong becomes a
             // deferred violation through the ordinary rewind path — the
             // commit is withheld this cycle and the epoch re-executes
             // from the implicated sub-thread (non-speculatively, since
             // it holds the token, so the replay cannot mispredict again).
-            if self.cfg.vpredict.enabled {
-                if let Some(v) = self.validate_predictions(cpu) {
+            if let (Some(vp), Slot::Running(r)) = (&self.vp, &self.slots[cpu]) {
+                if let Some(v) = vp.validate(cpu, r.order, &r.checkpoints) {
                     self.mem.pending.push(v);
                     break;
                 }
             }
-            let run = match std::mem::replace(&mut self.slots[cpu], Slot::Free) {
-                Slot::Running(r) => r,
-                Slot::Free => unreachable!(),
+            let Slot::Running(run) = std::mem::replace(&mut self.slots[cpu], Slot::Free) else {
+                unreachable!()
             };
             let order = run.order;
-            // Commit-time serializability audits (armed with the
-            // invariant auditor). Both failures surface as structured
+            // Commit-time serializability audits surface as structured
             // protocol errors — never panics — so a chaos run asserts
-            // on the evidence: (1) the TSO store-flow identity, where
-            // a dropped buffer entry leaves a hole between the write
-            // log and the drain mirror; (2) the happens-before order
-            // of the committed write-set (commit-order edges plus
-            // per-line write-write edges).
-            if self.opts.audit {
-                if !self.membufs.is_empty() {
-                    if let Some(msg) =
-                        Self::store_flow_breach(&run.stores, &run.drained, &self.membufs[cpu])
-                    {
-                        self.serializability_breach(cpu, order, msg);
-                    }
-                }
-                let shift = self.cfg.l2.line_shift();
-                let mut lines: Vec<u64> =
-                    run.stores.iter().map(|&(_, a, _)| a.align_down(shift).0).collect();
-                lines.sort_unstable();
-                lines.dedup();
-                if let Some(msg) = self.hb.commit_epoch(order, lines) {
-                    self.serializability_breach(cpu, order, msg);
-                }
+            // on the evidence.
+            let breaches = self.checks.commit_epoch(cpu, order, &run.stores, self.tso.as_ref());
+            for msg in breaches.into_iter().flatten() {
+                self.serializability_breach(cpu, order, msg);
             }
-            if self.cfg.vpredict.enabled {
-                // Every conflicted prediction validated correct: the
-                // would-be RAW violations are now silent hits. Train on
-                // all tracked loads (hits and untaken predictions alike)
-                // and advance the value model's per-address store counts.
-                for vl in &run.vloads {
-                    let k = self.commit_counts.get(&vl.addr.0).copied().unwrap_or(0);
-                    let actual = value_model(vl.addr, k);
-                    self.vpredict.train(vl.pc, actual);
-                    if vl.conflicted {
-                        self.predicted_hits += 1;
-                    }
-                }
-                for &(_, addr, _) in &run.stores {
-                    *self.commit_counts.entry(addr.0).or_insert(0) += 1;
-                }
+            if let Some(vp) = &mut self.vp {
+                vp.commit(cpu, &run.stores);
             }
-            emit!(self, EventKind::Commit, cpu, order, run.cur_sub(), run.ops.len() as u64, 0);
-            if self.opts.oracle {
-                // The epoch's surviving write log becomes the committed
-                // image; tokens are global op indices, so the image can be
-                // compared byte-for-byte with a sequential replay.
-                let base = self.epoch_base[order as usize];
-                for &(cursor, addr, size) in &run.stores {
-                    let token = base + cursor as u64;
-                    for b in 0..size as u64 {
-                        self.image.insert(addr.0 + b, token);
-                    }
-                }
-            }
+            emit!(self, EventKind::Commit, cpu, run, run.ops.len() as u64, 0);
             self.acct += run.ledger.commit();
             let orders = self.orders_snapshot();
-            let mut overflow = std::mem::take(&mut self.overflow_scratch);
-            overflow.clear();
-            self.mem.l2.commit_into(cpu, &mut overflow);
-            self.mem.queue_overflow(&overflow, Addr(0), &orders);
-            self.overflow_scratch = overflow;
-            self.mem.l1s[cpu].clear_speculative_marks();
-            self.mem.exposed[cpu].clear();
-            self.drain_episode[cpu] = false;
+            self.mem.commit(cpu, &orders);
+            if let Some(tso) = &mut self.tso {
+                tso.commit(cpu);
+            }
             self.latches.release_all(cpu);
             for s in &mut self.slots {
                 if let Slot::Running(r) = s {
@@ -2104,11 +1355,11 @@ impl<'p> Machine<'p> {
                     r.livelock_idx = None;
                 }
             }
-            self.audit_after_commit(cpu, order);
-            self.committed += 1;
+            Checks::after_commit(self, cpu, order);
             self.next_commit += 1;
             // The homefree token moves to the next-oldest epoch.
-            emit!(self, EventKind::TokenHandoff, cpu, self.next_commit, 0, self.committed, 0);
+            let committed = self.next_commit as u64;
+            emit!(self, EventKind::TokenHandoff, cpu, self.next_commit, 0, committed, 0);
         }
     }
 
@@ -2138,12 +1389,21 @@ impl<'p> Machine<'p> {
                 let order = self.next_order;
                 self.next_order += 1;
                 emit!(self, EventKind::EpochStart, cpu, order, 0, epoch.len() as u64, 0);
-                self.slots[cpu] = Slot::Running(Box::new(EpochRun::new(order, epoch, spacing)));
+                let run = EpochRun {
+                    order,
+                    ops: epoch,
+                    checkpoints: vec![0],
+                    spacing,
+                    ledger: SubThreadLedger::new(),
+                    last_raw_pcs: Event::pack_pcs(None, None),
+                    ..EpochRun::default()
+                };
+                self.slots[cpu] = Slot::Running(Box::new(run));
             }
         }
     }
 
-    fn finish(self, program_ops: u64) -> SimReport {
+    fn finish(self) -> SimReport {
         let mut l1 = CacheStats::default();
         for c in &self.mem.l1s {
             l1 += c.stats();
@@ -2170,19 +1430,21 @@ impl<'p> Machine<'p> {
         // scan-module epochs.
         let (scan_epochs, scan_epoch_ops) =
             self.program.epochs_of_module(tls_trace::SCAN_LOOP_MODULE);
+        let tso = self.tso.as_ref();
+        let vp = self.vp.as_ref();
         SimReport {
             name: self.program.name.to_string(),
             total_cycles: self.cycle,
             cpus: self.cfg.cpus,
             breakdown: self.acct,
             violations: self.violations,
-            committed_epochs: self.committed,
+            committed_epochs: self.next_commit as u64,
             subthreads_started: self.subthreads_started,
             subthread_merges: self.subthread_merges,
             scan_epochs,
             scan_epoch_ops,
             dispatched_ops: core.dispatched,
-            program_ops,
+            program_ops: self.program.total_ops() as u64,
             l1,
             l2: self.mem.l2.stats(),
             victim: self.mem.l2.victim_stats(),
@@ -2190,16 +1452,16 @@ impl<'p> Machine<'p> {
             core,
             latch_acquisitions: self.latches.acquisitions(),
             predictor_synchronizations: self.predictor.synchronizations(),
-            predicted_hits: self.predicted_hits,
-            value_mispredicts: self.value_mispredicts,
-            buffered_stores: self.buffered_stores,
-            forwarded_loads: self.forwarded_loads,
-            store_drains: self.store_drains,
-            serializability_breaches: self.serializability_breaches,
+            predicted_hits: vp.map_or(0, |v| v.predicted_hits),
+            value_mispredicts: vp.map_or(0, |v| v.value_mispredicts),
+            buffered_stores: tso.map_or(0, |t| t.buffered_stores),
+            forwarded_loads: tso.map_or(0, |t| t.forwarded_loads),
+            store_drains: tso.map_or(0, |t| t.store_drains),
+            serializability_breaches: self.checks.breaches,
             profile: self.profiler.report(),
-            faults: self.faults,
-            protocol_errors: self.protocol_errors,
-            audit_failures: self.audit_failures,
+            faults: FaultStats { protocol_errors: self.checks.errors_seen, ..self.chaos.finish() },
+            protocol_errors: self.checks.protocol_errors,
+            audit_failures: self.checks.failures,
             livelocks: self.livelocks,
         }
     }
@@ -2217,6 +1479,25 @@ mod tests {
 
     fn run_with(config: CmpConfig, p: &TraceProgram) -> SimReport {
         CmpSimulator::new(config).run(p)
+    }
+
+    #[test]
+    fn start_table_merge_remap_folds_and_shifts() {
+        let mut t = StartTable::new();
+        t.record(1, 1, 1);
+        t.record(1, 2, 3);
+        t.record(1, 3, 0);
+        // cpu 1 merges its sub-thread 2 into 1: the pair folds to the
+        // earlier restart point and sub-thread 3 shifts down to 2.
+        t.remap_keys_for(1, 2);
+        assert_eq!(t.restart_point(1, 1), 1);
+        assert_eq!(t.restart_point(1, 2), 0);
+        assert_eq!(t.iter().filter(|&((cpu, _), _)| cpu == 1).count(), 2);
+        // Folding into an absent entry keeps the present one.
+        let mut t = StartTable::new();
+        t.record(2, 1, 1);
+        t.remap_keys_for(2, 1);
+        assert_eq!(t.iter().collect::<Vec<_>>(), [((2, 0), 1)]);
     }
 
     #[test]

@@ -38,8 +38,13 @@
 //! the value unpredictably, so covering loads *will* mispredict and
 //! exercise the rewind fallback). The model is shared by the simulator's
 //! trainer and validator, and by the kernel microbenchmark.
+//!
+//! [`ValueSpec`] is the simulator's value-prediction component.
 
+use crate::config::CmpConfig;
+use crate::l2spec::{PendingViolation, ViolationKind};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use tls_trace::{Addr, Pc};
 
 /// Configuration of the value predictor.
@@ -187,6 +192,121 @@ impl ValuePredictor {
     /// Probes that produced a prediction.
     pub fn covered(&self) -> u64 {
         self.covered
+    }
+}
+
+/// One exposed speculative load tracked by the value predictor: where
+/// it happened, what was predicted for it, and whether a conflicting
+/// store arrived (so the prediction is actually load-bearing and must
+/// validate at commit).
+#[derive(Debug, Clone, Copy)]
+struct VLoad {
+    /// Op index of the load within its epoch.
+    cursor: usize,
+    /// The exact byte address — the value model's key.
+    addr: Addr,
+    /// The load's PC (commit-time training key).
+    pc: Pc,
+    /// The predicted value, or `None` when the predictor declined.
+    predicted: Option<u64>,
+    /// A logically-earlier store hit this line after the load: the RAW
+    /// violation was suppressed on the strength of the prediction.
+    conflicted: bool,
+}
+
+/// Value prediction on the machine: the predictor, the value model's
+/// clock, the running epochs' tracked loads and the counters.
+#[derive(Debug)]
+pub(crate) struct ValueSpec {
+    predictor: ValuePredictor,
+    /// Committed stores per exact byte address (the value model's clock).
+    commit_counts: HashMap<u64, u64>,
+    /// Per CPU: the running epoch's exposed speculative loads, sorted
+    /// by cursor and truncated on rewind exactly like its write log.
+    loads: Vec<Vec<VLoad>>,
+    line_shift: u32,
+    /// Suppressed RAW violations whose predictions validated correct.
+    pub(crate) predicted_hits: u64,
+    /// Predictions that validated wrong and rewound instead.
+    pub(crate) value_mispredicts: u64,
+}
+
+impl ValueSpec {
+    /// The component for `cfg`, or `None` when prediction is off.
+    pub(crate) fn new(cfg: &CmpConfig) -> Option<ValueSpec> {
+        cfg.vpredict.enabled.then(|| ValueSpec {
+            predictor: ValuePredictor::new(&cfg.vpredict),
+            commit_counts: HashMap::new(),
+            loads: vec![Vec::new(); cfg.cpus],
+            line_shift: cfg.l2.line_shift(),
+            predicted_hits: 0,
+            value_mispredicts: 0,
+        })
+    }
+
+    /// Dispatch hook: probes and tracks an exposed speculative load.
+    /// Timing-passive: the probe neither stalls nor accelerates it.
+    pub(crate) fn track(&mut self, cpu: usize, cursor: usize, addr: Addr, pc: Pc) {
+        let predicted = self.predictor.probe(pc);
+        self.loads[cpu].push(VLoad { cursor, addr, pc, predicted, conflicted: false });
+    }
+
+    /// Violation hook: a RAW violation on L2 `line` is suppressed when
+    /// every load the victim tracked on that line was predicted; the
+    /// guess is settled at commit. One unpredicted load and it stands.
+    pub(crate) fn suppress(&mut self, cpu: usize, line: Addr) -> bool {
+        let (shift, loads) = (self.line_shift, &mut self.loads[cpu]);
+        let on_line = |vl: &VLoad| vl.addr.align_down(shift) == line.align_down(shift);
+        if !loads.iter().any(on_line)
+            || loads.iter().any(|vl| on_line(vl) && vl.predicted.is_none())
+        {
+            return false;
+        }
+        for vl in loads.iter_mut().filter(|vl| on_line(vl)) {
+            vl.conflicted = true;
+        }
+        true
+    }
+
+    /// Rewind hook: forget the loads at or after op `cursor`.
+    pub(crate) fn rewind(&mut self, cpu: usize, cursor: usize) {
+        let keep = self.loads[cpu].partition_point(|vl| vl.cursor < cursor);
+        self.loads[cpu].truncate(keep);
+    }
+
+    /// Commit hook, settlement: the deferred violation for the earliest
+    /// load-bearing prediction of epoch `order` the value model (exact
+    /// now) disproves, aimed at the sub-thread that performed the load.
+    pub(crate) fn validate(
+        &self,
+        cpu: usize,
+        order: u32,
+        checkpoints: &[usize],
+    ) -> Option<PendingViolation> {
+        let wrong = self.loads[cpu].iter().filter(|vl| vl.conflicted).find(|vl| {
+            let predicted = vl.predicted.expect("conflicted implies predicted");
+            predicted != value_model(vl.addr, self.stores_to(vl.addr))
+        })?;
+        let sub = (checkpoints.partition_point(|&c| c <= wrong.cursor) - 1) as u8;
+        let (kind, line) = (ViolationKind::ValueMispredict, wrong.addr.align_down(self.line_shift));
+        Some(PendingViolation { cpu, sub, order, kind, line, store_pc: None })
+    }
+
+    /// Commit hook, training: the conflicted predictions validated, so
+    /// they count as hits; every tracked load trains the predictor, and
+    /// the epoch's write log advances the value model's store counts.
+    pub(crate) fn commit(&mut self, cpu: usize, stores: &[(usize, Addr, u8)]) {
+        for vl in std::mem::take(&mut self.loads[cpu]) {
+            self.predictor.train(vl.pc, value_model(vl.addr, self.stores_to(vl.addr)));
+            self.predicted_hits += vl.conflicted as u64;
+        }
+        for &(_, addr, _) in stores {
+            *self.commit_counts.entry(addr.0).or_insert(0) += 1;
+        }
+    }
+
+    fn stores_to(&self, addr: Addr) -> u64 {
+        self.commit_counts.get(&addr.0).copied().unwrap_or(0)
     }
 }
 

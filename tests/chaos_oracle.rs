@@ -9,7 +9,8 @@
 
 use proptest::prelude::*;
 use subthreads::core::{
-    CmpConfig, CmpSimulator, FaultClass, FaultPlan, MemoryModel, RunOptions, ALL_FAULT_CLASSES,
+    CmpConfig, CmpSimulator, ExhaustionPolicy, FaultClass, FaultPlan, MemoryModel, PredictorConfig,
+    RunOptions, SimReport, SpacingPolicy, VPredictConfig, ALL_FAULT_CLASSES,
     STORE_BUFFER_FAULT_CLASSES,
 };
 use subthreads::trace::{Addr, OpSink, Pc, ProgramBuilder, TraceProgram};
@@ -67,6 +68,91 @@ fn tso_machine() -> CmpConfig {
     cfg
 }
 
+/// Every machine of the mechanism product: sub-thread spacing ×
+/// context-exhaustion policy × synchronizing predictor × value predictor
+/// × memory model (SC, and TSO with a 1- and a 4-entry buffer).
+fn mechanism_product() -> Vec<(String, CmpConfig)> {
+    let mut out = Vec::new();
+    for spacing in [SpacingPolicy::Every(16), SpacingPolicy::EvenDivision] {
+        for exhaustion in [ExhaustionPolicy::Merge, ExhaustionPolicy::Stop] {
+            for sync in [false, true] {
+                for value in [false, true] {
+                    for model in [
+                        MemoryModel::Sc,
+                        MemoryModel::Tso { buffer_entries: 1 },
+                        MemoryModel::Tso { buffer_entries: 4 },
+                    ] {
+                        let mut cfg = machine();
+                        cfg.subthreads.spacing = spacing;
+                        cfg.subthreads.exhaustion = exhaustion;
+                        if sync {
+                            cfg.predictor = PredictorConfig::aggressive();
+                        }
+                        if value {
+                            // Eager: covers loads after one confirmation,
+                            // so short programs see hits and mispredicts.
+                            cfg.vpredict =
+                                VPredictConfig { threshold: 1, ..VPredictConfig::prophet() };
+                        }
+                        cfg.memory_model = model;
+                        let name = format!(
+                            "{spacing:?}/{exhaustion:?}/sync={sync}/value={value}/{model:?}"
+                        );
+                        out.push((name, cfg));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// What a run under `class` (`None`: no fault) must show. Whatever the
+/// fault: no audit failure, every epoch committed, the accounting
+/// identity, and every one of the plan's `scheduled` faults applied or
+/// skipped. Per class: an applied dropped store-buffer entry is detected
+/// as a store-flow serializability breach; everything else is survived
+/// with no breach, and with no protocol error unless a latch hazard was
+/// injected (its victim's release is one by design).
+fn check_chaos_run(
+    r: &SimReport,
+    class: Option<FaultClass>,
+    epochs: u64,
+    scheduled: u64,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert!(
+        r.audit_failures.is_empty(),
+        "{what}: invariant auditor tripped: {:?}",
+        r.audit_failures
+    );
+    prop_assert_eq!(r.committed_epochs, epochs, "{}: lost epochs", what);
+    prop_assert_eq!(r.breakdown.total(), r.total_cycles * r.cpus as u64);
+    prop_assert_eq!(r.faults.applied() + r.faults.skipped, scheduled);
+    if class == Some(FaultClass::DroppedEntry) {
+        if r.faults.applied() > 0 {
+            prop_assert!(
+                r.serializability_breaches > 0,
+                "{what}: {} dropped store(s) went undetected",
+                r.faults.applied()
+            );
+            prop_assert!(
+                r.protocol_errors.iter().any(|e| e.message.contains("store-flow")),
+                "{what}: breach without a store-flow protocol error: {:?}",
+                r.protocol_errors
+            );
+        } else {
+            prop_assert_eq!(r.serializability_breaches, 0);
+        }
+    } else {
+        prop_assert_eq!(r.serializability_breaches, 0, "{}: must be survived, not flagged", what);
+        if class != Some(FaultClass::LatchHazard) {
+            prop_assert!(r.protocol_errors.is_empty(), "{what}: {:?}", r.protocol_errors);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -117,30 +203,7 @@ proptest! {
                 let plan = FaultPlan::generate(seed, &[class], baseline.total_cycles, 4);
                 let n = plan.len() as u64;
                 let r = sim.run_with(&program, RunOptions::chaos(plan));
-                prop_assert!(r.audit_failures.is_empty(),
-                    "seed {seed} {class}: invariant auditor tripped: {:?}", r.audit_failures);
-                prop_assert_eq!(r.committed_epochs, epochs,
-                    "seed {} {}: lost epochs", seed, class);
-                prop_assert_eq!(r.breakdown.total(), r.total_cycles * r.cpus as u64);
-                prop_assert_eq!(r.faults.applied() + r.faults.skipped, n);
-                if class == FaultClass::DroppedEntry {
-                    if r.faults.applied() > 0 {
-                        prop_assert!(r.serializability_breaches > 0,
-                            "seed {seed}: {} dropped store(s) went undetected",
-                            r.faults.applied());
-                        prop_assert!(
-                            r.protocol_errors.iter().any(|e| e.message.contains("store-flow")),
-                            "seed {seed}: breach without a store-flow protocol error: {:?}",
-                            r.protocol_errors);
-                    } else {
-                        prop_assert_eq!(r.serializability_breaches, 0);
-                    }
-                } else {
-                    prop_assert_eq!(r.serializability_breaches, 0,
-                        "seed {} {}: must be survived, not flagged", seed, class);
-                    prop_assert!(r.protocol_errors.is_empty(),
-                        "seed {seed} {class}: {:?}", r.protocol_errors);
-                }
+                check_chaos_run(&r, Some(class), epochs, n, &format!("seed {seed} {class}"))?;
             }
         }
     }
@@ -169,6 +232,38 @@ proptest! {
             prop_assert!(r.audit_failures.iter().any(|f| f.contains("post-rewind")),
                 "sabotage caught, but not by the post-rewind audit: {:?}",
                 r.audit_failures);
+        }
+    }
+}
+
+proptest! {
+    // Each case runs 48 machines × 10 fault settings: few cases keep the
+    // debug-build suite fast.
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    #[test]
+    fn mechanism_product_survives_or_detects_every_fault_class(
+        program in gen_program(),
+        seed in 0u64..1_000,
+    ) {
+        // Mechanisms checked in combination, not in pairs: every machine
+        // of the product runs fault-free and under each fault class,
+        // with the auditor, the serializability audits and the
+        // differential oracle armed.
+        let epochs = program.stats().epochs as u64;
+        for (name, cfg) in mechanism_product() {
+            let sim = CmpSimulator::new(cfg);
+            let baseline = sim.run_with(
+                &program,
+                RunOptions { panic_on_audit_failure: false, ..RunOptions::default() },
+            );
+            check_chaos_run(&baseline, None, epochs, 0, &format!("{name} fault-free"))?;
+            for class in ALL_FAULT_CLASSES {
+                let plan = FaultPlan::generate(seed, &[class], baseline.total_cycles, 2);
+                let n = plan.len() as u64;
+                let r = sim.run_with(&program, RunOptions::chaos(plan));
+                check_chaos_run(&r, Some(class), epochs, n, &format!("{name} seed {seed} {class}"))?;
+            }
         }
     }
 }

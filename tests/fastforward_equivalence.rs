@@ -91,6 +91,36 @@ fn fastforward_equivalence_grid() {
     assert!(combos >= 64, "grid shrank to {combos} combinations");
 }
 
+/// The panic message of a run of `program` that must overrun
+/// `max_cycles`.
+fn overrun_message(cfg: CmpConfig, program: &TraceProgram, fast_forward: bool) -> String {
+    let opts = RunOptions { fast_forward, ..RunOptions::default() };
+    let sim = CmpSimulator::new(cfg);
+    let payload = std::panic::catch_unwind(|| sim.run_with(program, opts))
+        .expect_err("the run must overrun max_cycles");
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload.downcast::<&str>().map(|m| m.to_string()).expect("text panic"),
+    }
+}
+
+/// A run past `max_cycles` panics with the same message whether or not
+/// quiet cycles are skipped: fast-forward clamps its jump to the bound.
+/// The bounds sweep a miss-bound program, so some fall inside skipped
+/// spans.
+#[test]
+fn max_cycles_overrun_panics_identically_with_and_without_fast_forward() {
+    let program = independent(4, 400);
+    for bound in (20..400).step_by(13) {
+        let mut cfg = CmpConfig::test_small();
+        cfg.max_cycles = bound;
+        let on = overrun_message(cfg, &program, true);
+        let off = overrun_message(cfg, &program, false);
+        assert!(on.contains(&format!("exceeded {bound} cycles")), "unexpected panic: {on}");
+        assert_eq!(on, off, "max_cycles = {bound}");
+    }
+}
+
 #[derive(Debug, Clone)]
 enum GenOp {
     Alu(u8),
