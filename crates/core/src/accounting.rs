@@ -283,8 +283,17 @@ impl FaultStats {
 
     /// Applied-fault count for `class`.
     pub fn get(&self, class: FaultClass) -> u64 {
-        let mut copy = *self;
-        *copy.slot_mut(class)
+        match class {
+            FaultClass::SpuriousPrimary => self.spurious_primary,
+            FaultClass::SpuriousSecondary => self.spurious_secondary,
+            FaultClass::VictimSqueeze => self.victim_squeeze,
+            FaultClass::ForcedMerge => self.forced_merge,
+            FaultClass::DelayedToken => self.delayed_token,
+            FaultClass::LatchHazard => self.latch_hazard,
+            FaultClass::StuckDrain => self.stuck_drain,
+            FaultClass::ReorderedDrain => self.reordered_drain,
+            FaultClass::DroppedEntry => self.dropped_entry,
+        }
     }
 
     /// Total faults applied, across every class.

@@ -13,11 +13,8 @@
 //! [`Chaos`] is the simulator's chaos component.
 
 use crate::accounting::FaultStats;
-use crate::l2spec::{PendingViolation, ViolationKind};
-use crate::simulator::{Machine, Slot};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tls_trace::Addr;
 
 /// The classes of protocol-level faults the harness can inject.
 ///
@@ -426,23 +423,26 @@ impl RunOptions {
     }
 }
 
-/// The chaos harness on the machine: injector, faults in flight, ledger.
+/// The chaos harness on the machine: the injector, the faults in flight
+/// and their ledger. The machine applies each fault to its own state;
+/// this component decides when, and remembers what is still in effect.
 #[derive(Debug, Default)]
 pub(crate) struct Chaos {
     injector: FaultInjector,
     /// Due events still waiting for an eligible target; each stays armed
     /// until its window (`at_cycle + duration`) closes, then is skipped.
-    pub(crate) armed: Vec<FaultEvent>,
+    armed: Vec<FaultEvent>,
     stats: FaultStats,
     /// The homefree token is withheld until this cycle (delayed-token
     /// fault).
-    pub(crate) token_until: u64,
+    token_until: u64,
     /// Restore the victim cache to this capacity at this cycle
     /// (victim-squeeze fault).
     victim_restore: Option<(u64, usize)>,
     /// A latch hazard was injected, so latch-consistency audits and the
     /// unexpected-release check are suspended for the rest of the run.
     pub(crate) latch_hazard: bool,
+    /// Test-only sabotage: rewinds skip washing the L2.
     pub(crate) sabotage_rewind: bool,
 }
 
@@ -455,85 +455,80 @@ impl Chaos {
         }
     }
 
-    /// Step hook (cycle start): expire timed faults and apply every
-    /// event the plan schedules at or before this cycle. Returns whether
-    /// anything touched the machine (fast-forward must not skip it).
-    pub(crate) fn apply_due_faults(m: &mut Machine<'_>) -> bool {
-        let mut active = false;
-        if let Some((at, cap)) = m.chaos.victim_restore {
-            if m.cycle >= at {
-                m.chaos.victim_restore = None;
-                let displaced = m.mem.l2.set_victim_capacity(cap);
-                debug_assert!(displaced.is_empty(), "growing the victim cache displaces nothing");
-                active = true;
-            }
-        }
-        if !m.chaos.injector.exhausted() {
-            let due = m.chaos.injector.due(m.cycle);
-            active |= !due.is_empty();
-            m.chaos.armed.extend(due);
-        }
-        if m.chaos.armed.is_empty() {
-            return active;
-        }
-        // Each armed fault fires at the first cycle in its window with an
-        // eligible target; a window that closes without one is skipped.
-        let mut still_armed = Vec::new();
-        for ev in std::mem::take(&mut m.chaos.armed) {
-            if Chaos::apply_fault(m, ev) {
-                m.chaos.stats.record(ev.class);
-                active = true;
-            } else if m.cycle >= ev.at_cycle + ev.duration.max(1) {
-                m.chaos.stats.skipped += 1;
-                active = true;
-            } else {
-                still_armed.push(ev);
-            }
-        }
-        m.chaos.armed = still_armed;
-        active
+    /// Step hook (cycle start), first half: the victim-cache capacity to
+    /// restore now that a squeeze window closed, if one did.
+    #[inline]
+    pub(crate) fn victim_restore_due(&mut self, now: u64) -> Option<usize> {
+        let (_, cap) = self.victim_restore.filter(|&(at, _)| now >= at)?;
+        self.victim_restore = None;
+        Some(cap)
     }
 
-    /// Attempts one fault; returns whether it found a target and applied.
-    fn apply_fault(m: &mut Machine<'_>, ev: FaultEvent) -> bool {
-        let until = m.cycle + ev.duration.max(1);
-        match ev.class {
-            FaultClass::SpuriousPrimary => inject_violation(m, false),
-            FaultClass::SpuriousSecondary => inject_violation(m, true),
-            FaultClass::VictimSqueeze if m.chaos.victim_restore.is_some() => false, // in flight
-            FaultClass::VictimSqueeze => {
-                m.chaos.victim_restore = Some((until, m.mem.l2.victim_capacity()));
-                let orders = m.orders_snapshot();
-                let victims = m.mem.l2.set_victim_capacity(0);
-                m.mem.queue_overflow(&victims, Addr(0), &orders);
-                true
-            }
-            FaultClass::ForcedMerge => force_merge(m),
-            FaultClass::DelayedToken => {
-                m.chaos.token_until = m.chaos.token_until.max(until);
-                true
-            }
-            FaultClass::LatchHazard => match m.latches.held().first() {
-                Some(&latch) => {
-                    // Latch audits are best-effort from here on: the
-                    // owner's bookkeeping is deliberately desynchronized.
-                    m.chaos.latch_hazard = true;
-                    m.latches.force_release(latch);
-                    true
-                }
-                None => false,
-            },
-            // Store-buffer chaos needs a TSO machine with at least one
-            // buffered store — on an SC machine (or with every buffer
-            // drained) the event stays armed until its window closes and
-            // is counted skipped.
-            FaultClass::StuckDrain | FaultClass::ReorderedDrain | FaultClass::DroppedEntry => {
-                m.tso.as_mut().is_some_and(|t| t.apply_fault(ev.class, m.cycle, ev.duration))
-            }
+    /// Step hook, second half: arms every event the plan schedules at or
+    /// before `now`; returns whether any fell due.
+    #[inline]
+    pub(crate) fn arm_due(&mut self, now: u64) -> bool {
+        !self.injector.exhausted() && self.arm(now)
+    }
+
+    fn arm(&mut self, now: u64) -> bool {
+        let before = self.armed.len();
+        self.armed.extend(self.injector.due(now));
+        self.armed.len() != before
+    }
+
+    /// Hands over the armed events for the machine to try; each goes
+    /// back through [`settle`](Chaos::settle).
+    pub(crate) fn take_armed(&mut self) -> Vec<FaultEvent> {
+        std::mem::take(&mut self.armed)
+    }
+
+    /// Settles one armed event the machine tried at `now`: an applied
+    /// fault is counted; one whose window closed without an eligible
+    /// target is skipped; any other stays armed. Returns whether the
+    /// event left the armed set (fast-forward must not skip that cycle).
+    pub(crate) fn settle(&mut self, ev: FaultEvent, applied: bool, now: u64) -> bool {
+        if applied {
+            self.stats.record(ev.class);
+        } else if now >= ev.at_cycle + ev.duration.max(1) {
+            self.stats.skipped += 1;
+        } else {
+            self.armed.push(ev);
+            return false;
         }
+        true
+    }
+
+    /// Whether an armed event is waiting for a target: its eligibility
+    /// is state-gated, so no cycle may be skipped past it.
+    #[inline]
+    pub(crate) fn has_armed(&self) -> bool {
+        !self.armed.is_empty()
+    }
+
+    /// Victim-squeeze fault: schedules the restore of capacity `cap` at
+    /// cycle `until`; false while an earlier squeeze is in flight.
+    pub(crate) fn squeeze_victims(&mut self, until: u64, cap: usize) -> bool {
+        if self.victim_restore.is_some() {
+            return false;
+        }
+        self.victim_restore = Some((until, cap));
+        true
+    }
+
+    /// Delayed-token fault: the homefree token is withheld until `until`.
+    pub(crate) fn delay_token(&mut self, until: u64) {
+        self.token_until = self.token_until.max(until);
+    }
+
+    /// Whether the homefree token is withheld at `now`.
+    #[inline]
+    pub(crate) fn token_withheld(&self, now: u64) -> bool {
+        now < self.token_until
     }
 
     /// The cycles at which chaos next changes the machine.
+    #[inline]
     pub(crate) fn wakeups(&self) -> impl Iterator<Item = u64> {
         let restore = self.victim_restore.map(|(at, _)| at);
         [Some(self.token_until), self.injector.next_due(), restore].into_iter().flatten()
@@ -545,44 +540,6 @@ impl Chaos {
         self.stats.skipped += (self.armed.len() + self.injector.remaining()) as u64;
         self.stats
     }
-}
-
-/// Queues a spurious violation. `full_restart` picks the youngest
-/// speculative epoch and rewinds it to sub-thread 0 (the worst case);
-/// otherwise the oldest speculative epoch rewinds to its current
-/// sub-thread, which also drives secondary violations through every
-/// later thread's start table.
-fn inject_violation(m: &mut Machine<'_>, full_restart: bool) -> bool {
-    // Orders are unique, so the tuples order by epoch.
-    let candidates = m.slots.iter().enumerate().filter_map(|(cpu, s)| match s {
-        Slot::Running(r) if r.order > m.next_commit => Some((r.order, cpu, r.cur_sub())),
-        _ => None,
-    });
-    let target = if full_restart { candidates.max() } else { candidates.min() };
-    let Some((order, cpu, cur_sub)) = target else { return false };
-    let sub = if full_restart { 0 } else { cur_sub };
-    let kind = ViolationKind::Injected;
-    m.mem.pending.push(PendingViolation { cpu, sub, order, kind, line: Addr(0), store_pc: None });
-    true
-}
-
-/// Forces a sub-thread context merge on the first speculative epoch
-/// that has one to give — as if its context supply were exhausted.
-fn force_merge(m: &mut Machine<'_>) -> bool {
-    for cpu in 0..m.cfg.cpus {
-        let Slot::Running(mut run) = std::mem::replace(&mut m.slots[cpu], Slot::Free) else {
-            continue;
-        };
-        let eligible = run.order > m.next_commit && run.checkpoints.len() >= 2;
-        if eligible {
-            m.merge_one_context(cpu, &mut run);
-        }
-        m.slots[cpu] = Slot::Running(run);
-        if eligible {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
-//! The simulator's checks component: the invariant auditor, the
-//! commit-time serializability audits, the sequential differential
-//! oracle, and the record of audit failures and protocol errors. It only
-//! reads machine state, so arming it changes no simulated timing.
+//! The simulator's checks component: the state of the invariant
+//! auditor, the commit-time happens-before audit, the sequential
+//! differential oracle, and the record of audit failures and protocol
+//! errors. The machine runs the audits that walk its own state and
+//! reports what they find here; arming the checks changes no simulated
+//! timing.
 
 use crate::chaos::RunOptions;
-use crate::l2spec::SpecL2;
 use crate::latch::LatchError;
-use crate::membuf::{HbAuditor, Tso};
+use crate::membuf::HbAuditor;
 use crate::report::ProtocolError;
-use crate::simulator::{Machine, Slot};
 use std::collections::HashMap;
 use tls_trace::{Addr, OpKind, ProgramView, RegionView};
 
@@ -65,6 +65,12 @@ impl Checks {
         }
     }
 
+    /// Whether the invariant auditor and the serializability audits are
+    /// armed.
+    pub(crate) fn auditing(&self) -> bool {
+        self.audit
+    }
+
     /// Registers an invariant-audit failure: panic when configured to
     /// (the test default), otherwise collect it and stop the run after
     /// the current step completes.
@@ -104,179 +110,54 @@ impl Checks {
         self.breaches
     }
 
-    /// TSO store-flow identity (audit runs): every store the epoch on
-    /// `cpu` logged must be accounted for — drained into the memory
-    /// system or still sitting in the CPU's buffer. Compared as
-    /// op-cursor multisets (a reordered drain permutes the mirror, which
-    /// is legal; a *missing* cursor is a lost store). Returns the first
-    /// imbalance found.
-    pub(crate) fn store_flow(
-        &self,
-        cpu: usize,
-        stores: &[(usize, Addr, u8)],
-        tso: &Tso,
-    ) -> Option<String> {
-        if !self.audit {
-            return None;
-        }
-        let (drained, buf) = (&tso.drained[cpu], &tso.bufs[cpu]);
-        let mut seen: Vec<usize> =
-            drained.iter().map(|&(c, _, _)| c).chain(buf.iter().map(|e| e.cursor)).collect();
-        seen.sort_unstable();
-        let logged: Vec<usize> = stores.iter().map(|&(c, _, _)| c).collect();
-        if logged == seen {
-            return None;
-        }
-        let missing = logged.iter().find(|c| !seen.contains(c));
-        Some(format!(
-            "store-flow violation: epoch logged {} stores but {} drained and {} are buffered{}",
-            logged.len(),
-            drained.len(),
-            buf.len(),
-            missing.map(|c| format!(" (first lost store: op cursor {c})")).unwrap_or_default()
-        ))
-    }
-
-    /// Commit hook. The oracle folds the epoch's write log into the
-    /// committed image (tokens are global op indices, comparable with a
-    /// sequential replay). The auditor checks the TSO store-flow
-    /// identity, then the happens-before order of the write-set
-    /// (commit-order plus per-line write-write edges); returns breaches.
+    /// Commit hook. The oracle folds the epoch's surviving write log
+    /// into the committed image; tokens are global op indices, so the
+    /// image can be compared byte-for-byte with a sequential replay. The
+    /// auditor checks the happens-before order of the committed write-set
+    /// (commit-order edges plus per-line write-write edges) and returns
+    /// the breach it finds.
     pub(crate) fn commit_epoch(
         &mut self,
-        cpu: usize,
         order: u32,
         stores: &[(usize, Addr, u8)],
-        tso: Option<&Tso>,
-    ) -> [Option<String>; 2] {
+    ) -> Option<String> {
         if self.oracle {
             let base = self.epoch_base[order as usize];
             for &(cursor, addr, size) in stores {
+                let token = base + cursor as u64;
                 for b in 0..size as u64 {
-                    self.image.insert(addr.0 + b, base + cursor as u64);
+                    self.image.insert(addr.0 + b, token);
                 }
             }
         }
         if !self.audit {
-            return [None, None];
+            return None;
         }
-        let flow = tso.and_then(|t| self.store_flow(cpu, stores, t));
         let mut lines: Vec<u64> =
             stores.iter().map(|&(_, a, _)| a.align_down(self.line_shift).0).collect();
         lines.sort_unstable();
         lines.dedup();
-        [flow, self.hb.commit_epoch(order, lines)]
+        self.hb.commit_epoch(order, lines)
     }
 
-    /// Rewind hook: the rewound sub-threads must leave no speculative
-    /// residue in the L2, and the structural invariants of every running
-    /// epoch must hold.
-    pub(crate) fn after_rewind(m: &mut Machine<'_>, cpu: usize, sub: u8) {
-        let residue = |l2: &SpecL2| l2.audit_subthread_residue(cpu, sub);
-        Checks::audit_machine(m, None, "post-rewind", residue);
-    }
-
-    /// Commit hook, after the commit: commits happen in logical order and
-    /// the committing CPU leaves nothing speculative behind.
-    pub(crate) fn after_commit(m: &mut Machine<'_>, cpu: usize, order: u32) {
-        let token = m.next_commit;
-        let out_of_order = (order != token).then(|| {
-            format!("out-of-order commit: epoch {order} committed while the token was at {token}")
-        });
-        Checks::audit_machine(m, out_of_order, "post-commit", |l2| l2.audit_cpu_clear(cpu));
-    }
-
-    /// Audit runs only: records `first`, then what the `stage` residue
-    /// audit of the L2 finds, then the structural invariants of every
-    /// running epoch that fail: strictly increasing checkpoints, ledger
-    /// buckets in lockstep with checkpoints, sane start-table entries,
-    /// and latch bookkeeping consistent with the global table.
-    fn audit_machine(
-        m: &mut Machine<'_>,
-        first: Option<String>,
-        stage: &str,
-        residue: impl FnOnce(&SpecL2) -> Vec<String>,
-    ) {
-        if !m.checks.audit {
-            return;
-        }
-        let mut failures: Vec<String> = first.into_iter().collect();
-        if m.cfg.track_dependences {
-            failures.extend(residue(&m.mem.l2).into_iter().map(|msg| format!("{stage}: {msg}")));
-        }
-        let contexts = m.cfg.subthreads.contexts;
-        for (cpu, s) in m.slots.iter().enumerate() {
-            let Slot::Running(run) = s else { continue };
-            if !run.checkpoints.windows(2).all(|w| w[0] < w[1]) {
-                failures.push(format!(
-                    "cpu {cpu}: checkpoints not strictly increasing: {:?}",
-                    run.checkpoints
-                ));
-            }
-            if run.checkpoints.len() > contexts.max(1) as usize {
-                failures.push(format!(
-                    "cpu {cpu}: {} live sub-threads exceed {contexts} contexts",
-                    run.checkpoints.len()
-                ));
-            }
-            if run.ledger.current() + 1 != run.checkpoints.len() {
-                failures.push(format!(
-                    "cpu {cpu}: {} ledger buckets for {} checkpoints",
-                    run.ledger.current() + 1,
-                    run.checkpoints.len()
-                ));
-            }
-            for ((sender, sub), local) in run.start_table.iter() {
-                // `local` may legitimately exceed the *current* sub-thread
-                // after a rewind (restart_point guards with `target > cur`),
-                // but every recorded value must be a valid context id from
-                // a real, different CPU.
-                if sender == cpu || sender >= m.cfg.cpus || sub >= contexts || local >= contexts {
-                    failures.push(format!(
-                        "cpu {cpu}: corrupt start-table entry ({sender},{sub})->{local}"
-                    ));
-                }
-            }
-            if !m.chaos.latch_hazard {
-                for &(latch, _) in &run.held_latches {
-                    if m.latches.owner(latch) != Some(cpu) {
-                        failures.push(format!(
-                            "cpu {cpu}: held latch {latch:?} is not owned in the latch table"
-                        ));
-                    }
-                }
-            }
-        }
-        for f in failures {
-            m.checks.fail(m.cycle, f);
-        }
-    }
-
-    /// End-of-run hook. The auditor: with every epoch committed there
-    /// must be no speculative metadata or versions left anywhere in the
-    /// hierarchy. The differential oracle: replay the program
+    /// End-of-run hook of the differential oracle: replay the program
     /// sequentially as a symbolic last-writer image and compare with
     /// what the speculative machine committed. The simulator models no
     /// data values, so two runs agree exactly when every byte's last
     /// writer (in logical order) agrees.
-    pub(crate) fn end_of_run(m: &mut Machine<'_>) {
-        if m.checks.audit && m.cfg.track_dependences {
-            for msg in m.mem.l2.audit_quiescent() {
-                m.checks.fail(m.cycle, format!("end-of-run: {msg}"));
-            }
-        }
-        if !m.checks.oracle {
+    pub(crate) fn oracle_replay(&mut self, cycle: u64, program: &ProgramView<'_>) {
+        if !self.oracle {
             return;
         }
         let mut expected: HashMap<u64, u64> = HashMap::new();
-        for (i, op) in m.program.iter_ops().enumerate() {
+        for (i, op) in program.iter_ops().enumerate() {
             if let OpKind::Store { addr, size } = op.kind() {
                 for b in 0..size as u64 {
                     expected.insert(addr.0 + b, i as u64);
                 }
             }
         }
-        let image = &m.checks.image;
+        let image = &self.image;
         if expected != *image {
             let mut diffs: Vec<u64> = expected
                 .keys()
@@ -287,8 +168,8 @@ impl Checks {
             diffs.sort_unstable();
             diffs.dedup();
             let shown: Vec<String> = diffs.iter().take(4).map(|a| format!("{a:#x}")).collect();
-            m.checks.fail(
-                m.cycle,
+            self.fail(
+                cycle,
                 format!(
                     "oracle divergence: committed image disagrees with the sequential replay \
                      at {} bytes (first: {shown:?})",

@@ -19,8 +19,8 @@
 //! panic — whenever adding an epoch would close a cycle, i.e. whenever
 //! a commit would have to be ordered *before* something that already
 //! committed. The paired store-flow invariant (every logged store is
-//! either still buffered or was drained: checked by `checks.rs` at
-//! every commit and rewind) is what turns a silently dropped buffer
+//! either still buffered or was drained: [`Tso::store_flow`], checked
+//! at every commit and rewind) is what turns a silently dropped buffer
 //! entry into a detected [`crate::ProtocolError`].
 //!
 //! [`Tso`] is the simulator's TSO component (`None` is SC).
@@ -220,12 +220,7 @@ pub(crate) enum Dispatch {
 /// engine's state and the TSO counters.
 #[derive(Debug, Default)]
 pub(crate) struct Tso {
-    pub(crate) bufs: Vec<StoreBuffer>,
-    /// Per CPU: `(op cursor, addr, size)` of the running epoch's stores
-    /// already drained into the memory system, mirroring its write log
-    /// (kept under the same condition; not cursor-sorted, since a
-    /// reordered-drain fault permutes it).
-    pub(crate) drained: Vec<Vec<(usize, Addr, u8)>>,
+    bufs: Vec<StoreBuffer>,
     /// Per CPU: cycle before which drains are frozen (stuck-drain fault).
     stuck_until: [u64; MAX_CPUS],
     /// Per CPU: inside a drain-stall episode.
@@ -244,13 +239,18 @@ impl Tso {
         let MemoryModel::Tso { buffer_entries } = model else { return None };
         Some(Tso {
             bufs: (0..cpus).map(|_| StoreBuffer::new(buffer_entries)).collect(),
-            drained: vec![Vec::new(); cpus],
             ..Tso::default()
         })
     }
 
     pub(crate) fn holds_stores(&self, cpu: usize) -> bool {
         !self.bufs[cpu].is_empty()
+    }
+
+    /// Whether any CPU's buffer holds a store (such a buffer drains one
+    /// entry per stalled cycle, so those cycles are not repeats).
+    pub(crate) fn any_buffered(&self) -> bool {
+        self.bufs.iter().any(|b| !b.is_empty())
     }
 
     /// Dispatch hook for a load or store at op `cursor`: a store enters
@@ -283,10 +283,12 @@ impl Tso {
         }
     }
 
-    /// Drain hook: one entry leaves `cpu`'s buffer per stalled cycle —
-    /// at an ordering point (`stall`; a finished epoch still holding
-    /// stores adds the pre-commit flush) or when the CPU did no work.
-    /// A stuck-drain fault freezes drains until its window closes.
+    /// Drain hook: one entry leaves `cpu`'s buffer per cycle whenever the
+    /// CPU is stalled — at an explicit ordering point (`stall`: full
+    /// buffer, forwarding conflict, latch acquire; a finished epoch still
+    /// holding stores adds the pre-commit flush) or opportunistically
+    /// while it waits on anything else (`idle`). A stuck-drain fault
+    /// freezes drains until its window closes; the buffer simply holds.
     /// Returns the entry for the memory system to apply.
     pub(crate) fn drain(
         &mut self,
@@ -295,7 +297,6 @@ impl Tso {
         finished: bool,
         idle: bool,
         stall: &mut Option<u64>,
-        log: bool,
     ) -> Option<BufferedStore> {
         if finished && stall.is_none() && self.holds_stores(cpu) {
             *stall = Some(3);
@@ -305,9 +306,6 @@ impl Tso {
         }
         let e = self.bufs[cpu].pop_oldest()?;
         self.store_drains += 1;
-        if log {
-            self.drained[cpu].push((e.cursor, e.addr, e.size));
-        }
         Some(e)
     }
 
@@ -324,16 +322,51 @@ impl Tso {
         self.bufs[cpu].remap_merged_sub(m);
     }
 
-    /// Rewind hook: forget the stores at or after op `cursor`.
-    pub(crate) fn rewind(&mut self, cpu: usize, cursor: usize) {
+    /// Rewind hook: `cpu`'s buffer and the epoch's drain mirror forget
+    /// the stores at or after op `cursor`.
+    pub(crate) fn rewind(
+        &mut self,
+        cpu: usize,
+        cursor: usize,
+        drained: &mut Vec<(usize, Addr, u8)>,
+    ) {
         self.bufs[cpu].truncate_from(cursor);
-        self.drained[cpu].retain(|&(c, _, _)| c < cursor);
+        drained.retain(|&(c, _, _)| c < cursor);
     }
 
     /// Commit hook (the buffer has already drained).
     pub(crate) fn commit(&mut self, cpu: usize) {
-        self.drained[cpu].clear();
         self.episode[cpu] = false;
+    }
+
+    /// TSO store-flow identity: every store the epoch on `cpu` logged
+    /// must be accounted for — drained into the memory system (the
+    /// epoch's drain mirror) or still sitting in the CPU's buffer.
+    /// Compared as op-cursor multisets (a reordered drain permutes the
+    /// mirror, which is legal; a *missing* cursor is a lost store).
+    /// Returns the first imbalance found.
+    pub(crate) fn store_flow(
+        &self,
+        cpu: usize,
+        logged: &[(usize, Addr, u8)],
+        drained: &[(usize, Addr, u8)],
+    ) -> Option<String> {
+        let buf = &self.bufs[cpu];
+        let mut seen: Vec<usize> =
+            drained.iter().map(|&(c, _, _)| c).chain(buf.iter().map(|e| e.cursor)).collect();
+        seen.sort_unstable();
+        let logged: Vec<usize> = logged.iter().map(|&(c, _, _)| c).collect();
+        if logged == seen {
+            return None;
+        }
+        let missing = logged.iter().find(|c| !seen.contains(c));
+        Some(format!(
+            "store-flow violation: epoch logged {} stores but {} drained and {} are buffered{}",
+            logged.len(),
+            drained.len(),
+            buf.len(),
+            missing.map(|c| format!(" (first lost store: op cursor {c})")).unwrap_or_default()
+        ))
     }
 
     /// Chaos hook: applies a store-buffer fault class to the first CPU

@@ -26,7 +26,7 @@
 //! [`Checks`] (auditor, serializability audits, oracle).
 
 use crate::accounting::{Breakdown, CycleCategory, FaultStats, SubThreadLedger};
-use crate::chaos::{Chaos, RunOptions};
+use crate::chaos::{Chaos, FaultClass, FaultEvent, RunOptions};
 use crate::checks::Checks;
 use crate::config::{CmpConfig, ExhaustionPolicy, SecondaryPolicy, MAX_CPUS, MAX_SUBTHREADS};
 use crate::l2spec::{AccessCtx, L2Outcome, PendingViolation, SpecL2, ViolationKind};
@@ -35,7 +35,7 @@ use crate::membuf::{Dispatch, Tso};
 use crate::predictor::DependencePredictor;
 use crate::profile::{DependenceProfiler, ExposedLoadTable};
 use crate::report::{LivelockReport, SimReport, ViolationCounts};
-use crate::vpredict::ValueSpec;
+use crate::vpredict::{VLoad, ValueSpec};
 use std::collections::VecDeque;
 use tls_cache::{CacheStats, L1Data, MshrFile};
 use tls_cpu::{Core, CoreStats, HeadStall, MemKind};
@@ -178,26 +178,26 @@ impl StartTable {
 
 /// The execution state of one epoch on one CPU.
 #[derive(Debug, Default)]
-pub(crate) struct EpochRun<'p> {
+struct EpochRun<'p> {
     /// Global logical order (commit order).
-    pub(crate) order: u32,
+    order: u32,
     ops: &'p [TraceOp],
     /// Next op to dispatch.
     cursor: usize,
     /// Op index where each started sub-thread began; `checkpoints.len()-1`
     /// is the current sub-thread.
-    pub(crate) checkpoints: Vec<usize>,
+    checkpoints: Vec<usize>,
     /// Instructions between sub-thread starts for this epoch.
     spacing: u64,
-    pub(crate) ledger: SubThreadLedger,
-    pub(crate) start_table: StartTable,
+    ledger: SubThreadLedger,
+    start_table: StartTable,
     /// The latch this epoch blocked on, retried first thing next cycle;
     /// while set, the epoch waits (as Latch) and dispatches nothing.
     latch_retry: Option<LatchId>,
     /// Latches held, with the op index of each acquisition (so a partial
     /// rewind releases only acquisitions made after the rewind point —
     /// escaped critical sections that completed are never reopened).
-    pub(crate) held_latches: Vec<(LatchId, usize)>,
+    held_latches: Vec<(LatchId, usize)>,
     /// Stalled by the dependence predictor this cycle.
     waiting_sync: bool,
     /// Cursor of the last predictor stall already counted.
@@ -209,8 +209,23 @@ pub(crate) struct EpochRun<'p> {
     last_category: CycleCategory,
     /// Write log: `(op cursor, addr, size)` of every store dispatched
     /// and not yet undone by a rewind, sorted by cursor. Kept when the
-    /// oracle, value prediction, or the auditor under TSO is on.
+    /// differential oracle is enabled (it becomes the committed image),
+    /// when value prediction is on (the commit-time store counts drive
+    /// the synthetic value model), and when the auditor runs under TSO
+    /// (the store-flow identity compares it with `drained` and the
+    /// store buffer).
     stores: Vec<(usize, Addr, u8)>,
+    /// TSO drain mirror of `stores`: `(op cursor, addr, size)` of every
+    /// buffered store already retired into the memory system. The
+    /// store-flow invariant — `stores` equals `drained` plus the live
+    /// buffer contents — is what catches a chaos-dropped buffer entry.
+    /// Populated under the same condition as `stores`; always empty
+    /// under SC. Not cursor-sorted (a reordered-drain fault permutes it).
+    drained: Vec<(usize, Addr, u8)>,
+    /// Exposed speculative loads tracked for value prediction, sorted by
+    /// cursor and truncated on rewind exactly like `stores`. Empty
+    /// unless [`crate::VPredictConfig`] is enabled.
+    vloads: Vec<VLoad>,
     /// Consecutive rewinds of this epoch with no intervening commit by
     /// *any* epoch (forward-progress watchdog input).
     rewind_streak: u64,
@@ -232,18 +247,18 @@ pub(crate) struct EpochRun<'p> {
 const STORM_PC_CAP: usize = 16;
 
 impl<'p> EpochRun<'p> {
-    pub(crate) fn cur_sub(&self) -> u8 {
+    fn cur_sub(&self) -> u8 {
         (self.checkpoints.len() - 1) as u8
     }
 }
 
 /// The memory side of the machine: everything a load/store touches.
-pub(crate) struct MemSystem {
+struct MemSystem {
     l1s: Vec<L1Data>,
-    pub(crate) l2: SpecL2,
+    l2: SpecL2,
     mshrs: Vec<MshrFile>,
     exposed: Vec<ExposedLoadTable>,
-    pub(crate) pending: Vec<PendingViolation>,
+    pending: Vec<PendingViolation>,
     /// Swapped with `pending` to drain it without reallocating.
     spare: Vec<PendingViolation>,
     /// Reused L2-outcome buffer: accesses are serviced one at a time, so
@@ -327,9 +342,14 @@ impl MemSystem {
         let my_order = orders[ctx.cpu].expect("storer is running");
         for &(cpu, sub) in &out.readers {
             if let Some(order) = orders[cpu].filter(|&o| o > my_order) {
-                let kind = ViolationKind::Raw;
-                let store_pc = Some(pc);
-                self.pending.push(PendingViolation { cpu, sub, order, kind, line: addr, store_pc });
+                self.pending.push(PendingViolation {
+                    cpu,
+                    sub,
+                    order,
+                    kind: ViolationKind::Raw,
+                    line: addr,
+                    store_pc: Some(pc),
+                });
             }
         }
         self.scratch = out;
@@ -342,16 +362,17 @@ impl MemSystem {
         }
     }
 
-    pub(crate) fn queue_overflow(
-        &mut self,
-        victims: &[(usize, u8)],
-        line: Addr,
-        orders: &[Option<u32>],
-    ) {
+    fn queue_overflow(&mut self, victims: &[(usize, u8)], line: Addr, orders: &[Option<u32>]) {
         for &(cpu, sub) in victims {
             if let Some(order) = orders[cpu] {
-                let kind = ViolationKind::Overflow;
-                self.pending.push(PendingViolation { cpu, sub, order, kind, line, store_pc: None });
+                self.pending.push(PendingViolation {
+                    cpu,
+                    sub,
+                    order,
+                    kind: ViolationKind::Overflow,
+                    line,
+                    store_pc: None,
+                });
             }
         }
     }
@@ -490,7 +511,7 @@ impl CmpSimulator {
 /// `EpochRun` (inline, those moves were a fifth of the host time of a
 /// Figure-5 simulation, nearly all of it in `memmove`).
 #[derive(Debug)]
-pub(crate) enum Slot<'p> {
+enum Slot<'p> {
     Free,
     Running(Box<EpochRun<'p>>),
 }
@@ -502,13 +523,13 @@ const OPS_PER_CYCLE_CAP: usize = 64;
 
 /// The machine of one run: the protocol core plus its mechanism
 /// components.
-pub(crate) struct Machine<'p> {
-    pub(crate) cfg: &'p CmpConfig,
-    pub(crate) program: &'p ProgramView<'p>,
+struct Machine<'p> {
+    cfg: &'p CmpConfig,
+    program: &'p ProgramView<'p>,
     cores: Vec<Core>,
-    pub(crate) mem: MemSystem,
-    pub(crate) latches: LatchTable,
-    pub(crate) slots: Vec<Slot<'p>>,
+    mem: MemSystem,
+    latches: LatchTable,
+    slots: Vec<Slot<'p>>,
     /// Epochs of the current region not yet started, as contiguous op
     /// runs (borrowed straight from the view — owned or memory-mapped).
     region_queue: VecDeque<&'p [TraceOp]>,
@@ -516,8 +537,8 @@ pub(crate) struct Machine<'p> {
     next_order: u32,
     /// Logical order of the epoch the homefree token waits for — also
     /// the number of epochs committed so far.
-    pub(crate) next_commit: u32,
-    pub(crate) cycle: u64,
+    next_commit: u32,
+    cycle: u64,
     // --- results ---
     acct: Breakdown,
     violations: ViolationCounts,
@@ -538,10 +559,10 @@ pub(crate) struct Machine<'p> {
     /// oracle, the value model's store counts and the store-flow audit.
     log_stores: bool,
     // --- mechanism components ---
-    pub(crate) tso: Option<Tso>,
+    tso: Option<Tso>,
     vp: Option<ValueSpec>,
-    pub(crate) chaos: Chaos,
-    pub(crate) checks: Checks,
+    chaos: Chaos,
+    checks: Checks,
     /// Attached observer (event ring + metrics), or `None` for a plain
     /// run. Observation is passive: every hook only reads machine state
     /// and appends to the observer's own buffers.
@@ -646,7 +667,7 @@ impl<'p> Machine<'p> {
                 }
             }
         } else {
-            Checks::end_of_run(&mut self);
+            self.end_of_run_checks();
         }
         self.finish()
     }
@@ -664,7 +685,7 @@ impl<'p> Machine<'p> {
     /// subsequent cycle will be identical until the next timed event — so
     /// the caller may [`fast_forward`](Machine::fast_forward).
     fn step(&mut self) -> bool {
-        let mut active = Chaos::apply_due_faults(self);
+        let mut active = self.apply_due_faults();
         let orders = self.orders_snapshot();
         // Each core is borrowed across its CPU's dispatch loop, which calls
         // machine methods: measurably faster than re-indexing `self.cores`.
@@ -713,7 +734,7 @@ impl<'p> Machine<'p> {
         o.metrics.sample(self.cycle, rob, spec_lines, victim_lines, mshr);
     }
 
-    pub(crate) fn orders_snapshot(&self) -> [Option<u32>; MAX_CPUS] {
+    fn orders_snapshot(&self) -> [Option<u32>; MAX_CPUS] {
         let mut orders = [None; MAX_CPUS];
         for (cpu, s) in self.slots.iter().enumerate() {
             if let Slot::Running(r) = s {
@@ -776,9 +797,9 @@ impl<'p> Machine<'p> {
         // eligibility is state- not time-gated, so never skip past them.
         // A non-empty store buffer drains one entry per stalled cycle,
         // so those cycles are not repeats either.
-        if !self.chaos.armed.is_empty()
+        if self.chaos.has_armed()
             || !self.mem.pending.is_empty()
-            || self.tso.as_ref().is_some_and(|t| t.bufs.iter().any(|b| !b.is_empty()))
+            || self.tso.as_ref().is_some_and(Tso::any_buffered)
         {
             return;
         }
@@ -813,11 +834,118 @@ impl<'p> Machine<'p> {
         self.cycle = target;
     }
 
+    /// Expires timed faults and applies every event the plan schedules
+    /// at or before this cycle. Returns whether anything touched the
+    /// machine (fast-forward must not skip it).
+    fn apply_due_faults(&mut self) -> bool {
+        let mut active = false;
+        if let Some(cap) = self.chaos.victim_restore_due(self.cycle) {
+            let displaced = self.mem.l2.set_victim_capacity(cap);
+            debug_assert!(displaced.is_empty(), "growing the victim cache displaces nothing");
+            active = true;
+        }
+        active |= self.chaos.arm_due(self.cycle);
+        if !self.chaos.has_armed() {
+            return active;
+        }
+        // Each armed fault fires at the first cycle in its window with an
+        // eligible target; a window that closes without one is skipped.
+        for ev in self.chaos.take_armed() {
+            let applied = self.apply_fault(ev);
+            active |= self.chaos.settle(ev, applied, self.cycle);
+        }
+        active
+    }
+
+    /// Attempts one fault; returns whether it found a target and applied.
+    fn apply_fault(&mut self, ev: FaultEvent) -> bool {
+        let until = self.cycle + ev.duration.max(1);
+        match ev.class {
+            FaultClass::SpuriousPrimary => self.inject_violation(false),
+            FaultClass::SpuriousSecondary => self.inject_violation(true),
+            FaultClass::VictimSqueeze => {
+                // False while a squeeze is already in flight.
+                let squeezed = self.chaos.squeeze_victims(until, self.mem.l2.victim_capacity());
+                if squeezed {
+                    let orders = self.orders_snapshot();
+                    let victims = self.mem.l2.set_victim_capacity(0);
+                    self.mem.queue_overflow(&victims, Addr(0), &orders);
+                }
+                squeezed
+            }
+            FaultClass::ForcedMerge => self.force_merge(),
+            FaultClass::DelayedToken => {
+                self.chaos.delay_token(until);
+                true
+            }
+            FaultClass::LatchHazard => match self.latches.held().first() {
+                Some(&latch) => {
+                    // Latch audits are best-effort from here on: the
+                    // owner's bookkeeping is deliberately desynchronized.
+                    self.chaos.latch_hazard = true;
+                    self.latches.force_release(latch);
+                    true
+                }
+                None => false,
+            },
+            // Store-buffer chaos: every class needs a TSO machine with
+            // at least one buffered store — on an SC machine (or with
+            // every buffer drained) the event stays armed until its
+            // window closes and is counted skipped.
+            FaultClass::StuckDrain | FaultClass::ReorderedDrain | FaultClass::DroppedEntry => {
+                self.tso.as_mut().is_some_and(|t| t.apply_fault(ev.class, self.cycle, ev.duration))
+            }
+        }
+    }
+
+    /// Queues a spurious violation. `full_restart` picks the youngest
+    /// speculative epoch and rewinds it to sub-thread 0 (the worst case);
+    /// otherwise the oldest speculative epoch rewinds to its current
+    /// sub-thread, which also drives secondary violations through every
+    /// later thread's start table.
+    fn inject_violation(&mut self, full_restart: bool) -> bool {
+        // Orders are unique, so the tuples order by epoch.
+        let candidates = self.slots.iter().enumerate().filter_map(|(cpu, s)| match s {
+            Slot::Running(r) if r.order > self.next_commit => Some((r.order, cpu, r.cur_sub())),
+            _ => None,
+        });
+        let target = if full_restart { candidates.max() } else { candidates.min() };
+        let Some((order, cpu, cur_sub)) = target else { return false };
+        self.mem.pending.push(PendingViolation {
+            cpu,
+            sub: if full_restart { 0 } else { cur_sub },
+            order,
+            kind: ViolationKind::Injected,
+            line: Addr(0),
+            store_pc: None,
+        });
+        true
+    }
+
+    /// Forces a sub-thread context merge on the first speculative epoch
+    /// that has one to give — as if its context supply were exhausted.
+    fn force_merge(&mut self) -> bool {
+        for cpu in 0..self.cfg.cpus {
+            let Slot::Running(mut run) = std::mem::replace(&mut self.slots[cpu], Slot::Free) else {
+                continue;
+            };
+            let eligible = run.order > self.next_commit && run.checkpoints.len() >= 2;
+            if eligible {
+                self.merge_one_context(cpu, &mut run);
+            }
+            self.slots[cpu] = Slot::Running(run);
+            if eligible {
+                return true;
+            }
+        }
+        false
+    }
+
     /// Recycles one sub-thread context of `cpu`'s running epoch (taken
     /// out of its slot) by merging the adjacent checkpoint pair with the
     /// smallest combined span. Shared by the Merge exhaustion policy and
     /// the chaos harness's forced-merge fault.
-    pub(crate) fn merge_one_context(&mut self, cpu: usize, run: &mut EpochRun<'p>) {
+    fn merge_one_context(&mut self, cpu: usize, run: &mut EpochRun<'p>) {
         let m = (1..run.checkpoints.len())
             .min_by_key(|&k| {
                 let end = run.checkpoints.get(k + 1).copied().unwrap_or(run.cursor);
@@ -838,6 +966,8 @@ impl<'p> Machine<'p> {
                 v.sub = (v.sub - 1).max(m as u8 - 1);
             }
         }
+        // TSO: buffered (not yet drained) stores carry the context id
+        // they will replay under; remap them with everything else.
         if let Some(tso) = &mut self.tso {
             tso.merge(cpu, m as u8);
         }
@@ -879,11 +1009,21 @@ impl<'p> Machine<'p> {
         let mut examined = 0usize;
         let mut latch_errors: Vec<LatchError> = Vec::new();
         run.waiting_sync = false;
-        // The drain-stall cause code when the CPU hit a TSO ordering
-        // point ([`Dispatch::Stall`]).
+        // TSO bookkeeping for this cycle. `drain_stall` carries the
+        // cause code when the CPU hit an explicit ordering point (1 =
+        // full buffer, 2 = forwarding conflict, 3 = ordering-point
+        // flush).
         let mut drain_stall: Option<u64> = None;
+        // What the dispatch loop reads on every op is read once, here:
+        // the loop calls `&mut self` methods, after which the compiler
+        // must reload any field of `self` it reads again.
+        let (tso, vp, log_stores) = (self.tso.is_some(), self.vp.is_some(), self.log_stores);
+        let (now, sync_predictor) = (self.cycle, self.cfg.predictor.enabled);
+        let contexts = self.cfg.subthreads.contexts;
+        let merge = contexts >= 2 && self.cfg.subthreads.exhaustion == ExhaustionPolicy::Merge;
 
-        // Retry a latch we blocked on last cycle.
+        // Retry a latch we blocked on last cycle; while it stays taken,
+        // the epoch dispatches nothing.
         if let Some(latch) = run.latch_retry {
             if self.latches.try_acquire(cpu, latch) {
                 run.latch_retry = None;
@@ -891,11 +1031,9 @@ impl<'p> Machine<'p> {
                 run.cursor += 1;
             }
         }
+        let mut blocked = run.latch_retry.is_some();
 
-        while run.latch_retry.is_none()
-            && run.cursor < run.ops.len()
-            && examined < OPS_PER_CYCLE_CAP
-        {
+        while !blocked && run.cursor < run.ops.len() && examined < OPS_PER_CYCLE_CAP {
             examined += 1;
             // Progress fallback: a serialized (livelock-degraded) epoch
             // dispatches nothing while speculative — it waits, as Sync,
@@ -909,7 +1047,6 @@ impl<'p> Machine<'p> {
             }
             // Sub-thread boundary: checkpoint and broadcast.
             let since = (run.cursor - *run.checkpoints.last().expect("nonempty")) as u64;
-            let contexts = self.cfg.subthreads.contexts;
             // Checkpoints are never placed inside an escaped critical
             // section: escaped operations are not rolled back, so a
             // rewind target between a latch acquire and its release
@@ -917,11 +1054,7 @@ impl<'p> Machine<'p> {
             // boundary is simply deferred a few instructions until the
             // latches are released.
             let boundary = speculative && run.held_latches.is_empty() && since >= run.spacing;
-            if boundary
-                && contexts >= 2
-                && (run.checkpoints.len() as u8) == contexts
-                && self.cfg.subthreads.exhaustion == ExhaustionPolicy::Merge
-            {
+            if boundary && merge && (run.checkpoints.len() as u8) == contexts {
                 // Recycle a context: merge the adjacent checkpoint pair
                 // with the smallest combined span.
                 self.merge_one_context(cpu, &mut run);
@@ -948,7 +1081,7 @@ impl<'p> Machine<'p> {
                     // TSO ordering point: older stores must be visible
                     // before the critical section opens, so the buffer
                     // drains fully before the acquire is attempted.
-                    if self.tso.as_ref().is_some_and(|t| t.holds_stores(cpu)) {
+                    if tso && self.tso.as_ref().is_some_and(|t| t.holds_stores(cpu)) {
                         drain_stall = Some(3);
                         break;
                     }
@@ -957,6 +1090,7 @@ impl<'p> Machine<'p> {
                         run.cursor += 1;
                     } else {
                         run.latch_retry = Some(latch);
+                        blocked = true;
                         emit!(self, EventKind::LatchStall, cpu, run, latch.0 as u64, 0);
                     }
                 }
@@ -975,24 +1109,25 @@ impl<'p> Machine<'p> {
                     }
                     // TSO: a store enters this CPU's bounded buffer
                     // (reaching the caches only when it drains) and a
-                    // load probes the buffer for forwarding. Either
-                    // bypass completes locally in one cycle — exactly a
-                    // store's SC latency — so TSO's timing delta comes
-                    // entirely from drain stalls, never from the bypass.
+                    // load probes the buffer youngest-first for
+                    // same-address forwarding. Either bypass completes
+                    // locally in one cycle — exactly a store's SC
+                    // latency — so TSO's timing delta comes entirely
+                    // from drain stalls, never from the bypass itself.
                     let ctx = AccessCtx { cpu, sub: run.cur_sub(), speculative };
-                    let gate = match (&mut self.tso, kind) {
-                        (Some(t), OpKind::Load { .. } | OpKind::Store { .. }) => {
-                            t.dispatch(kind, op.pc(), run.cursor, ctx)
+                    let mut bypass = false;
+                    if tso && matches!(kind, OpKind::Load { .. } | OpKind::Store { .. }) {
+                        let t = self.tso.as_mut().expect("TSO machine");
+                        match t.dispatch(kind, op.pc(), run.cursor, ctx) {
+                            Dispatch::Stall(cause) => {
+                                drain_stall = Some(cause);
+                                break;
+                            }
+                            gate => bypass = gate == Dispatch::Bypass,
                         }
-                        _ => Dispatch::Pass,
-                    };
-                    if let Dispatch::Stall(cause) = gate {
-                        drain_stall = Some(cause);
-                        break;
                     }
-                    let bypass = gate == Dispatch::Bypass;
                     if !bypass && matches!(kind, OpKind::Load { .. }) {
-                        if !self.mem.mshrs[cpu].can_accept(self.cycle) {
+                        if !self.mem.mshrs[cpu].can_accept(now) {
                             break;
                         }
                         // §1.2 alternative: synchronize predicted-violating
@@ -1000,7 +1135,7 @@ impl<'p> Machine<'p> {
                         // inside an escaped critical section: the thread
                         // holds a latch the older threads may need, and
                         // escaped operations are not speculative anyway.
-                        if self.cfg.predictor.enabled
+                        if sync_predictor
                             && speculative
                             && run.held_latches.is_empty()
                             && self.predictor.predicts_violation(op.pc())
@@ -1013,7 +1148,7 @@ impl<'p> Machine<'p> {
                             break;
                         }
                     }
-                    if self.log_stores {
+                    if log_stores {
                         if let OpKind::Store { addr, size } = kind {
                             run.stores.push((run.cursor, addr, size));
                         }
@@ -1023,14 +1158,15 @@ impl<'p> Machine<'p> {
                     } else {
                         let mem = &mut self.mem;
                         core.dispatch(op, |start, _, mk| mem.access(op, ctx, orders, start, mk));
-                        // Value prediction covers exposed speculative
-                        // loads: the access callback (synchronous) just
-                        // flagged whether this load recorded an exposure.
-                        // (A forwarded load consumes this CPU's own
-                        // buffered value: no exposure, nothing to track.)
-                        if let (Some(vp), OpKind::Load { addr, .. }) = (&mut self.vp, kind) {
-                            if speculative && self.mem.last_exposed {
-                                vp.track(cpu, run.cursor, addr, op.pc());
+                        // Value prediction covers exposed speculative loads:
+                        // the access callback (synchronous) just flagged
+                        // whether this load recorded an exposure. (A
+                        // forwarded load consumes this CPU's own buffered
+                        // value: no exposure, no prediction to track.)
+                        if vp && speculative && self.mem.last_exposed {
+                            if let OpKind::Load { addr, .. } = kind {
+                                let v = self.vp.as_mut().expect("value-prediction machine");
+                                v.track(&mut run.vloads, run.cursor, addr, op.pc());
                             }
                         }
                     }
@@ -1040,20 +1176,26 @@ impl<'p> Machine<'p> {
             }
         }
 
-        if run.cursor == run.ops.len() && core.is_drained() && run.latch_retry.is_none() {
+        if run.cursor == run.ops.len() && core.is_drained() && !blocked {
             run.finished = true;
         }
 
-        // TSO drain engine: the buffer drains at ordering points and
-        // opportunistically while the CPU waits on anything else.
+        // TSO drain engine: one entry per cycle leaves the buffer
+        // whenever the CPU is stalled — at an explicit ordering point
+        // (full buffer, forwarding conflict, latch acquire, the
+        // pre-commit flush of a finished epoch) or opportunistically
+        // while it waits on anything else. The drained store reaches the
+        // memory system with the context it dispatched under.
         let mut drained_one = false;
-        if let Some(tso) = &mut self.tso {
+        if tso {
+            let t = self.tso.as_mut().expect("TSO machine");
             let idle = dispatched == 0 && retired.retired == 0;
-            let log = self.log_stores;
-            let drained = tso.drain(cpu, self.cycle, run.finished, idle, &mut drain_stall, log);
-            if let Some(e) = drained {
+            if let Some(e) = t.drain(cpu, self.cycle, run.finished, idle, &mut drain_stall) {
                 let ctx = AccessCtx { cpu, sub: e.sub, speculative: e.speculative };
                 self.mem.write(e.addr, e.size, e.pc, ctx, orders, self.cycle);
+                if log_stores {
+                    run.drained.push((e.cursor, e.addr, e.size));
+                }
                 drained_one = true;
             }
         }
@@ -1062,7 +1204,7 @@ impl<'p> Machine<'p> {
             CycleCategory::Busy
         } else if drain_stall.is_some() {
             CycleCategory::DrainStall
-        } else if run.latch_retry.is_some() {
+        } else if blocked {
             CycleCategory::Latch
         } else if run.waiting_sync || run.finished {
             CycleCategory::Sync
@@ -1073,10 +1215,11 @@ impl<'p> Machine<'p> {
         };
         run.ledger.record(category);
         run.last_category = category;
+        // One drain-stall event per stall episode, at its start.
         let stalled = category == CycleCategory::DrainStall;
         if let Some(buffered) = self.tso.as_mut().and_then(|t| t.episode_start(cpu, stalled)) {
-            let (buffered, cause) = (buffered + drained_one as u64, drain_stall.unwrap_or(0));
-            emit!(self, EventKind::DrainStall, cpu, run, buffered, cause);
+            let buffered = buffered + drained_one as u64;
+            emit!(self, EventKind::DrainStall, cpu, run, buffered, drain_stall.unwrap_or(0));
         }
         if let Some(o) = self.obs.as_deref_mut() {
             o.metrics.tick(cpu, cycle_class(category));
@@ -1123,9 +1266,16 @@ impl<'p> Machine<'p> {
                     None
                 };
             let pcs = Event::pack_pcs(raw_load_pc.map(|p| p.0), v.store_pc.map(|p| p.0));
-            // Value prediction may suppress a RAW violation.
-            if let (Some(vp), ViolationKind::Raw) = (&mut self.vp, v.kind) {
-                if vp.suppress(v.cpu, v.line) {
+            // Value prediction: a RAW violation whose line was consumed
+            // only through predicted loads is suppressed — the victim
+            // keeps running on the predicted values, and the guess is
+            // settled at commit time. One unpredicted load on the line
+            // and the violation stands (the thread consumed a value
+            // nobody vouched for).
+            if let (Some(vp), Slot::Running(r), ViolationKind::Raw) =
+                (&self.vp, &mut self.slots[v.cpu], v.kind)
+            {
+                if vp.suppress(&mut r.vloads, v.line) {
                     emit!(self, EventKind::ValuePredicted, v.cpu, order, v.sub, v.line.0, pcs);
                     continue;
                 }
@@ -1194,9 +1344,17 @@ impl<'p> Machine<'p> {
                     later.push((cpu, r.order, target));
                 }
             }
-            for &(cpu, epoch, target) in &later {
+            for &(cpu, victim_order, target) in &later {
                 self.violations.secondary += 1;
-                emit!(self, EventKind::ViolationSecondary, cpu, epoch, target, order as u64, 0);
+                emit!(
+                    self,
+                    EventKind::ViolationSecondary,
+                    cpu,
+                    victim_order,
+                    target,
+                    order as u64,
+                    0
+                );
                 self.rewind(cpu, target);
             }
             later.clear();
@@ -1245,18 +1403,23 @@ impl<'p> Machine<'p> {
             });
             // TSO: the store-flow identity is audited on the pre-rewind
             // state (truncation must not mask a chaos-dropped entry),
-            // then the buffer forgets the rewound suffix.
+            // then the buffer and the drain mirror forget the rewound
+            // suffix.
             if let Some(tso) = &mut self.tso {
-                flow_breach = self.checks.store_flow(cpu, &run.stores, tso).map(|m| (run.order, m));
-                tso.rewind(cpu, rewound_to);
+                if self.checks.auditing() {
+                    let breach = tso.store_flow(cpu, &run.stores, &run.drained);
+                    flow_breach = breach.map(|msg| (run.order, msg));
+                }
+                tso.rewind(cpu, rewound_to, &mut run.drained);
             }
             // The write log forgets the stores the rewind undid;
             // re-execution re-records them, keeping commit exactly-once.
             let keep = run.stores.partition_point(|&(c, _, _)| c < rewound_to);
             run.stores.truncate(keep);
-            if let Some(vp) = &mut self.vp {
-                vp.rewind(cpu, rewound_to);
-            }
+            // Tracked value-predicted loads past the rewind point are
+            // discarded the same way (their predictions were never
+            // consumed by anything that survives).
+            ValueSpec::rewind(&mut run.vloads, rewound_to);
             // Forward-progress watchdog: commit-free consecutive rewinds
             // of one epoch past the threshold are a violation storm. The
             // homefree token only protects the oldest epoch; this is the
@@ -1288,13 +1451,13 @@ impl<'p> Machine<'p> {
         for e in latch_errors {
             self.checks.latch_error(self.cycle, self.chaos.latch_hazard, e);
         }
-        Checks::after_rewind(self, cpu, sub);
+        self.audit_after_rewind(cpu, sub);
     }
 
     fn commit_ready(&mut self) {
         // Delayed-token fault: the homefree token is withheld; finished
         // epochs accrue Sync time until it is released.
-        if self.cycle < self.chaos.token_until {
+        if self.chaos.token_withheld(self.cycle) {
             return;
         }
         loop {
@@ -1309,14 +1472,16 @@ impl<'p> Machine<'p> {
             if self.tso.as_ref().is_some_and(|t| t.holds_stores(cpu)) {
                 break;
             }
-            // Value-prediction settlement: a prediction that carried a
-            // suppressed violation and turns out wrong becomes a
+            // Value-prediction settlement: the epoch is next-to-commit,
+            // so every older store is architecturally visible and the
+            // synthetic value model is exact. A prediction that carried
+            // a suppressed violation and turns out wrong becomes a
             // deferred violation through the ordinary rewind path — the
             // commit is withheld this cycle and the epoch re-executes
             // from the implicated sub-thread (non-speculatively, since
             // it holds the token, so the replay cannot mispredict again).
             if let (Some(vp), Slot::Running(r)) = (&self.vp, &self.slots[cpu]) {
-                if let Some(v) = vp.validate(cpu, r.order, &r.checkpoints) {
+                if let Some(v) = vp.validate(&r.vloads, cpu, r.order, &r.checkpoints) {
                     self.mem.pending.push(v);
                     break;
                 }
@@ -1325,15 +1490,23 @@ impl<'p> Machine<'p> {
                 unreachable!()
             };
             let order = run.order;
-            // Commit-time serializability audits surface as structured
+            // Commit-time serializability audits (armed with the
+            // invariant auditor). Both failures surface as structured
             // protocol errors — never panics — so a chaos run asserts
-            // on the evidence.
-            let breaches = self.checks.commit_epoch(cpu, order, &run.stores, self.tso.as_ref());
-            for msg in breaches.into_iter().flatten() {
+            // on the evidence: (1) the TSO store-flow identity, where
+            // a dropped buffer entry leaves a hole between the write
+            // log and the drain mirror; (2) the happens-before order
+            // of the committed write-set. The oracle folds the write
+            // log into its committed image.
+            let flow = (self.tso.as_ref())
+                .filter(|_| self.checks.auditing())
+                .and_then(|t| t.store_flow(cpu, &run.stores, &run.drained));
+            let hb = self.checks.commit_epoch(order, &run.stores);
+            for msg in [flow, hb].into_iter().flatten() {
                 self.serializability_breach(cpu, order, msg);
             }
             if let Some(vp) = &mut self.vp {
-                vp.commit(cpu, &run.stores);
+                vp.commit(&run.vloads, &run.stores);
             }
             emit!(self, EventKind::Commit, cpu, run, run.ops.len() as u64, 0);
             self.acct += run.ledger.commit();
@@ -1355,7 +1528,7 @@ impl<'p> Machine<'p> {
                     r.livelock_idx = None;
                 }
             }
-            Checks::after_commit(self, cpu, order);
+            self.audit_after_commit(cpu, order);
             self.next_commit += 1;
             // The homefree token moves to the next-oldest epoch.
             let committed = self.next_commit as u64;
@@ -1401,6 +1574,115 @@ impl<'p> Machine<'p> {
                 self.slots[cpu] = Slot::Running(Box::new(run));
             }
         }
+    }
+
+    /// Audits run after each rewind: the rewound sub-threads must leave
+    /// no speculative residue in the L2, and the structural invariants of
+    /// every running epoch must hold.
+    fn audit_after_rewind(&mut self, cpu: usize, sub: u8) {
+        self.audit_machine(None, "post-rewind", |l2| l2.audit_subthread_residue(cpu, sub));
+    }
+
+    /// Audits run as each epoch commits: commits happen in logical order
+    /// and the committing CPU leaves nothing speculative behind.
+    fn audit_after_commit(&mut self, cpu: usize, order: u32) {
+        let token = self.next_commit;
+        let out_of_order = (order != token).then(|| {
+            format!("out-of-order commit: epoch {order} committed while the token was at {token}")
+        });
+        self.audit_machine(out_of_order, "post-commit", |l2| l2.audit_cpu_clear(cpu));
+    }
+
+    /// Audit runs only: records `first`, then what the `stage` residue
+    /// audit of the L2 finds, then the structural invariants of every
+    /// running epoch that fail: strictly increasing checkpoints, ledger
+    /// buckets in lockstep with checkpoints, sane start-table entries,
+    /// per-epoch logs that end before the cursor, and latch bookkeeping
+    /// consistent with the global table.
+    fn audit_machine(
+        &mut self,
+        first: Option<String>,
+        stage: &str,
+        residue: impl FnOnce(&SpecL2) -> Vec<String>,
+    ) {
+        if !self.checks.auditing() {
+            return;
+        }
+        let mut failures: Vec<String> = first.into_iter().collect();
+        if self.cfg.track_dependences {
+            failures.extend(residue(&self.mem.l2).into_iter().map(|msg| format!("{stage}: {msg}")));
+        }
+        let contexts = self.cfg.subthreads.contexts;
+        for (cpu, s) in self.slots.iter().enumerate() {
+            let Slot::Running(run) = s else { continue };
+            if !run.checkpoints.windows(2).all(|w| w[0] < w[1]) {
+                failures.push(format!(
+                    "cpu {cpu}: checkpoints not strictly increasing: {:?}",
+                    run.checkpoints
+                ));
+            }
+            if run.checkpoints.len() > contexts.max(1) as usize {
+                failures.push(format!(
+                    "cpu {cpu}: {} live sub-threads exceed {contexts} contexts",
+                    run.checkpoints.len()
+                ));
+            }
+            if run.ledger.current() + 1 != run.checkpoints.len() {
+                failures.push(format!(
+                    "cpu {cpu}: {} ledger buckets for {} checkpoints",
+                    run.ledger.current() + 1,
+                    run.checkpoints.len()
+                ));
+            }
+            for ((sender, sub), local) in run.start_table.iter() {
+                // `local` may legitimately exceed the *current* sub-thread
+                // after a rewind (restart_point guards with `target > cur`),
+                // but every recorded value must be a valid context id from
+                // a real, different CPU.
+                if sender == cpu || sender >= self.cfg.cpus || sub >= contexts || local >= contexts
+                {
+                    failures.push(format!(
+                        "cpu {cpu}: corrupt start-table entry ({sender},{sub})->{local}"
+                    ));
+                }
+            }
+            // What a rewind undoes must leave the epoch's logs: a stale
+            // entry at or past the cursor would commit (or validate) an
+            // access the epoch is about to replay.
+            let logged = run.stores.iter().chain(&run.drained).map(|&(c, _, _)| c);
+            if let Some(c) = logged.chain(run.vloads.iter().map(|vl| vl.cursor)).max() {
+                if c >= run.cursor {
+                    failures.push(format!(
+                        "cpu {cpu}: logged access at op {c} is not before the cursor {}",
+                        run.cursor
+                    ));
+                }
+            }
+            if !self.chaos.latch_hazard {
+                for &(latch, _) in &run.held_latches {
+                    if self.latches.owner(latch) != Some(cpu) {
+                        failures.push(format!(
+                            "cpu {cpu}: held latch {latch:?} is not owned in the latch table"
+                        ));
+                    }
+                }
+            }
+        }
+        for f in failures {
+            self.checks.fail(self.cycle, f);
+        }
+    }
+
+    /// End-of-run checks. The auditor: with every epoch committed there
+    /// must be no speculative metadata or versions left anywhere in the
+    /// hierarchy. Then the differential oracle's sequential replay.
+    fn end_of_run_checks(&mut self) {
+        if self.checks.auditing() && self.cfg.track_dependences {
+            for msg in self.mem.l2.audit_quiescent() {
+                self.checks.fail(self.cycle, format!("end-of-run: {msg}"));
+            }
+        }
+        self.checks.oracle_replay(self.cycle, self.program);
     }
 
     fn finish(self) -> SimReport {

@@ -198,11 +198,12 @@ impl ValuePredictor {
 /// One exposed speculative load tracked by the value predictor: where
 /// it happened, what was predicted for it, and whether a conflicting
 /// store arrived (so the prediction is actually load-bearing and must
-/// validate at commit).
+/// validate at commit). A running epoch keeps its own, sorted by cursor
+/// and truncated on rewind exactly like its write log.
 #[derive(Debug, Clone, Copy)]
-struct VLoad {
+pub(crate) struct VLoad {
     /// Op index of the load within its epoch.
-    cursor: usize,
+    pub(crate) cursor: usize,
     /// The exact byte address — the value model's key.
     addr: Addr,
     /// The load's PC (commit-time training key).
@@ -215,15 +216,13 @@ struct VLoad {
 }
 
 /// Value prediction on the machine: the predictor, the value model's
-/// clock, the running epochs' tracked loads and the counters.
+/// clock and the counters. The tracked loads belong to each running
+/// epoch and are passed to every hook.
 #[derive(Debug)]
 pub(crate) struct ValueSpec {
     predictor: ValuePredictor,
     /// Committed stores per exact byte address (the value model's clock).
     commit_counts: HashMap<u64, u64>,
-    /// Per CPU: the running epoch's exposed speculative loads, sorted
-    /// by cursor and truncated on rewind exactly like its write log.
-    loads: Vec<Vec<VLoad>>,
     line_shift: u32,
     /// Suppressed RAW violations whose predictions validated correct.
     pub(crate) predicted_hits: u64,
@@ -237,25 +236,26 @@ impl ValueSpec {
         cfg.vpredict.enabled.then(|| ValueSpec {
             predictor: ValuePredictor::new(&cfg.vpredict),
             commit_counts: HashMap::new(),
-            loads: vec![Vec::new(); cfg.cpus],
             line_shift: cfg.l2.line_shift(),
             predicted_hits: 0,
             value_mispredicts: 0,
         })
     }
 
-    /// Dispatch hook: probes and tracks an exposed speculative load.
-    /// Timing-passive: the probe neither stalls nor accelerates it.
-    pub(crate) fn track(&mut self, cpu: usize, cursor: usize, addr: Addr, pc: Pc) {
+    /// Dispatch hook: probes the predictor for an exposed speculative
+    /// load at op `cursor` and tracks it in `loads`. Tracking is
+    /// timing-passive — the probe neither stalls nor accelerates the
+    /// load.
+    pub(crate) fn track(&mut self, loads: &mut Vec<VLoad>, cursor: usize, addr: Addr, pc: Pc) {
         let predicted = self.predictor.probe(pc);
-        self.loads[cpu].push(VLoad { cursor, addr, pc, predicted, conflicted: false });
+        loads.push(VLoad { cursor, addr, pc, predicted, conflicted: false });
     }
 
     /// Violation hook: a RAW violation on L2 `line` is suppressed when
     /// every load the victim tracked on that line was predicted; the
     /// guess is settled at commit. One unpredicted load and it stands.
-    pub(crate) fn suppress(&mut self, cpu: usize, line: Addr) -> bool {
-        let (shift, loads) = (self.line_shift, &mut self.loads[cpu]);
+    pub(crate) fn suppress(&self, loads: &mut [VLoad], line: Addr) -> bool {
+        let shift = self.line_shift;
         let on_line = |vl: &VLoad| vl.addr.align_down(shift) == line.align_down(shift);
         if !loads.iter().any(on_line)
             || loads.iter().any(|vl| on_line(vl) && vl.predicted.is_none())
@@ -269,34 +269,46 @@ impl ValueSpec {
     }
 
     /// Rewind hook: forget the loads at or after op `cursor`.
-    pub(crate) fn rewind(&mut self, cpu: usize, cursor: usize) {
-        let keep = self.loads[cpu].partition_point(|vl| vl.cursor < cursor);
-        self.loads[cpu].truncate(keep);
+    pub(crate) fn rewind(loads: &mut Vec<VLoad>, cursor: usize) {
+        let keep = loads.partition_point(|vl| vl.cursor < cursor);
+        loads.truncate(keep);
     }
 
-    /// Commit hook, settlement: the deferred violation for the earliest
-    /// load-bearing prediction of epoch `order` the value model (exact
-    /// now) disproves, aimed at the sub-thread that performed the load.
+    /// Commit hook, settlement: checks the load-bearing predictions of
+    /// epoch `order` (next-to-commit and finished, on `cpu`) against the
+    /// value model, exact now. Returns the deferred violation for the
+    /// *earliest* wrong one, targeting the sub-thread that performed the
+    /// load — everything before it consumed validated values and
+    /// survives the rewind.
     pub(crate) fn validate(
         &self,
+        loads: &[VLoad],
         cpu: usize,
         order: u32,
         checkpoints: &[usize],
     ) -> Option<PendingViolation> {
-        let wrong = self.loads[cpu].iter().filter(|vl| vl.conflicted).find(|vl| {
+        let wrong = loads.iter().filter(|vl| vl.conflicted).find(|vl| {
             let predicted = vl.predicted.expect("conflicted implies predicted");
             predicted != value_model(vl.addr, self.stores_to(vl.addr))
         })?;
         let sub = (checkpoints.partition_point(|&c| c <= wrong.cursor) - 1) as u8;
-        let (kind, line) = (ViolationKind::ValueMispredict, wrong.addr.align_down(self.line_shift));
-        Some(PendingViolation { cpu, sub, order, kind, line, store_pc: None })
+        Some(PendingViolation {
+            cpu,
+            sub,
+            order,
+            kind: ViolationKind::ValueMispredict,
+            line: wrong.addr.align_down(self.line_shift),
+            store_pc: None,
+        })
     }
 
-    /// Commit hook, training: the conflicted predictions validated, so
-    /// they count as hits; every tracked load trains the predictor, and
-    /// the epoch's write log advances the value model's store counts.
-    pub(crate) fn commit(&mut self, cpu: usize, stores: &[(usize, Addr, u8)]) {
-        for vl in std::mem::take(&mut self.loads[cpu]) {
+    /// Commit hook, training. Every conflicted prediction validated
+    /// correct: the would-be RAW violations are now silent hits. Trains
+    /// on all tracked loads (hits and untaken predictions alike), then
+    /// advances the value model's per-address store counts by the
+    /// epoch's write log.
+    pub(crate) fn commit(&mut self, loads: &[VLoad], stores: &[(usize, Addr, u8)]) {
+        for vl in loads {
             self.predictor.train(vl.pc, value_model(vl.addr, self.stores_to(vl.addr)));
             self.predicted_hits += vl.conflicted as u64;
         }
