@@ -87,6 +87,7 @@ impl L1Data {
 
     /// [`read`](L1Data::read) with the current sub-thread recorded, for
     /// machines with sub-thread-aware L1 invalidation.
+    #[inline]
     pub fn read_sub(&mut self, addr: Addr, speculative: bool, sub: u8) -> L1ReadOutcome {
         let line = self.params.line_addr(addr).0;
         let set = self.params.set_index(addr);

@@ -34,9 +34,21 @@ pub enum Inserted<K, V> {
 ///
 /// Not a timing model: time enters only through the monotonically
 /// increasing use counter used for LRU ordering.
+///
+/// A set gets storage only when it is first filled: all sets share one
+/// slab of `ways`-slot chunks, and a zeroed index maps each set to its
+/// chunk. Building or dropping a large, sparsely used array (the 16,384
+/// sets of a 2 MB L2 for a run that touches a few hundred lines) then
+/// costs a few allocations instead of one per set. A set's resident
+/// entries are the `Some` prefix of its chunk, kept in the order a
+/// per-set `Vec` would hold them (push, swap-remove, in-order retain).
 #[derive(Debug, Clone)]
 pub struct SetAssoc<K, V> {
-    sets: Vec<Vec<Entry<K, V>>>,
+    /// Per set, 1 + the index of its chunk in `slab`, or 0 while the set
+    /// has never been filled.
+    chunk_of: Vec<u32>,
+    /// `ways` slots per chunk, chunks in first-fill order.
+    slab: Vec<Option<Entry<K, V>>>,
     ways: usize,
     tick: u64,
 }
@@ -46,15 +58,17 @@ impl<K: Copy + Eq + Debug, V> SetAssoc<K, V> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero.
+    /// Panics if `sets` or `ways` is zero, or if `sets` does not fit a
+    /// `u32`.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have at least one set and way");
-        SetAssoc { sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(), ways, tick: 0 }
+        assert!(u32::try_from(sets).is_ok(), "cache has more than u32::MAX sets");
+        SetAssoc { chunk_of: vec![0; sets], slab: Vec::new(), ways, tick: 0 }
     }
 
     /// Number of sets.
     pub fn sets(&self) -> usize {
-        self.sets.len()
+        self.chunk_of.len()
     }
 
     /// Ways per set.
@@ -67,17 +81,32 @@ impl<K: Copy + Eq + Debug, V> SetAssoc<K, V> {
         self.tick
     }
 
+    /// The slots of `set`'s chunk (empty for a set never filled).
+    fn slots(&self, set: usize) -> &[Option<Entry<K, V>>] {
+        match self.chunk_of[set] as usize {
+            0 => &[],
+            c => &self.slab[(c - 1) * self.ways..c * self.ways],
+        }
+    }
+
+    fn slots_mut(&mut self, set: usize) -> &mut [Option<Entry<K, V>>] {
+        match self.chunk_of[set] as usize {
+            0 => &mut [],
+            c => &mut self.slab[(c - 1) * self.ways..c * self.ways],
+        }
+    }
+
     /// Looks up `key` in `set`, refreshing its recency on hit.
     pub fn probe(&mut self, set: usize, key: K) -> Option<&mut V> {
         let stamp = self.bump();
-        let entry = self.sets[set].iter_mut().find(|e| e.key == key)?;
+        let entry = self.slots_mut(set).iter_mut().flatten().find(|e| e.key == key)?;
         entry.stamp = stamp;
         Some(&mut entry.value)
     }
 
     /// Looks up `key` without updating recency (for monitoring / asserts).
     pub fn peek(&self, set: usize, key: K) -> Option<&V> {
-        self.sets[set].iter().find(|e| e.key == key).map(|e| &e.value)
+        self.slots(set).iter().flatten().find(|e| e.key == key).map(|e| &e.value)
     }
 
     /// Finds the first entry of `set` matching `pred` in a single scan,
@@ -88,10 +117,12 @@ impl<K: Copy + Eq + Debug, V> SetAssoc<K, V> {
     /// [`probe`](SetAssoc::probe) of the found key, but walks the set
     /// once instead of twice.
     pub fn touch_where(&mut self, set: usize, mut pred: impl FnMut(&K) -> bool) -> Option<K> {
-        let entry = self.sets[set].iter_mut().find(|e| pred(&e.key))?;
-        self.tick += 1;
-        entry.stamp = self.tick;
-        Some(entry.key)
+        let tick = self.tick + 1;
+        let entry = self.slots_mut(set).iter_mut().flatten().find(|e| pred(&e.key))?;
+        entry.stamp = tick;
+        let key = entry.key;
+        self.tick = tick;
+        Some(key)
     }
 
     /// Inserts `key → value`, evicting the least-recently-used entry for
@@ -112,24 +143,28 @@ impl<K: Copy + Eq + Debug, V> SetAssoc<K, V> {
         value: V,
         mut may_evict: impl FnMut(&K, &V) -> bool,
     ) -> Inserted<K, V> {
-        assert!(
-            self.sets[set].iter().all(|e| e.key != key),
-            "duplicate insert of key {key:?} into set {set}"
-        );
+        assert!(self.peek(set, key).is_none(), "duplicate insert of key {key:?} into set {set}");
         let stamp = self.bump();
-        if self.sets[set].len() < self.ways {
-            self.sets[set].push(Entry { key, value, stamp });
+        if self.chunk_of[set] == 0 {
+            self.slab.resize_with(self.slab.len() + self.ways, || None);
+            // Chunks never outnumber sets, whose count `new` bounds.
+            self.chunk_of[set] = (self.slab.len() / self.ways) as u32;
+        }
+        let slots = self.slots_mut(set);
+        if let Some(free) = slots.iter_mut().find(|s| s.is_none()) {
+            *free = Some(Entry { key, value, stamp });
             return Inserted::Placed;
         }
-        let victim = self.sets[set]
+        let victim = slots
             .iter()
+            .flatten()
             .enumerate()
             .filter(|(_, e)| may_evict(&e.key, &e.value))
             .min_by_key(|(_, e)| e.stamp)
             .map(|(i, _)| i);
         match victim {
             Some(i) => {
-                let old = std::mem::replace(&mut self.sets[set][i], Entry { key, value, stamp });
+                let old = slots[i].replace(Entry { key, value, stamp }).expect("full set");
                 Inserted::Evicted(old.key, old.value)
             }
             None => Inserted::SetFull,
@@ -141,32 +176,48 @@ impl<K: Copy + Eq + Debug, V> SetAssoc<K, V> {
         self.insert_with(set, key, value, |_, _| true)
     }
 
-    /// Removes and returns the entry for `key`, if resident.
+    /// Removes and returns the entry for `key`, if resident. The set's
+    /// last entry takes the removed one's place.
     pub fn remove(&mut self, set: usize, key: K) -> Option<V> {
-        let i = self.sets[set].iter().position(|e| e.key == key)?;
-        Some(self.sets[set].swap_remove(i).value)
+        let slots = self.slots_mut(set);
+        let i = slots.iter().flatten().position(|e| e.key == key)?;
+        let last = slots.iter().flatten().count() - 1;
+        slots.swap(i, last);
+        slots[last].take().map(|e| e.value)
     }
 
-    /// Drops every entry for which the predicate returns false.
+    /// Drops every entry for which the predicate returns false, visiting
+    /// sets in order and each set's entries in order.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
-        for set in &mut self.sets {
-            set.retain_mut(|e| keep(&e.key, &mut e.value));
+        for set in 0..self.sets() {
+            let slots = self.slots_mut(set);
+            let mut kept = 0;
+            for i in 0..slots.len() {
+                let Some(e) = &mut slots[i] else { break };
+                if keep(&e.key, &mut e.value) {
+                    slots.swap(kept, i);
+                    kept += 1;
+                } else {
+                    slots[i] = None;
+                }
+            }
         }
     }
 
-    /// Iterates over all resident `(set, key, value)` triples.
+    /// Iterates over all resident `(set, key, value)` triples, set by set.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &K, &V)> + '_ {
-        self.sets.iter().enumerate().flat_map(|(s, v)| v.iter().map(move |e| (s, &e.key, &e.value)))
+        (0..self.sets())
+            .flat_map(move |s| self.slots(s).iter().flatten().map(move |e| (s, &e.key, &e.value)))
     }
 
     /// Mutable iteration over all resident entries of one set.
     pub fn set_iter_mut(&mut self, set: usize) -> impl Iterator<Item = (&K, &mut V)> + '_ {
-        self.sets[set].iter_mut().map(|e| (&e.key, &mut e.value))
+        self.slots_mut(set).iter_mut().flatten().map(|e| (&e.key, &mut e.value))
     }
 
     /// Number of resident entries across all sets.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.slab.iter().flatten().count()
     }
 
     /// True if nothing is resident.
@@ -176,7 +227,7 @@ impl<K: Copy + Eq + Debug, V> SetAssoc<K, V> {
 
     /// Number of resident entries in one set.
     pub fn set_len(&self, set: usize) -> usize {
-        self.sets[set].len()
+        self.slots(set).iter().flatten().count()
     }
 }
 

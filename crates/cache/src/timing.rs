@@ -115,6 +115,7 @@ impl MshrFile {
 
     /// Retires entries whose miss completed at or before `cycle`, then
     /// reports whether a new miss can be accepted.
+    #[inline]
     pub fn can_accept(&mut self, cycle: u64) -> bool {
         self.completions.retain(|&c| c > cycle);
         let ok = self.completions.len() < self.capacity;

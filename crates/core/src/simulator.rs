@@ -545,7 +545,10 @@ struct Machine<'p> {
     subthreads_started: u64,
     subthread_merges: u64,
     profiler: DependenceProfiler,
-    predictor: DependencePredictor,
+    /// The §1.2 synchronizing dependence predictor; absent when
+    /// `cfg.predictor.enabled` is off, so nothing trains a table that
+    /// nothing reads.
+    predictor: Option<DependencePredictor>,
     /// Violation storms flagged by the forward-progress watchdog.
     livelocks: Vec<LivelockReport>,
     /// Reused buffer of secondary violations: `(cpu, epoch, target sub)`.
@@ -619,7 +622,7 @@ impl<'p> Machine<'p> {
             subthreads_started: 0,
             subthread_merges: 0,
             profiler: DependenceProfiler::new(1024),
-            predictor: DependencePredictor::new(&cfg.predictor),
+            predictor: cfg.predictor.enabled.then(|| DependencePredictor::new(&cfg.predictor)),
             livelocks: Vec::new(),
             later_scratch: Vec::new(),
             skip_quiet: opts.fast_forward,
@@ -1018,7 +1021,7 @@ impl<'p> Machine<'p> {
         // the loop calls `&mut self` methods, after which the compiler
         // must reload any field of `self` it reads again.
         let (tso, vp, log_stores) = (self.tso.is_some(), self.vp.is_some(), self.log_stores);
-        let (now, sync_predictor) = (self.cycle, self.cfg.predictor.enabled);
+        let (now, sync_predictor) = (self.cycle, self.predictor.is_some());
         let contexts = self.cfg.subthreads.contexts;
         let merge = contexts >= 2 && self.cfg.subthreads.exhaustion == ExhaustionPolicy::Merge;
 
@@ -1135,17 +1138,16 @@ impl<'p> Machine<'p> {
                         // inside an escaped critical section: the thread
                         // holds a latch the older threads may need, and
                         // escaped operations are not speculative anyway.
-                        if sync_predictor
-                            && speculative
-                            && run.held_latches.is_empty()
-                            && self.predictor.predicts_violation(op.pc())
-                        {
-                            if run.last_sync_cursor != Some(run.cursor) {
-                                run.last_sync_cursor = Some(run.cursor);
-                                self.predictor.note_synchronization();
+                        if sync_predictor && speculative && run.held_latches.is_empty() {
+                            let predictor = self.predictor.as_mut();
+                            if let Some(p) = predictor.filter(|p| p.predicts_violation(op.pc())) {
+                                if run.last_sync_cursor != Some(run.cursor) {
+                                    run.last_sync_cursor = Some(run.cursor);
+                                    p.note_synchronization();
+                                }
+                                run.waiting_sync = true;
+                                break;
                             }
-                            run.waiting_sync = true;
-                            break;
                         }
                     }
                     if log_stores {
@@ -1326,8 +1328,8 @@ impl<'p> Machine<'p> {
                     Slot::Running(r) => r.ledger.cycles_since(v.sub as usize),
                     Slot::Free => 0,
                 };
-                if let Some(pc) = raw_load_pc {
-                    self.predictor.train(pc);
+                if let (Some(p), Some(pc)) = (&mut self.predictor, raw_load_pc) {
+                    p.train(pc);
                 }
                 self.profiler.attribute(raw_load_pc, v.store_pc, cycles);
             }
@@ -1733,7 +1735,10 @@ impl<'p> Machine<'p> {
             mem_accesses: self.mem.l2.mem_accesses(),
             core,
             latch_acquisitions: self.latches.acquisitions(),
-            predictor_synchronizations: self.predictor.synchronizations(),
+            predictor_synchronizations: self
+                .predictor
+                .as_ref()
+                .map_or(0, DependencePredictor::synchronizations),
             predicted_hits: vp.map_or(0, |v| v.predicted_hits),
             value_mispredicts: vp.map_or(0, |v| v.value_mispredicts),
             buffered_stores: tso.map_or(0, |t| t.buffered_stores),

@@ -123,6 +123,7 @@ impl Core {
     }
 
     /// Starts a new cycle. Cycles must be non-decreasing.
+    #[inline]
     pub fn begin_cycle(&mut self, cycle: u64) {
         debug_assert!(cycle >= self.cur_cycle, "time ran backwards");
         self.cur_cycle = cycle;
@@ -132,6 +133,7 @@ impl Core {
     /// True if another instruction may dispatch this cycle: issue width
     /// not exhausted, ROB space available, and the front end is not
     /// refilling after a mispredict or flush.
+    #[inline]
     pub fn can_dispatch(&self) -> bool {
         self.dispatched_this_cycle < self.cfg.issue_width
             && self.rob.len() < self.cfg.rob_entries
@@ -225,6 +227,7 @@ impl Core {
     }
 
     /// Retires completed instructions in order, up to the issue width.
+    #[inline]
     pub fn retire(&mut self) -> RetireResult {
         let mut retired = 0;
         while retired < self.cfg.issue_width {

@@ -57,6 +57,7 @@ impl Gshare {
     /// Predicts the branch at `pc`, then updates the counter and global
     /// history with the actual outcome. Returns whether the *prediction*
     /// was correct.
+    #[inline]
     pub fn predict_and_update(&mut self, pc: Pc, taken: bool) -> bool {
         let i = self.index(pc);
         let predicted_taken = self.counters[i] >= 2;

@@ -60,6 +60,7 @@ impl ICache {
 
     /// Fetches the instruction at `pc`. Returns true if the fetch hit
     /// (or stayed within the currently-streaming line).
+    #[inline]
     pub fn fetch(&mut self, pc: Pc) -> bool {
         let line = Self::line_of(pc);
         if line == self.last_line {

@@ -26,6 +26,7 @@ impl FuPorts {
     /// Books the earliest-available port for an op that is ready at
     /// `ready` and occupies the port for `occupancy` cycles. Returns the
     /// cycle execution starts.
+    #[inline]
     pub fn book(&mut self, ready: u64, occupancy: u64) -> u64 {
         let port =
             self.next_free.iter_mut().min_by_key(|c| **c).expect("port group is never empty");

@@ -277,16 +277,19 @@ impl TraceOp {
     }
 
     /// The synthetic program counter of this op.
+    #[inline]
     pub fn pc(&self) -> Pc {
         Pc(self.pc)
     }
 
     /// The dependence distance; 0 means no modeled dependence.
+    #[inline]
     pub fn dep(&self) -> u16 {
         self.dep
     }
 
     /// Decodes the packed representation.
+    #[inline]
     pub fn kind(&self) -> OpKind {
         match self.class {
             CLASS_INT => OpKind::IntAlu { latency: self.arg },
