@@ -11,6 +11,10 @@ use tls_trace::Addr;
 ///
 /// Addresses start at 64 so that 0 can serve as a null page id / null
 /// pointer in on-"disk" structures.
+///
+/// The image reserves 64 MiB of capacity (`RESERVE`) on its first
+/// allocation: only the pages it has written are resident, and it never
+/// moves while it grows within the reservation.
 #[derive(Debug, Clone)]
 pub struct SimMemory {
     data: Vec<u8>,
@@ -18,6 +22,16 @@ pub struct SimMemory {
 }
 
 const BASE: u64 = 64;
+
+/// Capacity an image reserves on its first allocation: 64 MiB, above the
+/// 32 MiB ceiling of glibc's dynamic mmap threshold, so the allocator
+/// always serves it with a fresh anonymous mapping and unmaps it on drop.
+/// An image that grew by doubling inside a worker thread's malloc arena
+/// would leave freed multi-megabyte blocks there, and how much of them
+/// stays resident depends on which thread recorded which trace: peak RSS
+/// would vary by several MB between identical runs. Images larger than
+/// the reservation (paper-scale TPC-C, ~92 MB) double from it.
+const RESERVE: usize = 64 << 20;
 
 impl SimMemory {
     /// An empty memory image.
@@ -40,6 +54,9 @@ impl SimMemory {
 
     fn ensure(&mut self, end: u64) {
         if (self.data.len() as u64) < end {
+            if self.data.capacity() == 0 {
+                self.data.reserve_exact(RESERVE);
+            }
             self.data.resize(end as usize, 0);
         }
     }
