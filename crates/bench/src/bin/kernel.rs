@@ -1,23 +1,21 @@
-//! Kernel microbenchmarks: host cost of the simulator's hot paths,
-//! written to `BENCH_kernel.json` so future PRs can spot kernel
-//! regressions without re-deriving a measurement protocol.
+//! Kernel microbenchmarks: the host cost of single simulator and store
+//! operations, written to `BENCH_kernel.json`.
 //!
-//! Three layers are measured:
+//! Every figure is ns per operation on a warm structure, timed outside
+//! any whole-machine run:
 //!
-//! 1. **`SpecL2` accesses** — ns/op for speculative reads and writes
-//!    against a resident working set (the per-memory-op cost of the
-//!    protocol engine).
-//! 2. **Commit/rewind** — ns/op for a full speculative-epoch lifecycle
-//!    (touch lines, then commit or rewind them).
-//! 3. **Whole-machine runs** — simulated Mcycles per host-second on
-//!    synthetic programs, with idle-cycle fast-forward on vs off. The
-//!    `ff_speedup` ratio is the direct before/after of the fast-forward
-//!    optimization; the reports are asserted identical both ways. Each
-//!    run is also timed with an [`Observer`] attached
-//!    (`mcycles_per_host_s_obs_on` / `obs_overhead`) — the observed
-//!    report is asserted identical too, and the overhead column is the
-//!    evidence behind the "<3% with the sink on" claim in
-//!    `EXPERIMENTS.md`.
+//! 1. **`SpecL2`**: speculative reads and writes against a resident
+//!    working set, and the touch-then-commit / touch-then-rewind epoch
+//!    lifecycle.
+//! 2. **Pager**: buffer-pool pins and full REDO recovery per crash point
+//!    on the recovery-oracle workload (asserted green).
+//! 3. **Trace store**: owned decode vs zero-copy map of one recorded
+//!    snapshot (asserted to yield the same program).
+//! 4. **Value predictor**: train, probe and commit-time validation.
+//! 5. **Store buffer**: push, forward and a full 32-entry drain.
+//!
+//! Whole-machine throughput is measured by the repository benchmark
+//! (`BENCHMARK.json`), with repeated samples and calibrated bounds.
 //!
 //! Usage: `kernel [--out PATH]` (default `BENCH_kernel.json`).
 
@@ -25,32 +23,14 @@
 
 use serde::Serialize;
 use std::time::Instant;
-use tls_core::synthetic::{shared_dependences, Dependence};
-use tls_core::{
-    AccessCtx, CmpConfig, CmpSimulator, L2Outcome, Observer, RunOptions, SpacingPolicy, SpecL2,
-};
-use tls_trace::{Addr, OpSink, Pc, ProgramBuilder, TraceProgram};
+use tls_core::{AccessCtx, CmpConfig, L2Outcome, SpecL2};
+use tls_trace::{Addr, Pc};
 
 #[derive(Serialize)]
 struct OpBench {
     name: &'static str,
     ns_per_op: f64,
     ops: u64,
-}
-
-#[derive(Serialize)]
-struct RunBench {
-    name: &'static str,
-    sim_cycles: u64,
-    mcycles_per_host_s_ff_on: f64,
-    mcycles_per_host_s_ff_off: f64,
-    ff_speedup: f64,
-    /// Throughput with an event sink + metrics recorder attached
-    /// (fast-forward on). The observed report is asserted identical.
-    mcycles_per_host_s_obs_on: f64,
-    /// Host-time cost of observation: obs-on wall time over plain wall
-    /// time (1.00 = free; the acceptance bar is <= 1.03).
-    obs_overhead: f64,
 }
 
 #[derive(Serialize)]
@@ -66,24 +46,6 @@ struct PagerBench {
     crash_points: u64,
     /// The run's buffer-pool counters.
     counters: tls_minidb::PagerCounters,
-}
-
-#[derive(Serialize)]
-struct WorkloadCompilerBench {
-    /// Spec compiled (the example spec the suite's `workload` plan runs).
-    spec: &'static str,
-    /// Host ms for one full compile (two recordings: plain + TLS).
-    compile_ms: f64,
-    /// Recorded ops per host-second across both recordings.
-    ops_per_host_s: f64,
-    /// Total ops of the `(plain, tls)` pair.
-    program_ops: u64,
-    /// Speculative scan epochs the TLS recording carries.
-    scan_epochs: u64,
-    /// Ops inside those epochs.
-    scan_epoch_ops: u64,
-    /// Simulated Mcycles per host-second running the TLS recording.
-    sim_mcycles_per_host_s: f64,
 }
 
 #[derive(Serialize)]
@@ -107,12 +69,6 @@ struct TraceStoreBench {
     mmap_ops_per_s: f64,
     /// decode time over map time for the same snapshot.
     mmap_speedup: f64,
-    /// Grid points of the timed warm sweep below.
-    sweep_points: usize,
-    /// Batched sweep throughput at test scale, trace snapshots warm but
-    /// report cache cold — so this times map-once + simulate, the
-    /// engine's steady state on new grids.
-    sweep_points_per_hour: f64,
 }
 
 #[derive(Serialize)]
@@ -124,20 +80,6 @@ struct VpredictBench {
     /// ns per commit-time validation (synthetic value-model evaluation
     /// plus the predicted-value comparison).
     ns_per_validate: f64,
-    /// Simulated cycles of the collider program, predictor off.
-    sim_cycles_off: u64,
-    /// Simulated cycles with the Prophet-style predictor on (lower:
-    /// suppressed RAWs stop burning failed cycles).
-    sim_cycles_on: u64,
-    mcycles_per_host_s_off: f64,
-    mcycles_per_host_s_on: f64,
-    /// Host wall-time ratio on/off for the same program (the price of
-    /// probe + train + validate inside the simulation loop).
-    host_overhead: f64,
-    /// Suppressed RAWs that validated at commit in the measured run.
-    predicted_hits: u64,
-    /// Suppressions that failed validation and rewound.
-    value_mispredicts: u64,
 }
 
 #[derive(Serialize)]
@@ -149,39 +91,15 @@ struct MembufBench {
     ns_per_forwarded_load: f64,
     /// ns per full drain of a 32-entry buffer (fill + pop to empty).
     ns_per_full_drain: f64,
-    /// Simulated cycles of the RMW collider on the SC baseline.
-    sim_cycles_sc: u64,
-    /// Simulated cycles under `MemoryModel::Tso { buffer_entries: 8 }`.
-    sim_cycles_tso: u64,
-    mcycles_per_host_s_sc: f64,
-    mcycles_per_host_s_tso: f64,
-    /// Host wall-time ratio tso/sc for the same program (the price of
-    /// buffer probes + the drain engine inside the simulation loop).
-    host_overhead: f64,
-    /// Stores buffered in the measured TSO run (must be nonzero).
-    buffered_stores: u64,
-    /// Loads forwarded from the buffer in the measured TSO run.
-    forwarded_loads: u64,
-    /// Drain-stall cycles of the measured TSO run.
-    drain_stall_cycles: u64,
 }
 
 #[derive(Serialize)]
 struct KernelBench {
     ops: Vec<OpBench>,
-    runs: Vec<RunBench>,
     pager: PagerBench,
-    workload: WorkloadCompilerBench,
     trace_store: TraceStoreBench,
     vpredict: VpredictBench,
     membuf: MembufBench,
-}
-
-fn machine() -> CmpConfig {
-    let mut c = CmpConfig::paper_default();
-    c.subthreads.spacing = SpacingPolicy::EvenDivision;
-    c.max_cycles = 500_000_000;
-    c
 }
 
 /// Median-of-samples wall time for `f`, in seconds.
@@ -281,83 +199,6 @@ fn bench_commit_rewind(cfg: &CmpConfig) -> Vec<OpBench> {
     ]
 }
 
-/// A dependence-free compute-heavy program (the dispatch-bound regime).
-fn compute_heavy(epochs: usize, ops: usize) -> TraceProgram {
-    let mut b = ProgramBuilder::new("kernel-compute");
-    b.begin_parallel();
-    for e in 0..epochs {
-        b.begin_epoch();
-        for i in 0..ops {
-            let pc = Pc::new(e as u16, (i % 64) as u16);
-            match i % 5 {
-                0 => b.load(pc, Addr(0x1_0000 + e as u64 * 4096 + (i as u64 % 64) * 8), 8),
-                1 => b.branch(pc, i % 3 == 0),
-                _ => b.int_alu(pc),
-            }
-        }
-        b.end_epoch();
-    }
-    b.end_parallel();
-    b.finish()
-}
-
-/// A miss-heavy program: strided loads far apart, so cores spend most
-/// cycles waiting on 75-cycle memory fills (the fast-forward regime).
-fn memory_bound(epochs: usize, loads: usize) -> TraceProgram {
-    let mut b = ProgramBuilder::new("kernel-membound");
-    b.begin_parallel();
-    for e in 0..epochs {
-        b.begin_epoch();
-        for i in 0..loads {
-            let pc = Pc::new(e as u16, (i % 64) as u16);
-            // Distinct lines, > L2 apart in the steady state.
-            b.load(pc, Addr(0x100_0000 + (e as u64 * loads as u64 + i as u64) * 4096), 8);
-            b.int_alu(pc);
-        }
-        b.end_epoch();
-    }
-    b.end_parallel();
-    b.finish()
-}
-
-fn bench_run(name: &'static str, program: &TraceProgram) -> RunBench {
-    let cfg = machine();
-    let opts_on = RunOptions { audit: false, oracle: false, ..RunOptions::default() };
-    let opts_off = RunOptions { fast_forward: false, ..opts_on.clone() };
-
-    let on = CmpSimulator::new(cfg).run_with(program, opts_on.clone());
-    let off = CmpSimulator::new(cfg).run_with(program, opts_off.clone());
-    let (a, b) = (serde_json::to_string(&on).unwrap(), serde_json::to_string(&off).unwrap());
-    assert_eq!(a, b, "{name}: fast-forward changed the report");
-    let mut observer = Observer::with_defaults(cfg.cpus);
-    let observed =
-        CmpSimulator::new(cfg).run_observed(program, opts_on.clone(), Some(&mut observer));
-    assert_eq!(
-        a,
-        serde_json::to_string(&observed).unwrap(),
-        "{name}: observation changed the report"
-    );
-
-    let cycles = on.total_cycles;
-    let s_on = time_s(5, || CmpSimulator::new(cfg).run_with(program, opts_on.clone()));
-    let s_off = time_s(5, || CmpSimulator::new(cfg).run_with(program, opts_off.clone()));
-    // One observer reused across samples: the ring overwrites in place,
-    // so the measurement captures the steady-state hook cost rather
-    // than a fresh 40 MB ring allocation per run.
-    let mut obs = Observer::with_defaults(cfg.cpus);
-    let s_obs =
-        time_s(5, || CmpSimulator::new(cfg).run_observed(program, opts_on.clone(), Some(&mut obs)));
-    RunBench {
-        name,
-        sim_cycles: cycles,
-        mcycles_per_host_s_ff_on: cycles as f64 / 1e6 / s_on,
-        mcycles_per_host_s_ff_off: cycles as f64 / 1e6 / s_off,
-        ff_speedup: s_off / s_on,
-        mcycles_per_host_s_obs_on: cycles as f64 / 1e6 / s_obs,
-        obs_overhead: s_obs / s_on,
-    }
-}
-
 /// Host cost of the MiniDB buffer-pool hot paths: pin/miss/evict
 /// traffic from the recovery-oracle workload, plus full REDO recovery
 /// per crash point. Every crash point is also *checked* — a red oracle
@@ -384,40 +225,8 @@ fn bench_pager() -> PagerBench {
     }
 }
 
-/// Host cost of the declarative-workload compiler: spec → `(plain, tls)`
-/// trace pair, plus the simulator's throughput on the compiled TLS
-/// recording. The scan-epoch counters are asserted non-zero — a compile
-/// that stopped parallelizing scans would report a timing for the wrong
-/// program.
-fn bench_workload_compiler() -> WorkloadCompilerBench {
-    use tls_harness::workload::{compile, WorkloadSpec};
-    use tls_trace::SCAN_LOOP_MODULE;
-
-    let spec = WorkloadSpec::example();
-    let compile_secs = time_s(3, || compile(&spec));
-    let c = compile(&spec);
-    let program_ops = (c.plain.total_ops() + c.tls.total_ops()) as u64;
-    let (scan_epochs, scan_epoch_ops) = c.tls.epochs_of_module(SCAN_LOOP_MODULE);
-    assert!(scan_epochs > 0, "example spec must compile speculative scan epochs");
-
-    let cfg = machine();
-    let opts = RunOptions { audit: false, oracle: false, ..RunOptions::default() };
-    let rep = CmpSimulator::new(cfg).run_with(&c.tls, opts.clone());
-    let sim_secs = time_s(3, || CmpSimulator::new(cfg).run_with(&c.tls, opts.clone()));
-    WorkloadCompilerBench {
-        spec: "example",
-        compile_ms: compile_secs * 1e3,
-        ops_per_host_s: program_ops as f64 / compile_secs,
-        program_ops,
-        scan_epochs,
-        scan_epoch_ops,
-        sim_mcycles_per_host_s: rep.total_cycles as f64 / 1e6 / sim_secs,
-    }
-}
-
 /// Host cost of the snapshot read paths, owned decode vs zero-copy map,
-/// on a real recorded benchmark — plus the batched sweep engine's
-/// points/hour at test scale. Both decoders are verified against each
+/// on a real recorded benchmark. Both decoders are verified against each
 /// other before timing: a fast path serving different ops would be a
 /// timing for the wrong data.
 fn bench_trace_store() -> TraceStoreBench {
@@ -425,7 +234,6 @@ fn bench_trace_store() -> TraceStoreBench {
     use tls_harness::codec::{decode_pair_file, program_bytes};
     use tls_harness::mapped::{MapOutcome, TraceView};
     use tls_harness::store::{HarnessStore, StoredPrograms, TraceKey};
-    use tls_harness::sweep::{run_sweep, SweepOptions, SweepPlan, SweepSpec};
     use tls_harness::Scale;
     use tls_minidb::Transaction;
 
@@ -464,34 +272,6 @@ fn bench_trace_store() -> TraceStoreBench {
         other => panic!("snapshot stopped mapping: {other:?}"),
     });
 
-    // Sweep throughput: snapshots warm, report cache cold — every point
-    // simulates, no point re-decodes.
-    let grid = r#"{
-        "name": "kernel",
-        "benchmark": "payment",
-        "count": 1,
-        "seeds": [1, 2],
-        "spacings": [1000, 2500, 5000, 10000],
-        "contexts": [2, 4],
-        "mem_latencies": [50, 75]
-    }"#;
-    let plan = SweepPlan::new(SweepSpec::parse(grid).expect("grid parses"), Scale::Test);
-    let opts = SweepOptions {
-        scale: Scale::Test,
-        jobs: 1,
-        out_dir: dir.join("out"),
-        trace_dir: Some(traces.clone()),
-        baseline_sample: 0,
-        quiet: true,
-        ..SweepOptions::default()
-    };
-    run_sweep(&plan, &opts).expect("prewarm sweep"); // record both seeds
-    let _ = std::fs::remove_dir_all(traces.join("reports"));
-    let _ = std::fs::remove_file(opts.out_dir.join("sweep_kernel.jsonl"));
-    let out = run_sweep(&plan, &opts).expect("timed sweep");
-    let sweep_points = out.executed_points;
-    let sweep_pph = 3600.0 * sweep_points as f64 / out.wall_s.max(1e-9);
-
     let _ = std::fs::remove_dir_all(&dir);
     TraceStoreBench {
         trace_ops,
@@ -501,17 +281,11 @@ fn bench_trace_store() -> TraceStoreBench {
         mmap_ns_per_op: mmap_secs * 1e9 / trace_ops as f64,
         mmap_ops_per_s: trace_ops as f64 / mmap_secs,
         mmap_speedup: decode_secs / mmap_secs,
-        sweep_points,
-        sweep_points_per_hour: sweep_pph,
     }
 }
 
 /// Host cost of the value-prediction paths: the predictor's train and
-/// probe table operations, the commit-time validation kernel, and the
-/// whole-machine throughput delta on a cross-epoch RMW collider whose
-/// shared value the last-value predictor learns. The collider run
-/// asserts `predicted_hits > 0` — a predictor that stopped suppressing
-/// would make the on/off delta a timing of nothing.
+/// probe table operations and the commit-time validation kernel.
 fn bench_vpredict() -> VpredictBench {
     use tls_core::{value_model, VPredictConfig, ValuePredictor};
 
@@ -551,56 +325,17 @@ fn bench_vpredict() -> VpredictBench {
         wrong
     });
 
-    // Whole-machine delta: every epoch read-modify-writes one shared
-    // word at a constant-class address (0xC000 hashes to the constant
-    // value model), so a warm table turns the RAW chain into silent
-    // hits.
-    let mut b = ProgramBuilder::new("kernel-vpredict");
-    b.begin_parallel();
-    for e in 0..16u16 {
-        b.begin_epoch();
-        b.int_ops(Pc::new(e, 0), 2000);
-        b.load(Pc::new(99, 1), Addr(0xC000), 8);
-        b.store(Pc::new(99, 2), Addr(0xC000), 8);
-        b.int_ops(Pc::new(e, 3), 2000);
-        b.end_epoch();
-    }
-    b.end_parallel();
-    let program = b.finish();
-
-    let cfg_off = machine();
-    let mut cfg_on = cfg_off;
-    cfg_on.vpredict = VPredictConfig::prophet();
-    let opts = RunOptions { audit: false, oracle: false, ..RunOptions::default() };
-    let off = CmpSimulator::new(cfg_off).run_with(&program, opts.clone());
-    let on = CmpSimulator::new(cfg_on).run_with(&program, opts.clone());
-    assert!(on.predicted_hits > 0, "collider must exercise suppression");
-    let s_off = time_s(5, || CmpSimulator::new(cfg_off).run_with(&program, opts.clone()));
-    let s_on = time_s(5, || CmpSimulator::new(cfg_on).run_with(&program, opts.clone()));
-
     VpredictBench {
         ns_per_train: train_secs * 1e9 / ops as f64,
         ns_per_probe: probe_secs * 1e9 / ops as f64,
         ns_per_validate: validate_secs * 1e9 / ops as f64,
-        sim_cycles_off: off.total_cycles,
-        sim_cycles_on: on.total_cycles,
-        mcycles_per_host_s_off: off.total_cycles as f64 / 1e6 / s_off,
-        mcycles_per_host_s_on: on.total_cycles as f64 / 1e6 / s_on,
-        host_overhead: s_on / s_off,
-        predicted_hits: on.predicted_hits,
-        value_mispredicts: on.value_mispredicts,
     }
 }
 
 /// Host cost of the TSO store-buffer paths: the buffer's push, forward
-/// and drain micro-ops, and the whole-machine SC-vs-TSO throughput
-/// delta on the RMW collider. SC mode is asserted byte-invisible — a
-/// config that carried a TSO geometry and was reset to SC must produce
-/// the identical report — and the TSO run is asserted to actually
-/// buffer and forward (a timing of an idle buffer would measure
-/// nothing).
+/// and drain micro-ops.
 fn bench_membuf() -> MembufBench {
-    use tls_core::{BufferedStore, ForwardOutcome, MemoryModel, StoreBuffer};
+    use tls_core::{BufferedStore, ForwardOutcome, StoreBuffer};
 
     let entry = |i: u64| BufferedStore {
         cursor: i as usize,
@@ -648,51 +383,10 @@ fn bench_membuf() -> MembufBench {
         }
     });
 
-    // Whole-machine delta on the same collider bench_vpredict uses.
-    let mut b = ProgramBuilder::new("kernel-membuf");
-    b.begin_parallel();
-    for e in 0..16u16 {
-        b.begin_epoch();
-        b.int_ops(Pc::new(e, 0), 2000);
-        b.load(Pc::new(99, 1), Addr(0xC000), 8);
-        b.store(Pc::new(99, 2), Addr(0xC000), 8);
-        b.int_ops(Pc::new(e, 3), 2000);
-        b.end_epoch();
-    }
-    b.end_parallel();
-    let program = b.finish();
-
-    let cfg_sc = machine();
-    let mut cfg_tso = cfg_sc;
-    cfg_tso.memory_model = MemoryModel::Tso { buffer_entries: 8 };
-    let opts = RunOptions { audit: false, oracle: false, ..RunOptions::default() };
-    let sc = CmpSimulator::new(cfg_sc).run_with(&program, opts.clone());
-    let tso = CmpSimulator::new(cfg_tso).run_with(&program, opts.clone());
-    assert!(tso.buffered_stores > 0, "collider must buffer stores under TSO");
-    // SC after a TSO geometry must be byte-identical to plain SC.
-    let mut cfg_reset = cfg_tso;
-    cfg_reset.memory_model = MemoryModel::Sc;
-    let reset = CmpSimulator::new(cfg_reset).run_with(&program, opts.clone());
-    assert_eq!(
-        serde_json::to_string(&sc).unwrap(),
-        serde_json::to_string(&reset).unwrap(),
-        "SC report changed after carrying a TSO geometry"
-    );
-    let s_sc = time_s(5, || CmpSimulator::new(cfg_sc).run_with(&program, opts.clone()));
-    let s_tso = time_s(5, || CmpSimulator::new(cfg_tso).run_with(&program, opts.clone()));
-
     MembufBench {
         ns_per_buffered_store: push_secs * 1e9 / ROUNDS as f64,
         ns_per_forwarded_load: forward_secs * 1e9 / ROUNDS as f64,
         ns_per_full_drain: drain_secs * 1e9 / DRAIN_ROUNDS as f64,
-        sim_cycles_sc: sc.total_cycles,
-        sim_cycles_tso: tso.total_cycles,
-        mcycles_per_host_s_sc: sc.total_cycles as f64 / 1e6 / s_sc,
-        mcycles_per_host_s_tso: tso.total_cycles as f64 / 1e6 / s_tso,
-        host_overhead: s_tso / s_sc,
-        buffered_stores: tso.buffered_stores,
-        forwarded_loads: tso.forwarded_loads,
-        drain_stall_cycles: tso.breakdown.drain_stall,
     }
 }
 
@@ -710,31 +404,12 @@ fn main() {
         }
     }
 
-    let cfg = machine();
+    let cfg = CmpConfig::paper_default();
     let mut ops = vec![bench_read(&cfg), bench_write(&cfg)];
     ops.extend(bench_commit_rewind(&cfg));
 
-    let runs = vec![
-        bench_run("compute_heavy_160k_ops", &compute_heavy(8, 20_000)),
-        bench_run("memory_bound_8k_misses", &memory_bound(8, 1_000)),
-        bench_run("violation_churn", &shared_dependences(8, 4_000, &[Dependence::new(0.5, 0.5)])),
-    ];
-
     for b in &ops {
         println!("{:<24} {:>9.1} ns/op  ({} ops)", b.name, b.ns_per_op, b.ops);
-    }
-    for r in &runs {
-        println!(
-            "{:<24} {:>7.2} Mc/s ff-on  {:>7.2} Mc/s ff-off  ({:.2}x, {} cycles)  \
-             {:>7.2} Mc/s obs-on ({:.3}x)",
-            r.name,
-            r.mcycles_per_host_s_ff_on,
-            r.mcycles_per_host_s_ff_off,
-            r.ff_speedup,
-            r.sim_cycles,
-            r.mcycles_per_host_s_obs_on,
-            r.obs_overhead
-        );
     }
 
     let pager = bench_pager();
@@ -748,19 +423,6 @@ fn main() {
         "pager_counters", c.hits, c.misses, c.evictions, c.flushes, c.recovery_replays, c.mtrs
     );
 
-    let workload = bench_workload_compiler();
-    println!(
-        "{:<24} {:>9.2} ms/compile  {:>7.2} Mops/s  ({} ops, {} scan epochs, {} scan ops)  \
-         {:>7.2} Mc/s sim",
-        "workload_compiler",
-        workload.compile_ms,
-        workload.ops_per_host_s / 1e6,
-        workload.program_ops,
-        workload.scan_epochs,
-        workload.scan_epoch_ops,
-        workload.sim_mcycles_per_host_s
-    );
-
     let trace_store = bench_trace_store();
     println!(
         "{:<24} {:>9.2} ns/op decode  {:>9.3} ns/op mmap  ({:.2}x; {} ops, {} bytes)",
@@ -771,51 +433,25 @@ fn main() {
         trace_store.trace_ops,
         trace_store.trace_bytes
     );
-    println!(
-        "{:<24} {:>9.0} points/hour warm ({} points, test scale)",
-        "sweep_engine", trace_store.sweep_points_per_hour, trace_store.sweep_points
-    );
 
     let vpredict = bench_vpredict();
     println!(
-        "{:<24} {:>6.1} ns/train  {:>6.1} ns/probe  {:>6.1} ns/validate  \
-         {:>7.2} Mc/s off  {:>7.2} Mc/s on ({:.3}x host, {} hits, {} mispredicts)",
-        "vpredict",
-        vpredict.ns_per_train,
-        vpredict.ns_per_probe,
-        vpredict.ns_per_validate,
-        vpredict.mcycles_per_host_s_off,
-        vpredict.mcycles_per_host_s_on,
-        vpredict.host_overhead,
-        vpredict.predicted_hits,
-        vpredict.value_mispredicts
+        "{:<24} {:>6.1} ns/train  {:>6.1} ns/probe  {:>6.1} ns/validate",
+        "vpredict", vpredict.ns_per_train, vpredict.ns_per_probe, vpredict.ns_per_validate
     );
 
     let membuf = bench_membuf();
     println!(
-        "{:<24} {:>6.1} ns/store  {:>6.1} ns/forward  {:>8.1} ns/drain32  \
-         {:>7.2} Mc/s sc  {:>7.2} Mc/s tso ({:.3}x host, {} buffered, {} forwarded)",
+        "{:<24} {:>6.1} ns/store  {:>6.1} ns/forward  {:>8.1} ns/drain32",
         "membuf",
         membuf.ns_per_buffered_store,
         membuf.ns_per_forwarded_load,
-        membuf.ns_per_full_drain,
-        membuf.mcycles_per_host_s_sc,
-        membuf.mcycles_per_host_s_tso,
-        membuf.host_overhead,
-        membuf.buffered_stores,
-        membuf.forwarded_loads
+        membuf.ns_per_full_drain
     );
 
-    let mut json = serde_json::to_string_pretty(&KernelBench {
-        ops,
-        runs,
-        pager,
-        workload,
-        trace_store,
-        vpredict,
-        membuf,
-    })
-    .expect("serialize kernel bench");
+    let mut json =
+        serde_json::to_string_pretty(&KernelBench { ops, pager, trace_store, vpredict, membuf })
+            .expect("serialize kernel bench");
     json.push('\n');
     std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     eprintln!("wrote {out_path}");

@@ -10,7 +10,7 @@
 //! | `table1` | Table 1 — simulation parameters (`--json DIR`) |
 //! | `chaos` | fault-injection survival matrix; exits non-zero below its gate |
 //! | `recovery` | MiniDB crash-recovery oracle over seeded disk faults |
-//! | `kernel` | simulation-kernel microbenchmark, writes `BENCH_kernel.json` |
+//! | `kernel` | per-op host costs of the simulator and store, writes `BENCH_kernel.json` |
 //! | `probe` | development probe (all experiments for one benchmark) |
 //! | `benchmark` | the repository benchmark defined by `BENCHMARK.json` |
 //!

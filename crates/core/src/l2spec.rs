@@ -155,8 +155,6 @@ pub struct SpecL2 {
     /// Reusable buffer for overflow victims discarded on the
     /// victim-cache reinstall path (see [`SpecL2::line_resident`]).
     lr_scratch: Vec<(usize, u8)>,
-    /// Count of speculatively-loaded bits recorded (diagnostics).
-    sl_recorded: u64,
     /// Lines displaced from a set into the victim cache over the whole
     /// run (monotonic; the observer diffs it to emit spill events).
     victim_inserts: u64,
@@ -196,7 +194,6 @@ impl SpecL2 {
             track,
             touched: vec![Vec::new(); cpus],
             lr_scratch: Vec::new(),
-            sl_recorded: 0,
             victim_inserts: 0,
             params,
         }
@@ -349,7 +346,6 @@ impl SpecL2 {
                 meta.touched |= 1 << ctx.cpu;
                 self.touched[ctx.cpu].push(line);
             }
-            self.sl_recorded += 1;
         }
         exposed
     }
@@ -595,20 +591,10 @@ impl SpecL2 {
         self.bus.accesses()
     }
 
-    /// Cycles requests spent queued on busy banks.
-    pub fn bank_queueing(&self) -> u64 {
-        self.banks.queueing_cycles()
-    }
-
     /// Lines currently carrying speculative metadata (for tests and
     /// capacity reporting).
     pub fn spec_lines(&self) -> usize {
         self.meta.len()
-    }
-
-    /// Count of loaded-bit recordings (for tests).
-    pub fn sl_recordings(&self) -> u64 {
-        self.sl_recorded
     }
 
     /// Lines currently buffered in the victim cache (occupancy gauge).

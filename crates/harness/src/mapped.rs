@@ -253,11 +253,6 @@ impl TraceView {
         self.map.bytes().len()
     }
 
-    /// Materializes an owned pair (the healing / re-encode path).
-    pub fn to_pair(&self) -> BenchmarkPrograms {
-        BenchmarkPrograms { plain: self.plain().to_program(), tls: self.tls().to_program() }
-    }
-
     /// Opens, verifies and maps the snapshot at `path` for `key_hash`.
     ///
     /// Returns the same [`SnapshotError`] for a corrupt file as

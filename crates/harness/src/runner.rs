@@ -11,11 +11,10 @@
 //! (NEW ORDER 150 at paper scale dwarfs PAYMENT) monopolizes a stripe of
 //! the plan.
 //!
-//! On top of the infallible path sits the **quarantine engine**: one
-//! shared implementation of panic capture, deadline watchdogs and
-//! retry-with-backoff used by every host-side runner in the workspace
-//! (the suite driver's per-plan execution, [`JobPool::run_quarantined`],
-//! and the chaos binary's survival cells). A failing job becomes a
+//! Beside the pool sits the **quarantine engine**: panic capture
+//! ([`capture`], used by the chaos binary's survival cells) and, on top
+//! of it, deadline watchdogs and retry-with-backoff ([`run_protected`],
+//! the suite driver's per-plan execution). A failing job becomes a
 //! structured [`JobFailure`] instead of tearing the process down, so a
 //! long campaign completes its healthy work and reports the casualties
 //! at the end.
@@ -87,15 +86,6 @@ pub struct Protection {
 impl Default for Protection {
     fn default() -> Self {
         Protection { timeout: None, retries: 1, backoff: Duration::from_millis(50) }
-    }
-}
-
-impl Protection {
-    /// No watchdog, no retries: capture panics only. What
-    /// [`JobPool::run_quarantined`] and the chaos cells use — their
-    /// jobs are deterministic, so a retry would fail identically.
-    pub fn capture_only() -> Self {
-        Protection { timeout: None, retries: 0, backoff: Duration::ZERO }
     }
 }
 
@@ -223,14 +213,6 @@ impl Drop for Watchdog {
     }
 }
 
-/// A keyed, re-runnable job for [`JobPool::run_quarantined`].
-pub struct QuarantineJob<'env, T> {
-    /// Identifies the job in failure reports.
-    pub key: String,
-    /// The work; `Fn` (not `FnOnce`) so the engine may retry it.
-    pub job: Box<dyn Fn() -> T + Send + Sync + 'env>,
-}
-
 /// A fixed-width pool of scoped worker threads.
 #[derive(Debug, Clone, Copy)]
 pub struct JobPool {
@@ -309,48 +291,6 @@ impl JobPool {
                     .collect();
                 panic!("{n} of {total} jobs panicked:\n{}", lines.join("\n"));
             }
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every slot filled after join")
-            })
-            .collect()
-    }
-
-    /// Runs every job through the quarantine engine and returns per-job
-    /// `Result`s in submission order: a panicking or deadline-overrunning
-    /// job becomes a [`JobFailure`] (retried per `policy` first) while
-    /// its siblings complete normally. The pool itself never panics.
-    pub fn run_quarantined<'env, T: Send>(
-        &self,
-        jobs: Vec<QuarantineJob<'env, T>>,
-        policy: Protection,
-    ) -> Vec<Result<T, JobFailure>> {
-        let workers = self.workers.min(jobs.len());
-        let total = jobs.len();
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<T, JobFailure>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= total {
-                break;
-            }
-            let result = run_protected(&jobs[i].key, policy, &jobs[i].job);
-            *slots[i].lock().expect("result slot poisoned") = Some(result);
-        };
-        if workers <= 1 {
-            work();
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
-                for handle in handles {
-                    handle.join().expect("quarantined worker panicked outside a job");
-                }
-            });
         }
         slots
             .into_iter()
@@ -486,29 +426,5 @@ mod tests {
 
         // A fast job under the same policy is untouched.
         assert_eq!(run_protected("fast", policy, || 2u32).expect("ok"), 2);
-    }
-
-    #[test]
-    fn run_quarantined_completes_healthy_jobs_around_failures() {
-        for workers in [1, 4] {
-            let pool = JobPool::new(workers);
-            let jobs: Vec<QuarantineJob<u32>> = (0..6)
-                .map(|i| QuarantineJob {
-                    key: format!("job-{i}"),
-                    job: Box::new(move || if i == 3 { panic!("cell {i} died") } else { i * 10 }),
-                })
-                .collect();
-            let out = pool.run_quarantined(jobs, Protection::capture_only());
-            assert_eq!(out.len(), 6);
-            for (i, r) in out.iter().enumerate() {
-                if i == 3 {
-                    let f = r.as_ref().expect_err("job 3 quarantined");
-                    assert_eq!(f.key, "job-3");
-                    assert_eq!(f.message, "cell 3 died");
-                } else {
-                    assert_eq!(*r.as_ref().expect("healthy"), i as u32 * 10, "workers={workers}");
-                }
-            }
-        }
     }
 }

@@ -333,8 +333,8 @@ impl HarnessStore {
     }
 
     /// A store with no disk backing and no report memoization: every
-    /// request records and simulates from scratch (used to measure the
-    /// serial-equivalent baseline).
+    /// request records and simulates from scratch (the reference the
+    /// determinism tests compare cached runs against).
     pub fn uncached() -> Self {
         HarnessStore::new(None, false)
     }

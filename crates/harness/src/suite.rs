@@ -8,7 +8,7 @@
 
 use crate::cli::{self, CliError, Shared, SharedArgs};
 use crate::eval::{paper_machine, Scale};
-use crate::plan::{all_plans, Plan, PlanCtx, PlanOutput};
+use crate::plan::{all_plans, Plan, PlanCtx};
 use crate::runner::{self, JobPool, Protection};
 use crate::store::HarnessStore;
 use serde::{Deserialize, Serialize, Value};
@@ -36,10 +36,6 @@ pub struct SuiteOptions {
     /// Where to write the timing report (`--bench`, default
     /// `BENCH_suite.json`).
     pub bench_path: PathBuf,
-    /// Measure the uncached single-worker equivalent of every plan
-    /// (`--compare-serial` / `--no-compare-serial`; default: on at test
-    /// scale, off at paper scale).
-    pub compare_serial: Option<bool>,
     /// Suppress the plans' human-readable tables on stdout (`--quiet`).
     pub quiet: bool,
     /// List plans and exit (`--list`).
@@ -65,7 +61,6 @@ impl Default for SuiteOptions {
             trace_dir: Some(PathBuf::from("traces")),
             baseline: None,
             bench_path: PathBuf::from("BENCH_suite.json"),
-            compare_serial: None,
             quiet: false,
             list: false,
             resume: false,
@@ -93,8 +88,6 @@ usage: suite [options]
   --baseline DIR         compare artifacts against a previous results tree;
                          exit 1 on cycle-count drift
   --bench PATH           timing report (default: BENCH_suite.json)
-  --compare-serial       also time the uncached 1-worker equivalent
-  --no-compare-serial    skip that measurement (default at paper scale)
   --quiet                do not print the plans' tables to stdout
   --list                 list available plans and exit
   --resume               skip plans already completed per the out-dir's
@@ -118,8 +111,6 @@ impl SuiteOptions {
                 "--filter" => opts.filter = Some(rest.value(arg)?.to_string()),
                 "--baseline" => opts.baseline = Some(rest.value(arg)?.into()),
                 "--bench" => opts.bench_path = rest.value(arg)?.into(),
-                "--compare-serial" => opts.compare_serial = Some(true),
-                "--no-compare-serial" => opts.compare_serial = Some(false),
                 "--quiet" => opts.quiet = true,
                 "--list" => opts.list = true,
                 "--resume" => opts.resume = true,
@@ -208,16 +199,6 @@ struct BenchFailure {
 }
 
 #[derive(Serialize)]
-struct BenchSerial {
-    /// Back-to-back wall time of the uncached single-worker equivalent
-    /// of every selected plan — what running each plan on its own, one
-    /// simulation at a time, costs.
-    serial_wall_s: f64,
-    /// Serial wall time over the suite's wall time.
-    speedup_vs_serial: f64,
-}
-
-#[derive(Serialize)]
 struct BenchSuite {
     scale: &'static str,
     jobs: usize,
@@ -228,7 +209,6 @@ struct BenchSuite {
     sim_mcycles_per_host_s: f64,
     cache: BenchCache,
     pager: BenchPager,
-    serial_equivalent: Option<BenchSerial>,
     baseline: Option<String>,
     /// Plans served from the run manifest instead of re-executed.
     resumed: Vec<String>,
@@ -495,7 +475,9 @@ pub fn run_suite(opts: &SuiteOptions) -> i32 {
     };
 
     let mut bench_plans = Vec::new();
-    let mut outputs: Vec<Option<PlanOutput>> = Vec::new();
+    // Plans whose artifacts are on disk from this run or a resumed one:
+    // the baseline comparison covers exactly these.
+    let mut compared: Vec<Plan> = Vec::new();
     let mut resumed: Vec<String> = Vec::new();
     let mut failures: Vec<BenchFailure> = Vec::new();
     let mut interrupted = false;
@@ -509,9 +491,7 @@ pub fn run_suite(opts: &SuiteOptions) -> i32 {
         // Crash-safe resume: a manifest entry plus both artifacts on
         // disk means the plan's work is already done and byte-exact.
         if let Some(&(sim_cycles, wall_s)) = completed.get(plan.name) {
-            if let (Ok(json), Ok(text)) =
-                (std::fs::read_to_string(&json_path), std::fs::read_to_string(&txt_path))
-            {
+            if json_path.is_file() && txt_path.is_file() {
                 eprintln!("resumed {} from {}", plan.name, MANIFEST_NAME);
                 bench_plans.push(BenchPlan {
                     name: plan.name,
@@ -519,7 +499,7 @@ pub fn run_suite(opts: &SuiteOptions) -> i32 {
                     sim_cycles,
                     sim_mcycles_per_s: sim_cycles as f64 / 1e6 / wall_s.max(1e-9),
                 });
-                outputs.push(Some(PlanOutput { json, text, sim_cycles }));
+                compared.push(*plan);
                 resumed.push(plan.name.to_string());
                 continue;
             }
@@ -549,7 +529,6 @@ pub fn run_suite(opts: &SuiteOptions) -> i32 {
                     duration_s: f.duration_s,
                     attempts: f.attempts,
                 });
-                outputs.push(None);
                 continue;
             }
         };
@@ -587,49 +566,10 @@ pub fn run_suite(opts: &SuiteOptions) -> i32 {
             sim_cycles: out.sim_cycles,
             sim_mcycles_per_s: out.sim_cycles as f64 / 1e6 / wall_s.max(1e-9),
         });
-        outputs.push(Some(out));
+        compared.push(*plan);
     }
     let total_wall_s = suite_start.elapsed().as_secs_f64();
     let total_sim_cycles: u64 = bench_plans.iter().map(|p| p.sim_cycles).sum();
-
-    // Optional honesty check + denominator for the speedup claim: run the
-    // same plans again with no cache and one worker.
-    let compare_serial = opts.compare_serial.unwrap_or(opts.scale == Scale::Test) && !interrupted;
-    let mut serial_equivalent = None;
-    if compare_serial {
-        let serial_store = HarnessStore::uncached();
-        let serial_pool = JobPool::new(1);
-        let serial_ctx = PlanCtx {
-            scale: opts.scale,
-            machine: paper_machine(),
-            store: &serial_store,
-            pool: &serial_pool,
-        };
-        let serial_start = Instant::now();
-        for (plan, parallel_out) in plans.iter().zip(&outputs) {
-            // Quarantined plans have no parallel output to compare.
-            let Some(parallel_out) = parallel_out else { continue };
-            let out = (plan.run)(&serial_ctx);
-            if out.json != parallel_out.json || out.text != parallel_out.text {
-                eprintln!(
-                    "error: plan '{}' is not deterministic — uncached 1-worker output \
-                     differs from the cached parallel run",
-                    plan.name
-                );
-                return 1;
-            }
-        }
-        let serial_wall_s = serial_start.elapsed().as_secs_f64();
-        eprintln!(
-            "serial equivalent: {serial_wall_s:.3}s vs suite {total_wall_s:.3}s \
-             ({:.2}x)",
-            serial_wall_s / total_wall_s.max(1e-9)
-        );
-        serial_equivalent = Some(BenchSerial {
-            serial_wall_s,
-            speedup_vs_serial: serial_wall_s / total_wall_s.max(1e-9),
-        });
-    }
 
     let stats = store.stats.snapshot();
     let bench = BenchSuite {
@@ -655,7 +595,6 @@ pub fn run_suite(opts: &SuiteOptions) -> i32 {
             recovery_replays: stats[9],
             pages_quarantined: stats[10],
         },
-        serial_equivalent,
         baseline: opts.baseline.as_ref().map(|p| p.display().to_string()),
         resumed,
         failures,
@@ -701,8 +640,6 @@ pub fn run_suite(opts: &SuiteOptions) -> i32 {
     if let Some(baseline) = &opts.baseline {
         // A quarantined plan wrote no fresh artifact, so its baseline
         // diff is meaningless — compare only what actually completed.
-        let compared: Vec<Plan> =
-            plans.iter().zip(&outputs).filter(|(_, o)| o.is_some()).map(|(p, _)| *p).collect();
         if compared.len() < plans.len() {
             eprintln!(
                 "note: {} quarantined plan(s) excluded from the baseline comparison",
@@ -874,6 +811,8 @@ mod tests {
             &["--jobs", "many"],
             &["--out"],
             &["--job-timeout", "-1"],
+            &["--compare-serial"],
+            &["--no-compare-serial"],
         ] {
             let err = SuiteOptions::parse(&args(bad)).expect_err("rejected");
             assert!(err.to_string().contains(bad[bad.len() - 1]), "{bad:?}: {err}");

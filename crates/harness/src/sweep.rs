@@ -384,57 +384,49 @@ impl SweepPlan {
         let base = paper_machine();
         let vp_axis = spec.vpredict_axis();
         let mm_axis = spec.memory_model_axis();
+        // One machine per (spacing, contexts, mem, vp, mm) tuple, with
+        // the point it stands for minus the seed.
         let mut configs = Vec::new();
+        let mut axes = Vec::new();
         for &spacing in &spec.spacings {
             for &contexts in &spec.contexts {
                 for &mem_latency in &spec.mem_latencies {
-                    for &vp in &vp_axis {
-                        for &mm in &mm_axis {
+                    for &vpredict_entries in &vp_axis {
+                        for &memory_model in &mm_axis {
                             let mut cfg = base;
                             cfg.subthreads.spacing = SpacingPolicy::Every(spacing);
                             cfg.subthreads.contexts = contexts;
                             cfg.mem.mem_min_latency = mem_latency;
-                            if let Some(entries) = vp.filter(|&n| n > 0) {
+                            if let Some(entries) = vpredict_entries.filter(|&n| n > 0) {
                                 cfg.vpredict =
                                     VPredictConfig { entries, ..VPredictConfig::prophet() };
                             }
-                            if let Some(model) = mm {
+                            if let Some(model) = memory_model {
                                 cfg.memory_model = model;
                             }
                             let mut json = String::new();
                             cfg.serialize(&mut json);
                             configs.push((cfg, json));
+                            axes.push(SweepPoint {
+                                seed: 0,
+                                spacing,
+                                contexts,
+                                mem_latency,
+                                vpredict_entries,
+                                memory_model,
+                            });
                         }
                     }
                 }
             }
         }
-        let mut points = Vec::with_capacity(spec.total_points());
-        for &seed in &spec.seeds {
-            let mut ci = 0;
-            for &spacing in &spec.spacings {
-                for &contexts in &spec.contexts {
-                    for &mem_latency in &spec.mem_latencies {
-                        for &vp in &vp_axis {
-                            for &mm in &mm_axis {
-                                points.push((
-                                    ci,
-                                    SweepPoint {
-                                        seed,
-                                        spacing,
-                                        contexts,
-                                        mem_latency,
-                                        vpredict_entries: vp,
-                                        memory_model: mm,
-                                    },
-                                ));
-                                ci += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let points = spec
+            .seeds
+            .iter()
+            .flat_map(|&seed| {
+                axes.iter().enumerate().map(move |(ci, p)| (ci, SweepPoint { seed, ..*p }))
+            })
+            .collect();
         SweepPlan { spec, scale, configs, points }
     }
 
@@ -746,10 +738,11 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepOutcome, 
 
     // Aggregates fold in resumed rows first, so the summary is the same
     // whether the run was interrupted or not.
-    let mut aggs: Vec<(usize, Vec<u64>)> = Vec::new(); // (config idx, cycles per seed-point)
-    let mut fold = |ci: usize, cycles: u64| match aggs.iter_mut().find(|(i, _)| *i == ci) {
-        Some((_, v)) => v.push(cycles),
-        None => aggs.push((ci, vec![cycles])),
+    // (points, sum, min, max) of total cycles, indexed by config.
+    let mut aggs = vec![(0usize, 0u64, u64::MAX, 0u64); plan.configs.len()];
+    let mut fold = |ci: usize, cycles: u64| {
+        let a = &mut aggs[ci];
+        *a = (a.0 + 1, a.1 + cycles, a.2.min(cycles), a.3.max(cycles));
     };
     for ((ci, _), &cycles) in selected.iter().zip(&resumed_cycles) {
         fold(*ci, cycles);
@@ -797,26 +790,25 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepOutcome, 
     rows_file.flush().map_err(|e| format!("flush {}: {e}", rows_path.display()))?;
     let wall_s = start.elapsed().as_secs_f64();
 
-    // Aggregate summary, in config (grid) order.
+    // Aggregate summary, in config (grid) order, over the configs the
+    // selection touched.
     let mut summary: Vec<ConfigAgg> = Vec::new();
-    let mut order: Vec<usize> = aggs.iter().map(|(ci, _)| *ci).collect();
-    order.sort_unstable();
-    for ci in order {
-        let cycles = &aggs.iter().find(|(i, _)| *i == ci).expect("present").1;
+    for (ci, &(points, sum, min_cycles, max_cycles)) in
+        aggs.iter().enumerate().filter(|(_, a)| a.0 > 0)
+    {
         let (cfg, _) = plan.config(ci);
         let spacing = match cfg.subthreads.spacing {
             SpacingPolicy::Every(n) => n,
             SpacingPolicy::EvenDivision => 0,
         };
-        let sum: u64 = cycles.iter().sum();
         summary.push(ConfigAgg {
             spacing,
             contexts: cfg.subthreads.contexts,
             mem_latency: cfg.mem.mem_min_latency,
-            points: cycles.len(),
-            mean_cycles: sum as f64 / cycles.len() as f64,
-            min_cycles: *cycles.iter().min().expect("non-empty"),
-            max_cycles: *cycles.iter().max().expect("non-empty"),
+            points,
+            mean_cycles: sum as f64 / points as f64,
+            min_cycles,
+            max_cycles,
         });
     }
     let mut summary_text = String::new();

@@ -92,7 +92,6 @@ fn suite_driver_round_trips_through_its_own_baseline() {
         "--filter",
         "figure2,table2",
         "--quiet",
-        "--no-compare-serial",
         "--traces",
         traces.to_str().unwrap(),
     ]

@@ -26,7 +26,6 @@ fn opts(out: &Path, traces: &Path, bench: &Path) -> SuiteOptions {
         out_dir: out.to_path_buf(),
         trace_dir: Some(traces.to_path_buf()),
         bench_path: bench.to_path_buf(),
-        compare_serial: Some(false),
         quiet: true,
         ..SuiteOptions::default()
     }
@@ -107,7 +106,6 @@ fn kill_minus_nine_then_resume_produces_byte_identical_artifacts() {
             traces.to_str().unwrap(),
             "--bench",
             base.join(bench).to_str().unwrap(),
-            "--no-compare-serial",
             "--quiet",
         ]
         .iter()

@@ -346,12 +346,6 @@ impl Page {
         env.read_into(self.pc(SITE_CELL_R), a, buf);
     }
 
-    /// Overwrites cell `i`'s value.
-    pub fn write_value(&self, env: &mut Env, i: u16, buf: &[u8]) {
-        let a = self.value_addr(env, i);
-        env.write_from(self.pc(SITE_CELL_W), a, buf);
-    }
-
     /// Moves the upper half of this full page into `right` (which must be
     /// freshly formatted with the same cell size) and returns the first
     /// key of `right`.

@@ -145,20 +145,6 @@ impl EventKind {
             EventKind::SerializabilityBreach => "serializability_breach",
         }
     }
-
-    /// Is this a violation that actually rewound a thread? (A
-    /// [`EventKind::ValueMispredict`] rewinds; a suppressed-and-settled
-    /// [`EventKind::ValuePredicted`] does not.)
-    pub fn is_violation(self) -> bool {
-        matches!(
-            self,
-            EventKind::ViolationRaw
-                | EventKind::ViolationSecondary
-                | EventKind::ViolationOverflow
-                | EventKind::ViolationInjected
-                | EventKind::ValueMispredict
-        )
-    }
 }
 
 /// One traced occurrence: a fixed-size, copyable record (40 bytes) so a

@@ -1,7 +1,7 @@
 //! Idle-cycle fast-forward is a pure host-time optimization: for any
 //! program, machine configuration, and fault plan, the full
 //! [`SimReport`] must be byte-identical with `fast_forward` on and off.
-//! A deterministic 64-combination grid pins the shapes that exercise
+//! A deterministic 80-combination grid pins the shapes that exercise
 //! every skip source (ROB drain, MSHR fills, homefree-token release,
 //! chaos-injector due times), and a property test extends the grid with
 //! randomly generated programs.
@@ -41,11 +41,17 @@ fn machines() -> Vec<(&'static str, CmpConfig)> {
     let mut restart_all = base;
     restart_all.secondary = SecondaryPolicy::RestartAll;
     restart_all.subthreads.exhaustion = ExhaustionPolicy::Stop;
+    // The paper's machine (2 MB L2, 75-cycle memory) with sub-thread
+    // starts spread evenly over each thread.
+    let mut paper = CmpConfig::paper_default();
+    paper.subthreads.spacing = SpacingPolicy::EvenDivision;
+    paper.max_cycles = base.max_cycles;
     vec![
         ("test_small", base),
         ("all_or_nothing", all_or_nothing),
         ("dense_subthreads", dense_subs),
         ("restart_all", restart_all),
+        ("paper_even_division", paper),
     ]
 }
 
@@ -75,7 +81,7 @@ fn plans() -> Vec<(&'static str, Option<FaultPlan>)> {
     v
 }
 
-/// The pinned grid: 4 programs x 4 machines x 4 fault plans = 64
+/// The pinned grid: 4 programs x 5 machines x 4 fault plans = 80
 /// combinations, every one compared as a full serialized report.
 #[test]
 fn fastforward_equivalence_grid() {
@@ -88,7 +94,7 @@ fn fastforward_equivalence_grid() {
             }
         }
     }
-    assert!(combos >= 64, "grid shrank to {combos} combinations");
+    assert!(combos >= 80, "grid shrank to {combos} combinations");
 }
 
 /// The panic message of a run of `program` that must overrun

@@ -31,11 +31,17 @@ fn machines() -> Vec<(&'static str, CmpConfig)> {
     let mut restart_all = base;
     restart_all.secondary = SecondaryPolicy::RestartAll;
     restart_all.subthreads.exhaustion = ExhaustionPolicy::Stop;
+    // The paper's machine (2 MB L2, 75-cycle memory) with sub-thread
+    // starts spread evenly over each thread.
+    let mut paper = CmpConfig::paper_default();
+    paper.subthreads.spacing = SpacingPolicy::EvenDivision;
+    paper.max_cycles = base.max_cycles;
     vec![
         ("test_small", base),
         ("all_or_nothing", all_or_nothing),
         ("dense_subthreads", dense_subs),
         ("restart_all", restart_all),
+        ("paper_even_division", paper),
     ]
 }
 
