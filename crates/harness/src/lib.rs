@@ -42,6 +42,7 @@ pub mod mapped;
 pub mod observe;
 pub mod plan;
 pub mod plans;
+mod population;
 pub mod runner;
 pub mod store;
 pub mod suite;

@@ -19,12 +19,15 @@
 //! meaningful even when one transaction pins most of a small database.
 //!
 //! Paged recordings bypass the `TraceKey` snapshot cache (the key
-//! cannot express a pool size); the recordings run as jobs in the pool
-//! and results assemble positionally, so output stays byte-identical
-//! for any `--jobs`. Simulations still flow through the
-//! content-addressed report cache via [`KeyedProgram`] fingerprints.
+//! cannot express a pool size). All six halves page databases taken
+//! from one population through the store's population memo. The
+//! recordings run as jobs in the pool and results assemble
+//! positionally, so output stays byte-identical for any `--jobs`.
+//! Simulations still flow through the content-addressed report cache
+//! via [`KeyedProgram`] fingerprints.
 
 use crate::plan::{to_artifact_json, Job, Plan, PlanCtx, PlanOutput};
+use crate::population::Lease;
 use crate::store::{StoredPrograms, TraceKey};
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -89,26 +92,20 @@ type Recorded = (Arc<StoredPrograms>, PagerCounters, usize);
 
 /// Records the `(plain, tls)` NEW ORDER pair through a pool of `frames`
 /// frames (`None` = fully resident; no disk faults — chaos belongs to
-/// the recovery oracle, this plan measures timing). Returns the pair
-/// plus the TLS recording's pool counters and the frame count used.
-fn record_paged(ctx: &PlanCtx, frames: Option<usize>) -> Recorded {
+/// the recovery oracle, this plan measures timing), each half on its own
+/// database from `population`. Returns the pair plus the TLS recording's
+/// pool counters and the frame count used.
+fn record_paged(ctx: &PlanCtx, mut population: Lease, frames: Option<usize>) -> Recorded {
     let count = crate::eval::instances(TXN, ctx.scale) * COUNT_MULT;
-    let record = |opts: OptLevel| {
-        let mut cfg = ctx.scale.tpcc();
-        cfg.opts = opts;
-        let mut db = Tpcc::new(cfg);
+    let record = |mut db: Tpcc, tls: bool| {
         let pages = db.env.registered_pages();
         let frames = frames.unwrap_or(pages).min(pages);
         db.attach_pager(frames, DiskFaultPlan::default(), false);
-        let program = if opts == OptLevel::none() {
-            db.record_plain(TXN, count)
-        } else {
-            db.record(TXN, count)
-        };
+        let program = if tls { db.record(TXN, count) } else { db.record_plain(TXN, count) };
         (program, db.pager_counters().expect("paged"), frames)
     };
-    let (plain, _, _) = record(OptLevel::none());
-    let (tls, counters, frames) = record(ctx.scale.tpcc().opts);
+    let (plain, _, _) = record(population.fork(OptLevel::none()), false);
+    let (tls, counters, frames) = record(population.take(ctx.scale.tpcc().opts), true);
     let pair = StoredPrograms::new(BenchmarkPrograms { plain, tls });
     (Arc::new(pair), counters, frames)
 }
@@ -117,7 +114,11 @@ fn run(ctx: &PlanCtx) -> PlanOutput {
     // Phase 1: the resident recording measures the touched-page
     // footprint (cold misses = distinct pages touched, no evictions)
     // and the pin high-water mark (the pool-size hard floor).
-    let resident = record_paged(ctx, None);
+    // Every recording pages a database taken from one population,
+    // which this lease keeps until the jobs below hold their own.
+    let cfg = ctx.scale.tpcc();
+    let population = ctx.store.population(&cfg);
+    let resident = record_paged(ctx, ctx.store.population(&cfg), None);
     let touched = resident.1.misses as usize;
     let floor = resident.1.max_pinned as usize + FLOOR_SLACK;
     let headroom = touched.saturating_sub(floor);
@@ -128,9 +129,11 @@ fn run(ctx: &PlanCtx) -> PlanOutput {
         .iter()
         .map(|&(_, num, den)| {
             let frames = floor + headroom * num / den;
-            Box::new(move || record_paged(ctx, Some(frames))) as Job<Recorded>
+            let population = ctx.store.population(&cfg);
+            Box::new(move || record_paged(ctx, population, Some(frames))) as Job<Recorded>
         })
         .collect();
+    drop(population);
     let mut recorded = vec![resident];
     recorded.extend(ctx.pool.run(rec_jobs));
     for (_, counters, _) in &recorded {

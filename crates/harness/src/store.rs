@@ -4,8 +4,9 @@
 //! Recording a TPC-C benchmark (populate database, execute transactions,
 //! capture every dynamic instruction) is pure — it depends only on the
 //! [`TpccConfig`] (which embeds the workload seed and engine options),
-//! the transaction and the instance count. The store exploits that in two
-//! layers:
+//! the transaction and the instance count. Recordings of one scale and
+//! seed that run at the same time share one populated database
+//! (DESIGN.md §9.7). The store exploits purity in two layers:
 //!
 //! 1. **Trace snapshots** — the recorded `(plain, tls)` pair is written
 //!    once to `traces/<name>-<key>.trace` in the versioned binary format
@@ -32,13 +33,14 @@ use crate::codec::{
     KIND_SIM_REPORT,
 };
 use crate::mapped::{MapOutcome, TraceView};
+use crate::population::{Lease, Populations};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use tls_core::experiment::{serialize_view, BenchmarkPrograms};
 use tls_core::{CmpConfig, CmpSimulator, RunOptions, SimReport};
-use tls_minidb::{Tpcc, TpccConfig, Transaction};
+use tls_minidb::{OptLevel, TpccConfig, Transaction};
 use tls_trace::{ProgramView, TraceProgram, TraceStats};
 
 /// Identifies one recorded benchmark: everything that influences the
@@ -102,6 +104,9 @@ pub struct StoreStats {
     pub pager_recovery_replays: AtomicU64,
     /// Pages recovery had to quarantine as corrupt beyond repair.
     pub pager_pages_quarantined: AtomicU64,
+    /// TPC-C databases populated for recordings. Recordings of one scale
+    /// and seed that overlap share one population.
+    pub populations: AtomicU64,
 }
 
 impl StoreStats {
@@ -109,8 +114,8 @@ impl StoreStats {
         v.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of all eleven counters, in declaration order.
-    pub fn snapshot(&self) -> [u64; 11] {
+    /// Snapshot of all twelve counters, in declaration order.
+    pub fn snapshot(&self) -> [u64; 12] {
         [
             Self::get(&self.trace_mem_hits),
             Self::get(&self.trace_disk_hits),
@@ -123,6 +128,7 @@ impl StoreStats {
             Self::get(&self.pager_flushes),
             Self::get(&self.pager_recovery_replays),
             Self::get(&self.pager_pages_quarantined),
+            Self::get(&self.populations),
         ]
     }
 
@@ -316,6 +322,7 @@ pub struct HarnessStore {
     sim_cache: bool,
     traces: Mutex<HashMap<u64, Slot<StoredPrograms>>>,
     reports: Mutex<HashMap<u64, Slot<SimReport>>>,
+    populations: Populations,
     /// Cache activity counters.
     pub stats: StoreStats,
 }
@@ -328,6 +335,7 @@ impl HarnessStore {
             sim_cache,
             traces: Mutex::new(HashMap::new()),
             reports: Mutex::new(HashMap::new()),
+            populations: Populations::default(),
             stats: StoreStats::default(),
         }
     }
@@ -379,6 +387,12 @@ impl HarnessStore {
         eprintln!("warning: quarantined snapshot {} ({err}); regenerating", dest.display());
     }
 
+    /// A lease on the populated database of `cfg`'s scale and seed,
+    /// shared with every other recording of them in flight.
+    pub(crate) fn population(&self, cfg: &TpccConfig) -> Lease<'_> {
+        self.populations.lease(cfg, &self.stats.populations)
+    }
+
     fn slot<T>(map: &Mutex<HashMap<u64, Slot<T>>>, key: u64) -> Slot<T> {
         map.lock().expect("store map poisoned").entry(key).or_default().clone()
     }
@@ -418,7 +432,11 @@ impl HarnessStore {
                 }
             }
             self.stats.trace_records.fetch_add(1, Ordering::Relaxed);
-            let (plain, tls) = Tpcc::record_pair(&key.cfg, key.txn, key.count);
+            // The lease lives until the pair is stored, so a worker that
+            // moves on to its next miss finds the image still resident.
+            let mut population = self.population(&key.cfg);
+            let plain = population.fork(OptLevel::none()).record_plain(key.txn, key.count);
+            let tls = population.take(key.cfg.opts).record(key.txn, key.count);
             let pair = BenchmarkPrograms { plain, tls };
             if let Some(path) = &path {
                 write_atomic(path, &codec::encode_pair_file(hash, &pair));

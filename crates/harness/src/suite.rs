@@ -171,6 +171,7 @@ struct BenchCache {
     trace_mem_hits: u64,
     trace_disk_hits: u64,
     trace_records: u64,
+    populations: u64,
     report_mem_hits: u64,
     report_disk_hits: u64,
     report_sims: u64,
@@ -442,6 +443,10 @@ pub fn run_suite(opts: &SuiteOptions) -> i32 {
             }
         }
     }
+    // Each key's population stays leased until the prewarm ends, so a
+    // scale and seed is populated once however the misses overlap (and
+    // not at all when every snapshot is on disk).
+    let populations: Vec<_> = keys.iter().map(|key| store.population(&key.cfg)).collect();
     let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = keys
         .iter()
         .map(|key| {
@@ -454,7 +459,13 @@ pub fn run_suite(opts: &SuiteOptions) -> i32 {
         })
         .collect();
     pool.run(jobs);
+    drop(populations);
     let prewarm_s = prewarm_start.elapsed().as_secs_f64();
+    let stats = store.stats.snapshot();
+    eprintln!(
+        "prewarm: {} trace pair(s) recorded from {} population(s), {} from disk, {prewarm_s:.3}s",
+        stats[2], stats[11], stats[1]
+    );
 
     if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
         eprintln!("error: cannot create {}: {e}", opts.out_dir.display());
@@ -584,6 +595,7 @@ pub fn run_suite(opts: &SuiteOptions) -> i32 {
             trace_mem_hits: stats[0],
             trace_disk_hits: stats[1],
             trace_records: stats[2],
+            populations: stats[11],
             report_mem_hits: stats[3],
             report_disk_hits: stats[4],
             report_sims: stats[5],

@@ -1,0 +1,83 @@
+//! Pins what recording produces. The snapshot digest (`codec::digest_pair`:
+//! container checksum plus the four program fingerprints) of every
+//! test-scale Figure-5 pair and of each CI sweep-grid PAYMENT seed is
+//! compared with constants, through both recording entry points: the
+//! store (on a two-worker pool, so misses overlap) and
+//! `Tpcc::record_pair`.
+
+use tls_core::experiment::BenchmarkPrograms;
+use tls_harness::codec::{
+    digest_pair, encode_pair_file, parse_pair_layout, PairDigest, CHECKSUM_LEN, HEADER_LEN,
+};
+use tls_harness::{instances, HarnessStore, JobPool, Scale, TraceKey};
+use tls_minidb::{Tpcc, Transaction};
+
+fn digest(key: &TraceKey, pair: &BenchmarkPrograms) -> [u64; 5] {
+    let bytes = encode_pair_file(key.hash(), pair);
+    let body = &bytes[..bytes.len() - CHECKSUM_LEN];
+    let layout = parse_pair_layout(&body[HEADER_LEN..]).expect("layout");
+    let PairDigest { checksum, plain, tls, plain_serialized, tls_serialized } =
+        digest_pair(body, &layout);
+    [checksum, plain, tls, plain_serialized, tls_serialized]
+}
+
+/// The seven Figure-5 keys at test scale, then the CI sweep grid's four
+/// PAYMENT seeds (one instance each).
+fn keys() -> Vec<TraceKey> {
+    let mut keys: Vec<TraceKey> = Transaction::ALL
+        .iter()
+        .map(|&txn| TraceKey { cfg: Scale::Test.tpcc(), txn, count: instances(txn, Scale::Test) })
+        .collect();
+    for seed in 1..=4 {
+        let mut cfg = Scale::Test.tpcc();
+        cfg.seed = seed;
+        keys.push(TraceKey { cfg, txn: Transaction::Payment, count: 1 });
+    }
+    keys
+}
+
+/// Generated by the recording path that populated a database per half;
+/// rows follow [`keys`].
+#[rustfmt::skip]
+const WANT: [[u64; 5]; 11] = [
+    [0xca7d95a7e57bab0c, 0x0c871f752229acd3, 0xd01a0ade8063a743, 0x0c871f752229acd3, 0x9c1219771771e32b],
+    [0xce606bc846cf21e2, 0xa9e87c760f5e9b4b, 0xc333e499c386ee45, 0xa9e87c760f5e9b4b, 0x8d319db335d1bd59],
+    [0xfcc8a50493eab2b8, 0x2bb15b606beb2367, 0xdcef6c23f10005a8, 0x2bb15b606beb2367, 0xbd7e9e84a6f8e3dd],
+    [0x3e0b2d8ca248b0f0, 0x47e6b9f9716cce41, 0x63a4ff61dc8ed5f4, 0x47e6b9f9716cce41, 0xf33b379cff0188ce],
+    [0xa215b117cee0ba8c, 0x6f4834856ddba639, 0x38f349ed1b0acd51, 0x6f4834856ddba639, 0x073e46a447f8bce5],
+    [0xeff45780454b612a, 0x17b11d83364a5bbc, 0xf7546bc4b55ec93e, 0x17b11d83364a5bbc, 0xdf4aa47da7749660],
+    [0x61b48c82728de294, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35],
+    [0x04b5459b588dbec4, 0x5a0bfac1d6f26707, 0xe5d0db2a0480e2ef, 0x5a0bfac1d6f26707, 0xb5f12f1caef0d7c5],
+    [0xe6825f3fcd53bc59, 0x178648084cd53fbb, 0x76d3f4bf3a11c01f, 0x178648084cd53fbb, 0x76d3f4bf3a11c01f],
+    [0x789373bae40bb7a1, 0xc2ff0d4d10a8d61b, 0x3b7040f6f943893d, 0xc2ff0d4d10a8d61b, 0xcbe17ada75444f4f],
+    [0xffc3aaf67b516fda, 0x69375a31e21c1ead, 0xa14f5ab73f495481, 0x69375a31e21c1ead, 0x0907e13ceec878ef],
+];
+
+#[test]
+fn recorded_pairs_match_their_pinned_digests() {
+    let keys = keys();
+    let store = HarnessStore::uncached();
+    let pool = JobPool::new(2);
+    let jobs: Vec<Box<dyn FnOnce() -> [u64; 5] + Send + '_>> = keys
+        .iter()
+        .map(|key| {
+            let store = &store;
+            let job: Box<dyn FnOnce() -> [u64; 5] + Send + '_> = Box::new(move || {
+                let progs = store.programs(key);
+                let pair = BenchmarkPrograms {
+                    plain: progs.plain.to_program(),
+                    tls: progs.tls.to_program(),
+                };
+                digest(key, &pair)
+            });
+            job
+        })
+        .collect();
+    let via_store = pool.run(jobs);
+    for ((key, got), want) in keys.iter().zip(&via_store).zip(&WANT) {
+        assert_eq!(got, want, "store digest of {} seed {}", key.txn.trace_name(), key.cfg.seed);
+        let (plain, tls) = Tpcc::record_pair(&key.cfg, key.txn, key.count);
+        let direct = digest(key, &BenchmarkPrograms { plain, tls });
+        assert_eq!(&direct, want, "record_pair digest of {}", key.txn.trace_name());
+    }
+}

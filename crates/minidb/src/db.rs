@@ -34,7 +34,7 @@ impl LatchName {
 /// Which dependence-removal optimizations are applied to the engine —
 /// the knobs of the paper's §3.2 iterative tuning process. Each flag
 /// removes one *class* of cross-thread dependence the profiler surfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct OptLevel {
     /// Replace the shared log tail with per-thread log buffers.
     pub per_thread_log: bool,

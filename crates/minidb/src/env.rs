@@ -146,6 +146,25 @@ impl Env {
         Env::default()
     }
 
+    /// A copy of the memory image and the page registry, with an idle
+    /// recorder and no pager.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pager is attached or a recording is running: neither
+    /// the pager's frames and disk nor a half-recorded program belong to
+    /// the image, so a copy could not continue either.
+    pub(crate) fn fork(&self) -> Env {
+        assert!(self.pager.is_none(), "cannot fork an environment with a pager attached");
+        assert!(!self.rec.recording(), "cannot fork an environment while recording");
+        Env {
+            mem: self.mem.clone(),
+            rec: Recorder::new(),
+            pager: None,
+            page_registry: self.page_registry.clone(),
+        }
+    }
+
     /// Attaches a buffer pool: registers every allocated page and the
     /// given permanent regions (tree meta blocks), then writes the
     /// fault-exempt bootstrap checkpoint. Subsequent [`Self::pin_page`]
@@ -483,6 +502,42 @@ mod tests {
                 assert!(a.0 >= scratch.0 && a.0 < scratch.0 + 256);
             }
         }
+    }
+
+    #[test]
+    fn populations_ignore_the_engine_options() {
+        use crate::{OptLevel, Tpcc, TpccConfig};
+        let populate = |opts| {
+            let cfg = TpccConfig { opts, ..TpccConfig::test() };
+            Tpcc::new(cfg).env
+        };
+        let (none, full) = (populate(OptLevel::none()), populate(OptLevel::fully_optimized()));
+        let image = |env: &Env| env.mem.bytes(Addr(64), env.mem.allocated() as usize).to_vec();
+        assert_eq!(none.mem.allocated(), full.mem.allocated());
+        assert!(image(&none) == image(&full), "memory images differ");
+        assert_eq!(none.page_registry, full.page_registry);
+    }
+
+    #[test]
+    fn forks_copy_the_image_and_registry_and_nothing_else() {
+        let mut env = Env::new();
+        let a = env.alloc(64, 8);
+        env.register_page(a);
+        env.store_u64(pc(), a, 5);
+        let mut copy = env.fork();
+        assert_eq!(copy.page_registry, env.page_registry);
+        assert_eq!(copy.load_u64(pc(), a), 5);
+        copy.store_u64(pc(), a, 6);
+        assert_eq!(env.load_u64(pc(), a), 5, "the copy owns its image");
+        assert!(!copy.rec.recording() && !copy.paged());
+    }
+
+    #[test]
+    #[should_panic(expected = "while recording")]
+    fn forking_a_recording_panics() {
+        let mut env = Env::new();
+        env.rec.start("t", false);
+        let _ = env.fork();
     }
 
     #[test]

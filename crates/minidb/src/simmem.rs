@@ -14,8 +14,9 @@ use tls_trace::Addr;
 ///
 /// The image reserves 64 MiB of capacity (`RESERVE`) on its first
 /// allocation: only the pages it has written are resident, and it never
-/// moves while it grows within the reservation.
-#[derive(Debug, Clone)]
+/// moves while it grows within the reservation. A clone keeps the
+/// reservation.
+#[derive(Debug)]
 pub struct SimMemory {
     data: Vec<u8>,
     brk: u64,
@@ -153,6 +154,21 @@ impl SimMemory {
     }
 }
 
+impl Clone for SimMemory {
+    /// Copies the image into a fresh reservation of `max(RESERVE, len)`
+    /// bytes, so a clone is served by its own mapping like the original
+    /// (a derived clone would allocate exactly `len` bytes, in the
+    /// cloning thread's malloc arena).
+    fn clone(&self) -> Self {
+        let mut data = Vec::new();
+        if !self.data.is_empty() {
+            data.reserve_exact(RESERVE.max(self.data.len()));
+            data.extend_from_slice(&self.data);
+        }
+        SimMemory { data, brk: self.brk }
+    }
+}
+
 impl Default for SimMemory {
     fn default() -> Self {
         SimMemory::new()
@@ -235,6 +251,20 @@ mod tests {
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("allocated 0x40..0xa4"), "{msg}");
         assert!(msg.contains("100 bytes"), "{msg}");
+    }
+
+    #[test]
+    fn clones_keep_the_reservation_and_the_bytes() {
+        let mut m = SimMemory::new();
+        let a = m.alloc(100, 8);
+        m.write_bytes(a, b"image");
+        let c = m.clone();
+        assert_eq!(c.data.capacity(), RESERVE);
+        assert_eq!(c.data, m.data);
+        assert_eq!(c.allocated(), m.allocated());
+
+        // An empty image reserves nothing until its first allocation.
+        assert_eq!(SimMemory::new().clone().data.capacity(), 0);
     }
 
     #[test]

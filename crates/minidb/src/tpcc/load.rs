@@ -127,7 +127,7 @@ fn poke_u32(env: &mut Env, addr: Addr, v: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OptLevel, Tpcc};
+    use crate::Tpcc;
 
     #[test]
     fn population_matches_scale() {
@@ -160,19 +160,5 @@ mod tests {
         let cfg = t.cfg.clone();
         let da = t.tables.district.get_addr(&mut t.env, key::district(1)).unwrap();
         assert_eq!(t.env.mem.peek_u32(da), cfg.initial_orders_per_district + 1);
-    }
-
-    #[test]
-    fn load_is_identical_across_opt_levels() {
-        // Engine options change physical logging, not the loaded rows.
-        let mut a_cfg = TpccConfig::test();
-        a_cfg.opts = OptLevel::none();
-        let mut a = Tpcc::new(a_cfg);
-        let mut b = Tpcc::new(TpccConfig::test());
-        let ka = a.tables.customer.get_addr(&mut a.env, key::customer(3, 7)).unwrap();
-        let kb = b.tables.customer.get_addr(&mut b.env, key::customer(3, 7)).unwrap();
-        let ra = a.env.mem.bytes(ka, width::CUSTOMER as usize).to_vec();
-        let rb = b.env.mem.bytes(kb, width::CUSTOMER as usize).to_vec();
-        assert_eq!(ra, rb);
     }
 }

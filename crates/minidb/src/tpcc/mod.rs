@@ -32,7 +32,7 @@ use tls_trace::{Addr, Pc, TraceProgram};
 pub use schema::Tables;
 
 /// Workload scale and engine options.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TpccConfig {
     /// Districts per warehouse (TPC-C: 10).
     pub districts: u32,
@@ -223,6 +223,35 @@ impl Tpcc {
         Tpcc { env, db, tables, cfg, rng, history_seq: 1 << 32 }
     }
 
+    /// A copy of this database that runs the engine with `opts`. It
+    /// copies the memory image, page registry, catalog, transaction RNG
+    /// and history sequence, so the copy records exactly what this
+    /// database would. A populated database is forked once per
+    /// recording instead of populated again: population never reads
+    /// the engine options (DESIGN §9.7).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pager is attached or a recording is running.
+    pub fn fork(&self, opts: OptLevel) -> Tpcc {
+        let mut copy = Tpcc {
+            env: self.env.fork(),
+            db: self.db,
+            tables: self.tables,
+            cfg: self.cfg.clone(),
+            rng: self.rng.clone(),
+            history_seq: self.history_seq,
+        };
+        copy.set_opts(opts);
+        copy
+    }
+
+    /// Switches the engine options of this database.
+    pub fn set_opts(&mut self, opts: OptLevel) {
+        self.cfg.opts = opts;
+        self.db.opts = opts;
+    }
+
     /// Records `count` back-to-back instances of `txn` as a
     /// TLS-parallelized trace.
     pub fn record(&mut self, txn: Transaction, count: usize) -> TraceProgram {
@@ -309,22 +338,18 @@ impl Tpcc {
         self.env.rec.finish()
     }
 
-    /// Records the (plain, TLS) trace pair of a benchmark from two
-    /// identically-seeded databases: the plain instance runs the
-    /// unmodified engine ([`OptLevel::none`]), the TLS instance the
-    /// engine configured in `cfg`.
+    /// Records the (plain, TLS) trace pair of a benchmark from one
+    /// population: the plain half runs the unmodified engine
+    /// ([`OptLevel::none`]) on a [fork](Self::fork), the TLS half the
+    /// engine configured in `cfg` on the populated database itself.
     pub fn record_pair(
         cfg: &TpccConfig,
         txn: Transaction,
         count: usize,
     ) -> (TraceProgram, TraceProgram) {
-        let mut plain_cfg = cfg.clone();
-        plain_cfg.opts = OptLevel::none();
-        let mut plain_db = Tpcc::new(plain_cfg);
-        let plain = plain_db.record_plain(txn, count);
-        let mut tls_db = Tpcc::new(cfg.clone());
-        let tls = tls_db.record(txn, count);
-        (plain, tls)
+        let mut db = Tpcc::new(cfg.clone());
+        let plain = db.fork(OptLevel::none()).record_plain(txn, count);
+        (plain, db.record(txn, count))
     }
 
     // ------------------------------------------------------------------

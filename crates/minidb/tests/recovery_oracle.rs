@@ -6,7 +6,10 @@
 
 use tls_core::{DiskFaultClass, DiskFaultPlan, ALL_DISK_FAULT_CLASSES};
 use tls_minidb::oracle::{run_indexed_workload, run_workload};
-use tls_minidb::{recover, BTree, Env, PageAlloc, Pager};
+use tls_minidb::tpcc::consistency;
+use tls_minidb::{
+    recover, BTree, Env, OptLevel, PageAlloc, Pager, PagerCounters, Tpcc, TpccConfig,
+};
 
 const FRAMES: usize = 20;
 const MTRS: usize = 24;
@@ -173,16 +176,13 @@ fn recovered_trees_pass_structural_invariants() {
     }
 }
 
-#[test]
-fn tpcc_runs_paged_under_faults_and_recovers_at_the_final_lsn() {
-    use tls_minidb::tpcc::consistency;
-    use tls_minidb::{Tpcc, TpccConfig};
-
-    let mut t = Tpcc::new(TpccConfig::test());
+/// Runs 40 mix transactions on `t` through a pool of about 60% of its
+/// pages, with every write faulted somewhere in the first 2000, then
+/// crashes at the final LSN: every table must recover byte-identical to
+/// the live database. Returns the pool's counters.
+fn paged_mix_recovers_at_the_final_lsn(t: &mut Tpcc) -> PagerCounters {
     let pages = t.env.registered_pages();
     assert!(pages > 60, "test-scale TPC-C should span many pages, got {pages}");
-    // Pool ≈ 60% of the database, every write faulted somewhere in the
-    // first 2000: real eviction traffic under disk chaos.
     let plan = DiskFaultPlan::generate(11, &ALL_DISK_FAULT_CLASSES, 2000, 64);
     t.attach_pager(pages * 3 / 5, plan, false);
     for _ in 0..40 {
@@ -193,10 +193,8 @@ fn tpcc_runs_paged_under_faults_and_recovers_at_the_final_lsn() {
     assert_eq!(c.mtrs, 40);
     assert!(c.evictions > 0, "pool must thrash: {c:?}");
     assert!(c.flushes > 0, "dirty pages must reach disk: {c:?}");
-    consistency::check(&mut t).expect("consistent while paged");
+    consistency::check(t).expect("consistent while paged");
 
-    // Crash at the final LSN: every table must recover byte-identical
-    // to the live database.
     let pager = t.env.pager().expect("paged");
     let world = pager.crash_point(pager.last_lsn());
     assert!(world.quarantined.is_empty(), "{:?}", world.quarantined);
@@ -221,6 +219,27 @@ fn tpcc_runs_paged_under_faults_and_recovers_at_the_final_lsn() {
         assert_eq!(live_rows, rec_rows, "module {:#x} diverged", tree.module());
     }
     drop(pager);
+    c
+}
+
+#[test]
+fn tpcc_runs_paged_under_faults_and_recovers_at_the_final_lsn() {
+    paged_mix_recovers_at_the_final_lsn(&mut Tpcc::new(TpccConfig::test()));
+}
+
+#[test]
+fn pagers_attached_to_forks_recover_like_fresh_populations() {
+    // Recording forks one populated database per half; a pager attached
+    // to a fork must see exactly the pages a fresh population has, and
+    // its paged run must leave the populated image untouched.
+    let populated = Tpcc::new(TpccConfig::test());
+    let fresh = paged_mix_recovers_at_the_final_lsn(&mut Tpcc::new(TpccConfig::test()));
+    let opts = TpccConfig::test().opts;
+    for _ in 0..2 {
+        let forked = paged_mix_recovers_at_the_final_lsn(&mut populated.fork(opts));
+        assert_eq!(forked, fresh, "a fork pages like a fresh population");
+    }
+    paged_mix_recovers_at_the_final_lsn(&mut populated.fork(OptLevel::none()));
 }
 
 #[test]
