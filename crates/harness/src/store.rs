@@ -20,7 +20,9 @@
 //!    [`SimReport`]s are memoized in memory (deduplicating the many
 //!    identical SEQUENTIAL/BASELINE runs shared across figures) and
 //!    persisted under `traces/reports/`, so a warm-cache suite run
-//!    replays timing results instead of re-simulating them.
+//!    replays timing results instead of re-simulating them. The sweep
+//!    takes a cached report as its JSON bytes ([`ReportJson`]) and
+//!    decodes nothing.
 //!
 //! Both layers are transparent: a cache hit returns bit-identical data to
 //! a recompute, which `tests/suite_determinism.rs` checks end to end.
@@ -88,7 +90,7 @@ pub struct StoreStats {
     pub trace_records: AtomicU64,
     /// Reports served from memory.
     pub report_mem_hits: AtomicU64,
-    /// Reports decoded from disk.
+    /// Reports served from disk, decoded or as their JSON bytes.
     pub report_disk_hits: AtomicU64,
     /// Simulations actually executed.
     pub report_sims: AtomicU64,
@@ -107,6 +109,9 @@ pub struct StoreStats {
     /// TPC-C databases populated for recordings. Recordings of one scale
     /// and seed that overlap share one population.
     pub populations: AtomicU64,
+    /// Cached report JSON decoded into a `SimReport`. The sweep splices
+    /// cached bytes into its rows and decodes none.
+    pub report_decodes: AtomicU64,
 }
 
 impl StoreStats {
@@ -114,8 +119,8 @@ impl StoreStats {
         v.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of all twelve counters, in declaration order.
-    pub fn snapshot(&self) -> [u64; 12] {
+    /// Snapshot of all thirteen counters, in declaration order.
+    pub fn snapshot(&self) -> [u64; 13] {
         [
             Self::get(&self.trace_mem_hits),
             Self::get(&self.trace_disk_hits),
@@ -129,6 +134,7 @@ impl StoreStats {
             Self::get(&self.pager_recovery_replays),
             Self::get(&self.pager_pages_quarantined),
             Self::get(&self.populations),
+            Self::get(&self.report_decodes),
         ]
     }
 
@@ -312,6 +318,49 @@ impl StoredPrograms {
     }
 }
 
+/// A simulation report as the cache holds it: the report's canonical
+/// compact JSON, which is the payload of its `.rpt` container and is
+/// spliced verbatim into sweep rows, and its cycle count.
+#[derive(Debug)]
+pub struct ReportJson {
+    /// `serde_json::to_string` of the report.
+    pub json: String,
+    /// The report's `total_cycles`.
+    pub total_cycles: u64,
+}
+
+impl ReportJson {
+    fn new(report: &SimReport) -> Self {
+        let json = serde_json::to_string(report).expect("serialize report");
+        ReportJson { json, total_cycles: report.total_cycles }
+    }
+
+    /// Accepts a cached payload without decoding it: `SimReport`
+    /// serializes `name` and then `total_cycles` first, so the cycle
+    /// count sits at a fixed place after the name string.
+    fn from_payload(json: &str) -> Result<Self, SnapshotError> {
+        let bad = || SnapshotError::BadJson("no leading name and total_cycles".into());
+        let rest = json.strip_prefix("{\"name\":\"").ok_or_else(bad)?;
+        // The name ends at the first quote that no backslash escapes.
+        let mut escaped = false;
+        let close = rest
+            .bytes()
+            .position(|b| {
+                let end = b == b'"' && !escaped;
+                escaped = b == b'\\' && !escaped;
+                end
+            })
+            .ok_or_else(bad)?;
+        let digits = rest[close + 1..].strip_prefix(",\"total_cycles\":").ok_or_else(bad)?;
+        let n = digits.bytes().take_while(u8::is_ascii_digit).count();
+        if digits.as_bytes().get(n) != Some(&b',') {
+            return Err(bad());
+        }
+        let total_cycles = digits[..n].parse().map_err(|_| bad())?;
+        Ok(ReportJson { json: json.to_string(), total_cycles })
+    }
+}
+
 type Slot<T> = Arc<OnceLock<Arc<T>>>;
 
 /// The process-wide snapshot store. Thread-safe; per-key initialization
@@ -457,12 +506,7 @@ impl HarnessStore {
     /// machine configuration, so any change to either re-simulates.
     pub fn simulate(&self, program: &KeyedProgram, cfg: &CmpConfig) -> Arc<SimReport> {
         if !self.sim_cache {
-            self.stats.report_sims.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(CmpSimulator::new(*cfg).run_view(
-                &program.view(),
-                RunOptions::checked_default(),
-                None,
-            ));
+            return Arc::new(self.run(program, cfg));
         }
         let mut cfg_json = String::new();
         {
@@ -484,56 +528,118 @@ impl HarnessStore {
         cfg_json: &str,
     ) -> Arc<SimReport> {
         if !self.sim_cache {
-            self.stats.report_sims.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(CmpSimulator::new(*cfg).run_view(
-                &program.view(),
-                RunOptions::checked_default(),
-                None,
-            ));
+            return Arc::new(self.run(program, cfg));
         }
-        let mut key = Fnv::new();
-        key.update(&program.fingerprint().to_le_bytes());
-        key.update(cfg_json.as_bytes());
-        let hash = key.finish();
+        let hash = report_key(program, cfg_json);
         let slot = Self::slot(&self.reports, hash);
         if let Some(hit) = slot.get() {
             self.stats.report_mem_hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
         slot.get_or_init(|| {
-            let path =
-                self.dir.as_ref().map(|d| d.join("reports").join(format!("{hash:016x}.rpt")));
-            if let Some(path) = &path {
-                if let Ok(bytes) = std::fs::read(path) {
-                    match decode_report(&bytes, hash) {
-                        Ok(report) => {
-                            self.stats.report_disk_hits.fetch_add(1, Ordering::Relaxed);
-                            return Arc::new(report);
-                        }
-                        Err(e) => self.quarantine(path, &e),
-                    }
-                }
+            let path = self.report_path(hash);
+            let decode = |json: &str| {
+                self.stats.report_decodes.fetch_add(1, Ordering::Relaxed);
+                serde_json::from_str(json).map_err(|e| SnapshotError::BadJson(e.to_string()))
+            };
+            if let Some(report) = path.as_deref().and_then(|p| self.read_report(p, hash, decode)) {
+                return Arc::new(report);
             }
-            self.stats.report_sims.fetch_add(1, Ordering::Relaxed);
-            let report = CmpSimulator::new(*cfg).run_view(
-                &program.view(),
-                RunOptions::checked_default(),
-                None,
-            );
+            let report = self.run(program, cfg);
             if let Some(path) = &path {
-                let json = serde_json::to_string(&report).expect("serialize report");
-                write_atomic(path, &encode_container(KIND_SIM_REPORT, hash, json.as_bytes()));
+                write_report(
+                    path,
+                    hash,
+                    &serde_json::to_string(&report).expect("serialize report"),
+                );
             }
             Arc::new(report)
         })
         .clone()
     }
+
+    /// The report of `program` on `cfg` as its canonical JSON bytes, for
+    /// splicing into a row: a cached report is read and checked against
+    /// its container's seal but never decoded, and a fresh one is
+    /// serialized once, for both the cache file and the caller. Nothing
+    /// is memoized: a sweep asks for each point once and needs the bytes
+    /// only until its row is rendered.
+    pub fn report_json(
+        &self,
+        program: &KeyedProgram,
+        cfg: &CmpConfig,
+        cfg_json: &str,
+    ) -> ReportJson {
+        let hash = report_key(program, cfg_json);
+        let path = self.report_path(hash).filter(|_| self.sim_cache);
+        if let Some(report) =
+            path.as_deref().and_then(|p| self.read_report(p, hash, ReportJson::from_payload))
+        {
+            return report;
+        }
+        let report = ReportJson::new(&self.run(program, cfg));
+        if let Some(path) = &path {
+            write_report(path, hash, &report.json);
+        }
+        report
+    }
+
+    /// Simulates `program` on `cfg`, uncached.
+    fn run(&self, program: &KeyedProgram, cfg: &CmpConfig) -> SimReport {
+        self.stats.report_sims.fetch_add(1, Ordering::Relaxed);
+        CmpSimulator::new(*cfg).run_view(&program.view(), RunOptions::checked_default(), None)
+    }
+
+    /// Where report `hash` is cached, if the store has a directory.
+    fn report_path(&self, hash: u64) -> Option<PathBuf> {
+        self.dir.as_ref().map(|d| d.join("reports").join(format!("{hash:016x}.rpt")))
+    }
+
+    /// The cached report at `path` as `accept` reads its JSON payload,
+    /// or `None` on a miss. A file whose container, UTF-8 or JSON does
+    /// not check out is quarantined, so the caller regenerates it.
+    fn read_report<T>(
+        &self,
+        path: &Path,
+        hash: u64,
+        accept: impl FnOnce(&str) -> Result<T, SnapshotError>,
+    ) -> Option<T> {
+        let bytes = std::fs::read(path).ok()?;
+        let read = decode_container(&bytes, KIND_SIM_REPORT, hash).and_then(|payload| {
+            accept(std::str::from_utf8(payload).map_err(|_| SnapshotError::BadUtf8)?)
+        });
+        match read {
+            Ok(report) => {
+                self.stats.report_disk_hits.fetch_add(1, Ordering::Relaxed);
+                Some(report)
+            }
+            Err(e) => {
+                self.quarantine(path, &e);
+                None
+            }
+        }
+    }
 }
 
-fn decode_report(bytes: &[u8], hash: u64) -> Result<SimReport, SnapshotError> {
-    let payload = decode_container(bytes, KIND_SIM_REPORT, hash)?;
-    let json = std::str::from_utf8(payload).map_err(|_| SnapshotError::BadUtf8)?;
-    serde_json::from_str(json).map_err(|e| SnapshotError::BadJson(e.to_string()))
+/// The version of `SimReport`'s serialized form. Rows splice cached
+/// report bytes without decoding them, so a cached report must never
+/// outlive its schema: any change to the fields (or their order) of
+/// `SimReport` or of a type inside it bumps this, which moves every
+/// report to a new key. `report_schema_is_pinned` fails until it does.
+const REPORT_SCHEMA: u32 = 1;
+
+/// The report-cache key: the report schema, the program's content
+/// fingerprint and the machine configuration's canonical JSON.
+fn report_key(program: &KeyedProgram, cfg_json: &str) -> u64 {
+    let mut key = Fnv::new();
+    key.update(&REPORT_SCHEMA.to_le_bytes());
+    key.update(&program.fingerprint().to_le_bytes());
+    key.update(cfg_json.as_bytes());
+    key.finish()
+}
+
+fn write_report(path: &Path, hash: u64, json: &str) {
+    write_atomic(path, &encode_container(KIND_SIM_REPORT, hash, json.as_bytes()));
 }
 
 /// Writes `bytes` to `path` via a unique temp file, an fsync, and an
@@ -549,10 +655,14 @@ fn write_atomic(path: &Path, bytes: &[u8]) {
         eprintln!("warning: cannot create {}: {e}", parent.display());
         return;
     }
+    // Unique per write, so two writers of one key in this process (a
+    // grid that repeats a point) never share a temp file.
+    static WRITES: AtomicU64 = AtomicU64::new(0);
     let tmp = parent.join(format!(
-        ".{}.tmp-{}",
+        ".{}.tmp-{}-{}",
         path.file_name().and_then(|n| n.to_str()).unwrap_or("snapshot"),
-        std::process::id()
+        std::process::id(),
+        WRITES.fetch_add(1, Ordering::Relaxed)
     ));
     let synced = std::fs::File::create(&tmp).and_then(|mut f| {
         use std::io::Write;
@@ -706,6 +816,132 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn payload_cycles_are_read_after_any_name() {
+        let read = |json: &str| ReportJson::from_payload(json).map(|r| r.total_cycles);
+        assert_eq!(read(r#"{"name":"a\"b\\","total_cycles":42,"cpus":4}"#).ok(), Some(42));
+        assert_eq!(read(r#"{"name":"\\\\","total_cycles":0,"cpus":4}"#).ok(), Some(0));
+        for bad in [
+            r#"{"total_cycles":42,"cpus":4}"#,
+            r#"{"name":"x\","total_cycles":42,"cpus":4}"#,
+            r#"{"name":"x","total_cycles":-1,"cpus":4}"#,
+            r#"{"name":"x","total_cycles":42}"#,
+            r#"{"name":"x","cpus":4,"total_cycles":42,"l1":0}"#,
+        ] {
+            assert!(read(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn report_json_splices_sealed_bytes_and_heals_bad_files() {
+        let dir = std::env::temp_dir().join(format!("tls-harness-rjson-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = crate::eval::paper_machine();
+        let cfg_json = serde_json::to_string(&cfg).expect("config json");
+        let cold = HarnessStore::new(Some(dir.clone()), true);
+        let fresh = cold.report_json(&cold.programs(&key()).tls, &cfg, &cfg_json);
+        let decoded = cold.simulate_keyed(&cold.programs(&key()).tls, &cfg, &cfg_json);
+        assert_eq!(fresh.json, serde_json::to_string(&*decoded).expect("report json"));
+        assert_eq!(fresh.total_cycles, decoded.total_cycles);
+        let stats = cold.stats.snapshot();
+        assert_eq!((stats[5], stats[4], stats[12]), (1, 1, 1), "one sim, then one decoded read");
+
+        let path = std::fs::read_dir(dir.join("reports"))
+            .expect("reports written")
+            .map(|e| e.expect("entry").path())
+            .find(|p| p.extension().is_some_and(|x| x == "rpt"))
+            .expect("one report file");
+        let hash = u64::from_str_radix(path.file_stem().unwrap().to_str().unwrap(), 16).unwrap();
+        let good = std::fs::read(&path).expect("report file");
+        let mut torn = good.clone();
+        torn[30] ^= 0x20;
+        let unsplicable = encode_container(KIND_SIM_REPORT, hash, br#"{"total_cycles":1}"#);
+        for (bytes, code) in [(torn, "checksum-mismatch"), (unsplicable, "bad-json")] {
+            std::fs::write(&path, &bytes).expect("damage report");
+            let warm = HarnessStore::new(Some(dir.clone()), true);
+            let healed = warm.report_json(&warm.programs(&key()).tls, &cfg, &cfg_json);
+            assert_eq!(healed.json, fresh.json, "{code}: regenerated report");
+            let stats = warm.stats.snapshot();
+            assert_eq!((stats[6], stats[5], stats[12]), (1, 1, 0), "{code}: quarantined, re-run");
+            let reason = std::fs::read_to_string(
+                dir.join("quarantine").join(format!("{hash:016x}.rpt.reason.txt")),
+            )
+            .expect("reason file");
+            assert!(reason.contains(code), "{reason}");
+            assert_eq!(std::fs::read(&path).expect("rewritten"), good, "{code}: healed in place");
+        }
+        let warm = HarnessStore::new(Some(dir.clone()), true);
+        let spliced = warm.report_json(&warm.programs(&key()).tls, &cfg, &cfg_json);
+        assert_eq!(spliced.json, fresh.json);
+        let stats = warm.stats.snapshot();
+        assert_eq!((stats[4], stats[5], stats[12]), (1, 0, 0), "read, not simulated or decoded");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The field names of `v`, nested objects and the first element of
+    /// each array included, in serialization order. (A healthy run has
+    /// no protocol errors or livelocks, so their element types are not
+    /// in the pinned shape.)
+    fn skeleton(v: &serde::Value, out: &mut String) {
+        match v {
+            serde::Value::Object(pairs) => {
+                out.push('{');
+                for (k, v) in pairs {
+                    out.push_str(k);
+                    skeleton(v, out);
+                    out.push(',');
+                }
+                out.push('}');
+            }
+            serde::Value::Array(items) => {
+                out.push('[');
+                if let Some(first) = items.first() {
+                    skeleton(first, out);
+                }
+                out.push(']');
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn report_schema_is_pinned() {
+        let store = HarnessStore::uncached();
+        let txn = Transaction::NewOrder;
+        let count = crate::eval::instances(txn, Scale::Test);
+        let programs = store.programs(&TraceKey { cfg: Scale::Test.tpcc(), txn, count });
+        let report = store.simulate(&programs.tls, &crate::eval::paper_machine());
+        assert!(!report.profile.is_empty(), "the pinned report shows a profile entry");
+        let json = serde_json::to_string(&*report).expect("serialize report");
+        let mut shape = String::new();
+        skeleton(&serde::parse(&json).expect("report parses"), &mut shape);
+        assert_eq!(
+            (REPORT_SCHEMA, shape.as_str()),
+            (
+                1,
+                concat!(
+                    "{name,total_cycles,cpus,",
+                    "breakdown{busy,cache_miss,latch,sync,drain_stall,idle,failed,},",
+                    "violations{primary,secondary,overflow,},committed_epochs,",
+                    "subthreads_started,subthread_merges,scan_epochs,scan_epoch_ops,",
+                    "dispatched_ops,program_ops,",
+                    "l1{accesses,hits,evictions,invalidations,},",
+                    "l2{accesses,hits,evictions,invalidations,},",
+                    "victim{accesses,hits,evictions,invalidations,},mem_accesses,",
+                    "core{dispatched,retired,branches,mispredicts,loads,stores,flushes,",
+                    "icache_misses,},latch_acquisitions,predictor_synchronizations,",
+                    "predicted_hits,value_mispredicts,buffered_stores,forwarded_loads,",
+                    "store_drains,serializability_breaches,",
+                    "profile[{load_pc,store_pc,failed_cycles,violations,}],",
+                    "faults{spurious_primary,spurious_secondary,victim_squeeze,forced_merge,",
+                    "delayed_token,latch_hazard,stuck_drain,reordered_drain,dropped_entry,",
+                    "skipped,protocol_errors,},protocol_errors[],audit_failures[],livelocks[],}",
+                )
+            ),
+            "SimReport's serialized form changed: bump REPORT_SCHEMA and pin the new shape"
+        );
     }
 
     #[test]

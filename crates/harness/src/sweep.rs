@@ -18,7 +18,10 @@
 //!    re-serializing the config per point.
 //! 3. **Deterministic streaming output.** Points fan across the
 //!    [`JobPool`] in submission order, so the JSONL row stream is
-//!    byte-identical for any `--jobs` value; rows append to
+//!    byte-identical for any `--jobs` value. Each job renders its own
+//!    row around the report's canonical JSON bytes
+//!    ([`crate::store::HarnessStore::report_json`]): a cached report is
+//!    spliced in as read, never decoded. Rows append to
 //!    `<out>/sweep_<name>.jsonl` as each seed group completes, and
 //!    `--resume` validates the surviving prefix after a crash (torn or
 //!    out-of-order tails are truncated, finished points are not re-run).
@@ -34,7 +37,7 @@ use crate::cli::{self, CliError};
 use crate::codec::{self, encode_container, KIND_SIM_REPORT};
 use crate::eval::{instances, paper_machine, Scale};
 use crate::runner::JobPool;
-use crate::store::{HarnessStore, StoredPrograms, TraceKey};
+use crate::store::{HarnessStore, ReportJson, StoreStats, StoredPrograms, TraceKey};
 use crate::suite::USAGE;
 use serde::{Serialize, Value};
 use std::fmt;
@@ -42,8 +45,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use tls_core::{
-    CmpConfig, CmpSimulator, MemoryModel, RunOptions, SimReport, SpacingPolicy, VPredictConfig,
-    MAX_SUBTHREADS,
+    CmpConfig, CmpSimulator, MemoryModel, RunOptions, SpacingPolicy, VPredictConfig, MAX_SUBTHREADS,
 };
 use tls_minidb::Transaction;
 
@@ -521,21 +523,27 @@ impl SweepPlan {
     }
 }
 
-/// Renders one JSONL row. Field order is fixed and the report JSON is
-/// the canonical compact encoding, so the stream is byte-identical for
-/// any worker count, any cache temperature, and across resumes.
-fn render_row(point: &SweepPoint, fingerprint: u64, report: &SimReport) -> String {
-    let report_json = serde_json::to_string(report).expect("report serializes");
-    format!(
+/// Renders one JSONL row, newline included. Field order is fixed and
+/// the report is spliced in as its cached canonical compact JSON, so the
+/// stream is byte-identical for any worker count, any cache temperature,
+/// and across resumes.
+fn render_row(point: &SweepPoint, fingerprint: u64, report: &ReportJson) -> String {
+    use std::fmt::Write as _;
+    let mut row = String::with_capacity(report.json.len() + 192);
+    writeln!(
+        row,
         "{{\"point\":\"{}\",\"seed\":{},\"spacing\":{},\"contexts\":{},\"mem_latency\":{},\
-         \"fingerprint\":\"{fingerprint:016x}\",\"total_cycles\":{},\"report\":{report_json}}}",
+         \"fingerprint\":\"{fingerprint:016x}\",\"total_cycles\":{},\"report\":{}}}",
         point.key(),
         point.seed,
         point.spacing,
         point.contexts,
         point.mem_latency,
         report.total_cycles,
+        report.json,
     )
+    .expect("write to string");
+    row
 }
 
 /// Result of validating an existing row file for `--resume`: how many
@@ -683,6 +691,8 @@ pub struct SweepOutcome {
     pub wall_s: f64,
     /// The human-readable summary table.
     pub summary_text: String,
+    /// The run's report and trace cache counters.
+    pub store_stats: StoreStats,
 }
 
 /// Runs a sweep end to end: resume-validate, batch per seed, stream
@@ -762,24 +772,26 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepOutcome, 
         }
         let group = &todo[i..j];
         let programs = store.programs(&plan.trace_key(seed));
-        let jobs: Vec<Box<dyn FnOnce() -> std::sync::Arc<SimReport> + Send + '_>> = group
+        // Each job renders its own row; this thread only concatenates.
+        let jobs: Vec<Box<dyn FnOnce() -> (String, u64) + Send + '_>> = group
             .iter()
-            .map(|(ci, _)| {
+            .map(|(ci, point)| {
                 let (cfg, json) = plan.config(*ci);
                 let programs = programs.clone();
                 let store = &store;
-                let job: Box<dyn FnOnce() -> std::sync::Arc<SimReport> + Send + '_> =
-                    Box::new(move || store.simulate_keyed(&programs.tls, cfg, json));
+                let job: Box<dyn FnOnce() -> (String, u64) + Send + '_> = Box::new(move || {
+                    let report = store.report_json(&programs.tls, cfg, json);
+                    (render_row(point, programs.tls.fingerprint(), &report), report.total_cycles)
+                });
                 job
             })
             .collect();
-        let reports = pool.run(jobs);
-        let mut chunk = String::new();
-        for ((ci, point), report) in group.iter().zip(&reports) {
-            chunk.push_str(&render_row(point, programs.tls.fingerprint(), report.as_ref()));
-            chunk.push('\n');
-            fold(*ci, report.total_cycles);
-            total_sim_cycles += report.total_cycles;
+        let rows = pool.run(jobs);
+        let mut chunk = String::with_capacity(rows.iter().map(|(row, _)| row.len()).sum());
+        for ((ci, _), (row, cycles)) in group.iter().zip(&rows) {
+            chunk.push_str(row);
+            fold(*ci, *cycles);
+            total_sim_cycles += cycles;
             executed += 1;
         }
         rows_file
@@ -846,6 +858,7 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepOutcome, 
         total_sim_cycles,
         wall_s,
         summary_text,
+        store_stats: store.stats,
     })
 }
 

@@ -9,9 +9,13 @@
 //!    `kill -9` leaves behind) and re-running with `--resume` converges
 //!    on the byte-identical full artifact without re-running the intact
 //!    prefix.
+//! 4. **Rows splice cached bytes** — every report a cold pass of the CI
+//!    grid caches is the canonical encoding of itself, its cache entry
+//!    carries its cycle count, and a warm pass that neither simulates nor
+//!    decodes writes the same rows as a cold and an uncached pass.
 
 use std::path::{Path, PathBuf};
-use tls_core::{CmpSimulator, RunOptions};
+use tls_core::{CmpSimulator, RunOptions, SimReport};
 use tls_harness::store::HarnessStore;
 use tls_harness::sweep::{run_sweep, SweepOptions, SweepPlan, SweepSpec};
 use tls_harness::Scale;
@@ -133,4 +137,55 @@ fn torn_row_file_resumes_to_the_byte_identical_artifact() {
     for dir in [&full_opts.out_dir, &torn_opts.out_dir, &traces] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+#[test]
+fn ci_grid_rows_splice_cached_report_bytes() {
+    let plan = SweepPlan::new(
+        SweepSpec::parse(include_str!("../specs/sweep_grid.json")).expect("CI grid parses"),
+        Scale::Test,
+    );
+    let points = plan.spec.total_points() as u64;
+    let traces = fresh_dir("ci-traces");
+    // (rows, summary, store counters) of one pass; `None` runs uncached.
+    let pass = |tag: &str, cache: Option<&Path>, jobs: usize| {
+        let mut opts = options(tag, &traces, jobs);
+        opts.trace_dir = cache.map(Path::to_path_buf);
+        let out = run_sweep(&plan, &opts).expect("sweep");
+        let rows = std::fs::read(&out.rows_path).expect("rows");
+        let summary = std::fs::read(&out.summary_path).expect("summary");
+        let _ = std::fs::remove_dir_all(&opts.out_dir);
+        (rows, summary, out.store_stats.snapshot())
+    };
+
+    let (rows, summary, cold) = pass("ci-cold", Some(&traces), 2);
+    assert_eq!(cold[5], points, "a cold pass simulates every point");
+
+    // Every cached report is its own canonical compact encoding, and the
+    // cycle count its cache entry carries is the report's.
+    let store = HarnessStore::new(Some(traces.clone()), true);
+    for (ci, point) in plan.selected(None) {
+        let programs = store.programs(&plan.trace_key(point.seed));
+        let (cfg, cfg_json) = plan.config(ci);
+        let entry = store.report_json(&programs.tls, cfg, cfg_json);
+        let decoded: SimReport = serde_json::from_str(&entry.json).expect("cached report decodes");
+        let canonical = serde_json::to_string(&decoded).expect("report serializes");
+        assert_eq!(entry.json, canonical, "{}: cached bytes are not canonical", point.key());
+        assert_eq!(entry.total_cycles, decoded.total_cycles, "{}", point.key());
+    }
+    let read = store.stats.snapshot();
+    assert_eq!((read[4], read[5]), (points, 0), "every entry was read from its cache file");
+
+    for jobs in [1, 2] {
+        let (warm_rows, warm_summary, warm) = pass(&format!("ci-warm{jobs}"), Some(&traces), jobs);
+        assert_eq!(warm_rows, rows, "warm rows at --jobs {jobs}");
+        assert_eq!(warm_summary, summary, "warm summary at --jobs {jobs}");
+        assert_eq!(warm[4], points, "a warm pass reads every report from disk");
+        assert_eq!(warm[5], 0, "a warm pass simulates nothing");
+        assert_eq!(warm[12], 0, "a warm pass decodes no report");
+        let (bare_rows, bare_summary, _) = pass(&format!("ci-bare{jobs}"), None, jobs);
+        assert_eq!(bare_rows, rows, "uncached rows at --jobs {jobs}");
+        assert_eq!(bare_summary, summary, "uncached summary at --jobs {jobs}");
+    }
+    let _ = std::fs::remove_dir_all(&traces);
 }

@@ -125,7 +125,7 @@ impl fmt::Display for Value {
 /// Parses a JSON document. Trailing whitespace is allowed; trailing
 /// content is an error.
 pub fn parse(input: &str) -> Result<Value, DeError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -136,6 +136,7 @@ pub fn parse(input: &str) -> Result<Value, DeError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -190,24 +191,48 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Advances past a run of ASCII digits, returning how many there were.
+    fn digits(&mut self) -> usize {
+        let n = self.bytes[self.pos..].iter().take_while(|b| b.is_ascii_digit()).count();
+        self.pos += n;
+        n
+    }
+
+    /// A number in JSON's grammar: `-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?`.
+    /// A leading zero ends the integer part, so `01` is `0` followed by
+    /// trailing characters.
     fn number(&mut self) -> Result<Value, DeError> {
         let start = self.pos;
-        let mut float = false;
+        let invalid = |p: &Parser<'_>| DeError(format!("invalid number at byte {}", p.pos));
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(invalid(self)),
+        }
+        let mut float = false;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            float = true;
+            if self.digits() == 0 {
+                return Err(invalid(self));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| DeError("invalid utf-8 in number".into()))?;
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            float = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(invalid(self));
+            }
+        }
+        let text = &self.src[start..self.pos];
         if float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -219,17 +244,65 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The four hex digits of a `\u` escape whose `u` is at `self.pos`,
+    /// leaving `self.pos` on the last digit. Exactly four hex digits: no
+    /// sign, no fewer.
+    fn hex4(&mut self) -> Result<u32, DeError> {
+        let hex = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| DeError("truncated \\u escape".into()))?;
+        let mut code = 0;
+        for &b in hex {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| DeError(format!("invalid \\u escape at byte {}", self.pos)))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// The character of a `\u` escape whose `u` is at `self.pos`: a BMP
+    /// scalar, or a UTF-16 high surrogate followed by a `\u` low one.
+    fn unicode_escape(&mut self) -> Result<char, DeError> {
+        let at = self.pos;
+        let lone = || DeError(format!("lone surrogate in \\u escape at byte {at}"));
+        let code = match self.hex4()? {
+            high @ 0xD800..=0xDBFF => {
+                if self.bytes.get(self.pos + 1..self.pos + 3) != Some(&b"\\u"[..]) {
+                    return Err(lone());
+                }
+                self.pos += 2;
+                match self.hex4()? {
+                    low @ 0xDC00..=0xDFFF => 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00),
+                    _ => return Err(lone()),
+                }
+            }
+            0xDC00..=0xDFFF => return Err(lone()),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| DeError("invalid \\u codepoint".into()))
+    }
+
     fn string(&mut self) -> Result<String, DeError> {
         self.eat(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy the run of plain text up to the next quote or escape
+            // in one piece. Both delimiters are ASCII, so the run ends on
+            // a character boundary of the (already valid UTF-8) input.
+            let run = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\');
+            let end = run.map_or(self.bytes.len(), |n| self.pos + n);
+            s.push_str(&self.src[self.pos..end]);
+            self.pos = end;
             match self.peek() {
                 None => return Err(DeError("unterminated string".into())),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => s.push('"'),
@@ -240,34 +313,12 @@ impl<'a> Parser<'a> {
                         Some(b't') => s.push('\t'),
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| DeError("truncated \\u escape".into()))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| DeError("invalid \\u escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| DeError("invalid \\u escape".into()))?;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| DeError("invalid \\u codepoint".into()))?,
-                            );
-                            self.pos += 4;
-                        }
+                        Some(b'u') => s.push(self.unicode_escape()?),
                         other => {
                             return Err(DeError(format!("invalid escape {other:?}")));
                         }
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| DeError("invalid utf-8 in string".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -357,5 +408,33 @@ mod tests {
     fn rejects_trailing_garbage() {
         assert!(parse("1 x").is_err());
         assert!(parse("[1,").is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#).unwrap(), Value::Str("A".into()));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04""#, r#""\u004g""#] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_are_errors() {
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Value::Str("\u{1f600}".into()));
+        assert_eq!(parse(r#""a\uD83D\uDE00b""#).unwrap(), Value::Str("a\u{1f600}b".into()));
+        for lone in [r#""\ud83d""#, r#""\ud83dx""#, r#""\ude00""#, r#""\ud83d\u0041""#] {
+            let err = parse(lone).unwrap_err();
+            assert!(err.0.contains("lone surrogate"), "{lone}: {err}");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        assert_eq!(parse("0").unwrap(), Value::Int(0));
+        assert_eq!(parse("-0.5e-3").unwrap(), Value::Float(-0.0005));
+        assert_eq!(parse("[10,0]").unwrap(), Value::Array(vec![Value::Int(10), Value::Int(0)]));
+        for bad in ["01", "-01", "00", "-", "1.", ".5", "1e", "1e+", "1.e5", "+1", "[01]"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 }
