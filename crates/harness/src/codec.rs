@@ -27,6 +27,19 @@
 //! checksum alone, so every corrupt file gets the same [`SnapshotError`]
 //! either way.
 //!
+//! The write path is one walk too. [`PairEncoder`] builds the few hundred
+//! bytes before the op bank, then streams each epoch's records straight
+//! from the programs to its writer, folding each slice into the container
+//! checksum and its program's two fingerprint chains on the way, and
+//! returns the [`PairDigest`]. [`encode_pair_file`] is that walk into a
+//! buffer; the store's is into the snapshot's temp file, so no
+//! whole-container buffer exists. The framing of the fingerprint streams
+//! lives in one walker that the encoder, [`digest_pair`] and
+//! [`fingerprint_view`] share, so what a writer seals and what a reader
+//! verifies cannot drift. A file the store has just written is served
+//! after a byte comparison with what was streamed
+//! ([`PairEncoder::wrote`]), not a second hash of the file.
+//!
 //! # Version-2 trace-pair payload: the zero-copy record bank
 //!
 //! Version 2 splits the `(plain, tls)` trace pair into a compact
@@ -84,7 +97,9 @@
 //! therefore every report-cache key and artifact — are identical
 //! whichever read path (owned or mapped) served the program.
 
+use std::convert::Infallible;
 use std::fmt;
+use std::io::{self, Write};
 use tls_core::experiment::BenchmarkPrograms;
 use tls_trace::{Epoch, ProgramView, RawOpError, Region, RegionView, TraceOp, TraceProgram};
 
@@ -430,42 +445,122 @@ pub fn program_bytes(program: &TraceProgram) -> Vec<u8> {
 /// produced the view. This identity is what keeps report-cache keys and
 /// artifacts byte-identical across container versions.
 pub fn fingerprint_view(view: &ProgramView<'_>) -> u64 {
-    let mut f = Fnv::new();
-    f.update(&(view.name.len() as u32).to_le_bytes());
-    f.update(view.name.as_bytes());
-    f.update(&(view.regions.len() as u32).to_le_bytes());
-    for region in &view.regions {
+    let walked = walk_program(
+        &mut Fnv::new(),
+        view.name,
+        view_shapes(view),
+        |e| e.len(),
+        |e, chains| {
+            op_bytes(e, |bytes| {
+                chains[1].update(bytes);
+                Ok::<(), Infallible>(())
+            })
+        },
+    );
+    let Ok((fingerprint, _)) = walked;
+    fingerprint
+}
+
+// ---------------------------------------------------------------------------
+// The fingerprint walk, shared by the encoder and the digest.
+// ---------------------------------------------------------------------------
+
+/// One region of a program as [`walk_program`] sees it: a reference to
+/// its epoch, or to its epochs. An epoch is whatever the caller can count
+/// and read: a borrowed op run, or an extent of a mapped bank.
+enum Shape<'r, E> {
+    Sequential(&'r E),
+    Parallel(&'r [E]),
+}
+
+fn view_shapes<'r, 'a>(
+    view: &'r ProgramView<'a>,
+) -> impl ExactSizeIterator<Item = Shape<'r, &'a [TraceOp]>> {
+    view.regions.iter().map(|r| match r {
+        RegionView::Sequential(e) => Shape::Sequential(e),
+        RegionView::Parallel(es) => Shape::Parallel(es),
+    })
+}
+
+fn layout_shapes(program: &ProgramLayout) -> impl ExactSizeIterator<Item = Shape<'_, OpRange>> {
+    program.regions.iter().map(|r| match r {
+        RegionLayout::Sequential(x) => Shape::Sequential(x),
+        RegionLayout::Parallel(es) => Shape::Parallel(es),
+    })
+}
+
+/// Walks one program in op-bank order and returns its `(fingerprint,
+/// serialized fingerprint)`. The walk feeds the framing bytes of both
+/// canonical streams (name, region tags, counts) to their chains itself,
+/// and hands each epoch to `ops` with three chains: the container
+/// checksum, the program fingerprint and the serialized fingerprint, in
+/// that order. `ops` folds the epoch's op bytes into them (and, when
+/// encoding, writes them out). This is the one definition of the
+/// fingerprint framing: the encoder, [`digest_pair`] and
+/// [`fingerprint_view`] all walk through it, so encode and open cannot
+/// drift.
+fn walk_program<'r, E: 'r, X>(
+    checksum: &mut Fnv,
+    name: &str,
+    regions: impl ExactSizeIterator<Item = Shape<'r, E>>,
+    count: impl Fn(&E) -> usize,
+    mut ops: impl FnMut(&E, &mut [&mut Fnv; 3]) -> Result<(), X>,
+) -> Result<(u64, u64), X> {
+    let (mut fp, mut ser) = (Fnv::new(), Fnv::new());
+    for f in [&mut fp, &mut ser] {
+        f.update(&(name.len() as u32).to_le_bytes());
+        f.update(name.as_bytes());
+        f.update(&(regions.len() as u32).to_le_bytes());
+    }
+    for region in regions {
         match region {
-            RegionView::Sequential(e) => {
-                f.update(&[0]);
-                fingerprint_epoch(&mut f, e);
+            Shape::Sequential(e) => {
+                for f in [&mut fp, &mut ser] {
+                    f.update(&[0]);
+                    f.update(&(count(e) as u32).to_le_bytes());
+                }
+                ops(e, &mut [&mut *checksum, &mut fp, &mut ser])?;
             }
-            RegionView::Parallel(es) => {
-                f.update(&[1]);
-                f.update(&(es.len() as u32).to_le_bytes());
+            Shape::Parallel(es) => {
+                fp.update(&[1]);
+                fp.update(&(es.len() as u32).to_le_bytes());
+                // Serialized, the region is one sequential epoch of all
+                // its ops (the count truncates as the encoder's does).
+                let total: usize = es.iter().map(&count).sum();
+                ser.update(&[0]);
+                ser.update(&(total as u32).to_le_bytes());
                 for e in es {
-                    fingerprint_epoch(&mut f, e);
+                    fp.update(&(count(e) as u32).to_le_bytes());
+                    ops(e, &mut [&mut *checksum, &mut fp, &mut ser])?;
                 }
             }
         }
     }
-    f.finish()
+    Ok((fp.finish(), ser.finish()))
 }
 
-fn fingerprint_epoch(f: &mut Fnv, ops: &[TraceOp]) {
-    f.update(&(ops.len() as u32).to_le_bytes());
+/// Hands the wire bytes of `ops` to `sink`: in one slice where the
+/// in-memory layout is the wire layout (little-endian hosts; pinned by
+/// the `repr(C)` assertions in tls-trace), record by record elsewhere.
+fn op_bytes<X>(ops: &[TraceOp], mut sink: impl FnMut(&[u8]) -> Result<(), X>) -> Result<(), X> {
     #[cfg(target_endian = "little")]
-    {
-        // In-memory layout == canonical wire layout (pinned by the
-        // repr(C) assertions in tls-trace): hash the records in bulk.
-        f.update(zerocopy::slice_as_bytes(ops));
-    }
+    let done = sink(zerocopy::slice_as_bytes(ops));
     #[cfg(not(target_endian = "little"))]
-    {
-        for op in ops {
-            f.update(&op.to_raw());
-        }
+    let done = ops.iter().try_for_each(|op| sink(&op.to_raw()));
+    done
+}
+
+/// Folds `bytes` into three FNV-1a chains at once. The chains do not
+/// depend on one another, so their multiplies overlap in the pipeline.
+fn fnv3([a, b, c]: &mut [&mut Fnv; 3], bytes: &[u8]) {
+    let (mut x, mut y, mut z) = (a.0, b.0, c.0);
+    for &byte in bytes {
+        let v = byte as u64;
+        x = (x ^ v).wrapping_mul(FNV_PRIME);
+        y = (y ^ v).wrapping_mul(FNV_PRIME);
+        z = (z ^ v).wrapping_mul(FNV_PRIME);
     }
+    (a.0, b.0, c.0) = (x, y, z);
 }
 
 // ---------------------------------------------------------------------------
@@ -661,50 +756,126 @@ fn encode_structure(out: &mut Vec<u8>, view: &ProgramView<'_>) {
     }
 }
 
-fn append_bank(out: &mut Vec<u8>, view: &ProgramView<'_>) {
-    let mut push = |ops: &[TraceOp]| {
-        #[cfg(target_endian = "little")]
-        out.extend_from_slice(zerocopy::slice_as_bytes(ops));
-        #[cfg(not(target_endian = "little"))]
-        for op in ops {
-            out.extend_from_slice(&op.to_raw());
+/// The size of the slices the encoder hashes and writes in one go: small
+/// enough to stay in cache between the two, large enough that a
+/// buffered writer passes them straight through.
+pub(crate) const WRITE_CHUNK: usize = 1 << 16;
+
+/// A `(plain, tls)` pair's version-2 container, written in one streaming
+/// walk.
+///
+/// Everything before the op bank — the container header, the payload
+/// header, the structure section and the padding — is a few hundred
+/// bytes built up front. [`PairEncoder::write_to`] then streams each
+/// epoch's records straight from the programs, hashing each slice into
+/// the container checksum and both fingerprint chains of its program as
+/// it goes, and returns the [`PairDigest`] that [`digest_pair`] would
+/// compute over the written bytes. No whole-container buffer exists
+/// unless the writer is one.
+#[derive(Debug)]
+pub struct PairEncoder<'a> {
+    plain: ProgramView<'a>,
+    tls: ProgramView<'a>,
+    /// Every byte before the op bank.
+    prefix: Vec<u8>,
+    /// The op bank's length in bytes.
+    bank_len: usize,
+}
+
+impl<'a> PairEncoder<'a> {
+    /// The encoder of `plain` and `tls` under the cache key `key_hash`.
+    pub fn new(key_hash: u64, plain: ProgramView<'a>, tls: ProgramView<'a>) -> Self {
+        let mut structure = Vec::new();
+        encode_structure(&mut structure, &plain);
+        encode_structure(&mut structure, &tls);
+        let total_ops = plain.total_ops() + tls.total_ops();
+        let bank_offset = bank_offset_for(16 + structure.len());
+        let bank_len = RECORD_LEN * total_ops;
+        let mut prefix = Vec::with_capacity(HEADER_LEN + bank_offset);
+        prefix.extend_from_slice(MAGIC);
+        prefix.push(KIND_TRACE_PAIR);
+        prefix.push(VERSION);
+        prefix.extend_from_slice(&key_hash.to_le_bytes());
+        prefix.extend_from_slice(&((bank_offset + bank_len) as u64).to_le_bytes());
+        prefix.extend_from_slice(&ENDIAN_STAMP.to_le_bytes());
+        prefix.extend_from_slice(&(RECORD_LEN as u16).to_le_bytes());
+        prefix.extend_from_slice(&(bank_offset as u32).to_le_bytes());
+        prefix.extend_from_slice(&(total_ops as u64).to_le_bytes());
+        prefix.extend_from_slice(&structure);
+        prefix.resize(HEADER_LEN + bank_offset, 0);
+        PairEncoder { plain, tls, prefix, bank_len }
+    }
+
+    /// The container's length in bytes.
+    pub fn file_len(&self) -> usize {
+        self.prefix.len() + self.bank_len + CHECKSUM_LEN
+    }
+
+    /// Writes the whole container to `out` in one walk and returns its
+    /// digest: the checksum it sealed the container with and the four
+    /// content fingerprints.
+    pub fn write_to(&self, out: &mut impl Write) -> io::Result<PairDigest> {
+        let mut checksum = Fnv::new();
+        checksum.update(&self.prefix);
+        out.write_all(&self.prefix)?;
+        let mut program = |view: &ProgramView<'_>| {
+            walk_program(
+                &mut checksum,
+                view.name,
+                view_shapes(view),
+                |e| e.len(),
+                |e, chains| {
+                    op_bytes(e, |bytes| {
+                        bytes.chunks(WRITE_CHUNK).try_for_each(|chunk| {
+                            fnv3(chains, chunk);
+                            out.write_all(chunk)
+                        })
+                    })
+                },
+            )
+        };
+        let (plain, plain_serialized) = program(&self.plain)?;
+        let (tls, tls_serialized) = program(&self.tls)?;
+        let checksum = checksum.finish();
+        out.write_all(&checksum.to_le_bytes())?;
+        Ok(PairDigest { checksum, plain, tls, plain_serialized, tls_serialized })
+    }
+
+    /// Whether `file` holds exactly what [`PairEncoder::write_to`] wrote
+    /// when it returned `digest`: the same length, the same bytes before
+    /// the bank, every epoch's records equal to the programs' own, and
+    /// the container sealed with `digest`'s checksum. It compares bytes
+    /// and hashes none, and it is a stronger check than a re-hash.
+    pub fn wrote(&self, file: &[u8], digest: &PairDigest) -> bool {
+        if file.len() != self.file_len() || !file.starts_with(&self.prefix) {
+            return false;
         }
-    };
-    for region in &view.regions {
-        match region {
-            RegionView::Sequential(e) => push(e),
-            RegionView::Parallel(es) => {
-                for e in es {
-                    push(e);
-                }
+        let (mut bank, seal) = file[self.prefix.len()..].split_at(self.bank_len);
+        let mut epochs = [&self.plain, &self.tls].into_iter().flat_map(|view| {
+            view.regions.iter().flat_map(|r| match r {
+                RegionView::Sequential(e) => std::slice::from_ref(e),
+                RegionView::Parallel(es) => es.as_slice(),
+            })
+        });
+        let mut same = |bytes: &[u8]| match bank.strip_prefix(bytes) {
+            Some(rest) => {
+                bank = rest;
+                Ok(())
             }
-        }
+            None => Err(()),
+        };
+        seal == digest.checksum.to_le_bytes()
+            && epochs.all(|ops| op_bytes(ops, &mut same).is_ok())
+            && bank.is_empty()
     }
 }
 
 /// Serializes a `(plain, tls)` pair as a version-2 (kind-1) payload.
 pub fn encode_pair(pair: &BenchmarkPrograms) -> Vec<u8> {
-    encode_pair_views(&pair.plain.view(), &pair.tls.view())
-}
-
-/// As [`encode_pair`], from borrowed views (the healing path for mapped
-/// snapshots needs no owned pair).
-pub fn encode_pair_views(plain: &ProgramView<'_>, tls: &ProgramView<'_>) -> Vec<u8> {
-    let mut structure = Vec::new();
-    encode_structure(&mut structure, plain);
-    encode_structure(&mut structure, tls);
-    let total_ops = plain.total_ops() + tls.total_ops();
-    let bank_offset = bank_offset_for(16 + structure.len());
-    let mut out = Vec::with_capacity(bank_offset + RECORD_LEN * total_ops);
-    out.extend_from_slice(&ENDIAN_STAMP.to_le_bytes());
-    out.extend_from_slice(&(RECORD_LEN as u16).to_le_bytes());
-    out.extend_from_slice(&(bank_offset as u32).to_le_bytes());
-    out.extend_from_slice(&(total_ops as u64).to_le_bytes());
-    out.extend_from_slice(&structure);
-    out.resize(bank_offset, 0);
-    append_bank(&mut out, plain);
-    append_bank(&mut out, tls);
-    out
+    let mut file = encode_pair_file(0, pair);
+    file.truncate(file.len() - CHECKSUM_LEN);
+    file.drain(..HEADER_LEN);
+    file
 }
 
 fn parse_structure(r: &mut Reader<'_>, cursor: &mut usize) -> Result<ProgramLayout, SnapshotError> {
@@ -834,8 +1005,8 @@ pub struct PairDigest {
 /// interleaved FNV-1a chains — checksum, program fingerprint, serialized
 /// fingerprint — that are independent of one another, so the walk costs
 /// about what the checksum alone did. The framing bytes of the two
-/// canonical fingerprint streams (names, region tags, counts) come from
-/// the layout, at the epoch boundaries where those streams carry them.
+/// canonical fingerprint streams come from the layout, through the same
+/// walk the encoder takes.
 ///
 /// # Panics
 ///
@@ -847,62 +1018,23 @@ pub fn digest_pair(body: &[u8], layout: &PairLayout) -> PairDigest {
     checksum.update(&body[..bank_at]);
     let bank = &body[bank_at..];
     assert_eq!(bank.len(), RECORD_LEN * layout.total_ops, "layout does not match the body");
-    let (plain, plain_serialized) = digest_program(&mut checksum, &layout.plain, bank);
-    let (tls, tls_serialized) = digest_program(&mut checksum, &layout.tls, bank);
-    PairDigest { checksum: checksum.finish(), plain, tls, plain_serialized, tls_serialized }
-}
-
-/// One program's `(fingerprint, serialized fingerprint)`, feeding its
-/// bank bytes to `checksum` on the way. The program's extents are
-/// consecutive in the bank, so the checksum sees the bank in order.
-fn digest_program(checksum: &mut Fnv, program: &ProgramLayout, bank: &[u8]) -> (u64, u64) {
-    let (mut fp, mut ser) = (Fnv::new(), Fnv::new());
-    for f in [&mut fp, &mut ser] {
-        f.update(&(program.name.len() as u32).to_le_bytes());
-        f.update(program.name.as_bytes());
-        f.update(&(program.regions.len() as u32).to_le_bytes());
-    }
-    let ops = |chains: [&mut Fnv; 3], x: &OpRange| {
-        fnv3(chains, &bank[RECORD_LEN * x.start..RECORD_LEN * (x.start + x.count)]);
+    let mut program = |p: &ProgramLayout| {
+        let walked = walk_program(
+            &mut checksum,
+            &p.name,
+            layout_shapes(p),
+            |x| x.count,
+            |x, chains| {
+                fnv3(chains, &bank[RECORD_LEN * x.start..RECORD_LEN * (x.start + x.count)]);
+                Ok::<(), Infallible>(())
+            },
+        );
+        let Ok(fingerprints) = walked;
+        fingerprints
     };
-    for region in &program.regions {
-        match region {
-            RegionLayout::Sequential(x) => {
-                for f in [&mut fp, &mut ser] {
-                    f.update(&[0]);
-                    f.update(&(x.count as u32).to_le_bytes());
-                }
-                ops([&mut *checksum, &mut fp, &mut ser], x);
-            }
-            RegionLayout::Parallel(es) => {
-                fp.update(&[1]);
-                fp.update(&(es.len() as u32).to_le_bytes());
-                // Serialized, the region is one sequential epoch of all
-                // its ops (the count truncates as the encoder's does).
-                let total: usize = es.iter().map(|x| x.count).sum();
-                ser.update(&[0]);
-                ser.update(&(total as u32).to_le_bytes());
-                for x in es {
-                    fp.update(&(x.count as u32).to_le_bytes());
-                    ops([&mut *checksum, &mut fp, &mut ser], x);
-                }
-            }
-        }
-    }
-    (fp.finish(), ser.finish())
-}
-
-/// Folds `bytes` into three FNV-1a chains at once. The chains do not
-/// depend on one another, so their multiplies overlap in the pipeline.
-fn fnv3([a, b, c]: [&mut Fnv; 3], bytes: &[u8]) {
-    let (mut x, mut y, mut z) = (a.0, b.0, c.0);
-    for &byte in bytes {
-        let v = byte as u64;
-        x = (x ^ v).wrapping_mul(FNV_PRIME);
-        y = (y ^ v).wrapping_mul(FNV_PRIME);
-        z = (z ^ v).wrapping_mul(FNV_PRIME);
-    }
-    (a.0, b.0, c.0) = (x, y, z);
+    let (plain, plain_serialized) = program(&layout.plain);
+    let (tls, tls_serialized) = program(&layout.tls);
+    PairDigest { checksum: checksum.finish(), plain, tls, plain_serialized, tls_serialized }
 }
 
 /// Casts a (validated) op bank to records in place. Fails with a typed
@@ -947,9 +1079,13 @@ pub fn decode_pair(payload: &[u8]) -> Result<BenchmarkPrograms, SnapshotError> {
 // Whole-file forms.
 // ---------------------------------------------------------------------------
 
-/// Encodes a pair as a complete (version-2) container file image.
+/// Encodes a pair as a complete (version-2) container file image: the
+/// [`PairEncoder`] written into a buffer.
 pub fn encode_pair_file(key_hash: u64, pair: &BenchmarkPrograms) -> Vec<u8> {
-    encode_container(KIND_TRACE_PAIR, key_hash, &encode_pair(pair))
+    let encoder = PairEncoder::new(key_hash, pair.plain.view(), pair.tls.view());
+    let mut out = Vec::with_capacity(encoder.file_len());
+    encoder.write_to(&mut out).expect("writing to a Vec cannot fail");
+    out
 }
 
 /// Decodes a container file image back into an owned pair, verifying

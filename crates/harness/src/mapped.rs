@@ -16,6 +16,10 @@
 //!    out borrowed [`ProgramView`]s for the pair and for each program's
 //!    serialized form (the SEQUENTIAL and TLS-SEQ input); no op bytes are
 //!    ever copied after open.
+//! 3. `TraceView::open_written` — the same view over a file the store
+//!    has just streamed: it compares the mapped bytes with what was
+//!    written instead of hashing them again, and keeps the digest the
+//!    write computed.
 //!
 //! The checksum and the four content fingerprints (each program and
 //! each serialized program) come from one walk over the file
@@ -52,7 +56,7 @@
 
 use crate::codec::{
     self, cast_bank, check_header, digest_pair, parse_pair_layout, validate_bank, verify_seal,
-    PairDigest, PairLayout, SnapshotError, CHECKSUM_LEN, HEADER_LEN, KIND_TRACE_PAIR,
+    PairDigest, PairEncoder, PairLayout, SnapshotError, CHECKSUM_LEN, HEADER_LEN, KIND_TRACE_PAIR,
 };
 use std::path::Path;
 use tls_core::experiment::BenchmarkPrograms;
@@ -305,6 +309,33 @@ impl TraceView {
             return MapOutcome::Bad(e);
         }
         MapOutcome::Mapped(Box::new(TraceView { map, layout, bank_at, digest }))
+    }
+
+    /// Maps the snapshot that `encoder` has just written at `path`, whose
+    /// write returned `digest`, without hashing it again: the map is
+    /// served only if its bytes are exactly what was streamed
+    /// ([`PairEncoder::wrote`]) and every record validates. `None` on any
+    /// difference (a file replaced after the write, say), and always on a
+    /// big-endian host, which cannot serve records in place.
+    pub(crate) fn open_written(
+        path: &Path,
+        encoder: &PairEncoder<'_>,
+        digest: PairDigest,
+    ) -> Option<TraceView> {
+        if cfg!(not(target_endian = "little")) {
+            return None;
+        }
+        let map = Mapping::open(path).ok()?;
+        let bytes = map.bytes();
+        if !encoder.wrote(bytes, &digest) {
+            return None;
+        }
+        let body = &bytes[..bytes.len() - CHECKSUM_LEN];
+        let layout = parse_pair_layout(&body[HEADER_LEN..]).ok()?;
+        let bank_at = HEADER_LEN + layout.bank_offset;
+        validate_bank(&body[bank_at..]).ok()?;
+        cast_bank(&body[bank_at..]).ok()?;
+        Some(TraceView { map, layout, bank_at, digest })
     }
 }
 

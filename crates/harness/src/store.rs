@@ -31,12 +31,14 @@
 //! TLSNAP in place of a good one.
 
 use crate::codec::{
-    self, decode_container, encode_container, fingerprint_view, fnv1a, Fnv, SnapshotError,
-    KIND_SIM_REPORT,
+    self, decode_container, encode_container, fingerprint_view, fnv1a, Fnv, PairEncoder,
+    SnapshotError, KIND_SIM_REPORT,
 };
 use crate::mapped::{MapOutcome, TraceView};
 use crate::population::{Lease, Populations};
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -432,7 +434,7 @@ impl HarnessStore {
             "file: {name}\ncode: {}\nreason: {err}\naction: regenerated transparently\n",
             err.code()
         );
-        write_atomic(&qdir.join(format!("{name}.reason.txt")), reason.as_bytes());
+        write_bytes_atomic(&qdir.join(format!("{name}.reason.txt")), reason.as_bytes());
         eprintln!("warning: quarantined snapshot {} ({err}); regenerating", dest.display());
     }
 
@@ -487,16 +489,10 @@ impl HarnessStore {
             let plain = population.fork(OptLevel::none()).record_plain(key.txn, key.count);
             let tls = population.take(key.cfg.opts).record(key.txn, key.count);
             let pair = BenchmarkPrograms { plain, tls };
-            if let Some(path) = &path {
-                write_atomic(path, &codec::encode_pair_file(hash, &pair));
-                // Serve the freshly written snapshot in place too: the
-                // recording already cost seconds, and mapping now frees
-                // the owned copy for the rest of the run.
-                if let MapOutcome::Mapped(view) = TraceView::open(path, hash) {
-                    return Arc::new(StoredPrograms::from_view(Arc::new(*view)));
-                }
-            }
-            Arc::new(StoredPrograms::new(pair))
+            Arc::new(match &path {
+                Some(path) => persist(path, hash, pair, || ()),
+                None => StoredPrograms::new(pair),
+            })
         })
         .clone()
     }
@@ -639,21 +635,58 @@ fn report_key(program: &KeyedProgram, cfg_json: &str) -> u64 {
 }
 
 fn write_report(path: &Path, hash: u64, json: &str) {
-    write_atomic(path, &encode_container(KIND_SIM_REPORT, hash, json.as_bytes()));
+    write_bytes_atomic(path, &encode_container(KIND_SIM_REPORT, hash, json.as_bytes()));
 }
 
-/// Writes `bytes` to `path` via a unique temp file, an fsync, and an
-/// atomic rename, creating parent directories. A crash or `kill -9` at
-/// any point leaves either the old file or the complete new one — never
-/// a torn TLSNAP — and the fsync-before-rename ensures the renamed file
-/// has its contents on disk, not just its directory entry. Failures warn
-/// and leave the cache cold — the snapshot store is an accelerator,
-/// never a correctness dependency.
-fn write_atomic(path: &Path, bytes: &[u8]) {
-    let Some(parent) = path.parent() else { return };
+/// Streams a freshly recorded `pair` into its snapshot at `path`, and
+/// serves that file in place: the recording already cost seconds, and
+/// mapping frees the owned copy for the rest of the run. The write is one
+/// walk that hashes as it goes ([`PairEncoder`]), and the map is checked
+/// by comparing its bytes with the pair rather than by hashing the file
+/// again. If the file cannot be written, or does not hold exactly what
+/// was written when `before_map` has run (tests replace it there), the
+/// owned pair is served instead.
+fn persist(
+    path: &Path,
+    hash: u64,
+    pair: BenchmarkPrograms,
+    before_map: impl FnOnce(),
+) -> StoredPrograms {
+    let view = {
+        let encoder = PairEncoder::new(hash, pair.plain.view(), pair.tls.view());
+        let digest = write_atomic(path, |file| {
+            let mut out = BufWriter::with_capacity(codec::WRITE_CHUNK, file);
+            let digest = encoder.write_to(&mut out)?;
+            out.flush()?;
+            Ok(digest)
+        });
+        before_map();
+        digest.and_then(|digest| TraceView::open_written(path, &encoder, digest))
+    };
+    match view {
+        Some(view) => StoredPrograms::from_view(Arc::new(view)),
+        None => StoredPrograms::new(pair),
+    }
+}
+
+/// [`write_atomic`] of a byte slice.
+fn write_bytes_atomic(path: &Path, bytes: &[u8]) {
+    write_atomic(path, |file| file.write_all(bytes));
+}
+
+/// Writes the file at `path` through `fill` via a unique temp file, an
+/// fsync, and an atomic rename, creating parent directories, and returns
+/// what `fill` returned once the file is in place. A crash or `kill -9`
+/// at any point leaves either the old file or the complete new one —
+/// never a torn TLSNAP — and the fsync-before-rename ensures the renamed
+/// file has its contents on disk, not just its directory entry. Failures
+/// warn, return `None` and leave the cache cold — the snapshot store is
+/// an accelerator, never a correctness dependency.
+fn write_atomic<T>(path: &Path, fill: impl FnOnce(&mut File) -> io::Result<T>) -> Option<T> {
+    let parent = path.parent()?;
     if let Err(e) = std::fs::create_dir_all(parent) {
         eprintln!("warning: cannot create {}: {e}", parent.display());
-        return;
+        return None;
     }
     // Unique per write, so two writers of one key in this process (a
     // grid that repeats a point) never share a temp file.
@@ -664,32 +697,37 @@ fn write_atomic(path: &Path, bytes: &[u8]) {
         std::process::id(),
         WRITES.fetch_add(1, Ordering::Relaxed)
     ));
-    let synced = std::fs::File::create(&tmp).and_then(|mut f| {
-        use std::io::Write;
-        f.write_all(bytes)?;
-        f.sync_all()
+    let synced = File::create(&tmp).and_then(|mut f| {
+        let value = fill(&mut f)?;
+        f.sync_all()?;
+        Ok(value)
     });
-    if let Err(e) = synced {
-        eprintln!("warning: cannot write {}: {e}", tmp.display());
-        let _ = std::fs::remove_file(&tmp);
-        return;
-    }
+    let value = match synced {
+        Ok(value) => value,
+        Err(e) => {
+            eprintln!("warning: cannot write {}: {e}", tmp.display());
+            let _ = std::fs::remove_file(&tmp);
+            return None;
+        }
+    };
     if let Err(e) = std::fs::rename(&tmp, path) {
         eprintln!("warning: cannot publish {}: {e}", path.display());
         let _ = std::fs::remove_file(&tmp);
-        return;
+        return None;
     }
     // Persist the directory entry too (best-effort; not all platforms
     // allow opening a directory for sync).
-    if let Ok(d) = std::fs::File::open(parent) {
+    if let Ok(d) = File::open(parent) {
         let _ = d.sync_all();
     }
+    Some(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::Scale;
+    use tls_minidb::Tpcc;
 
     fn key() -> TraceKey {
         TraceKey { cfg: Scale::Test.tpcc(), txn: Transaction::Payment, count: 1 }
@@ -788,6 +826,68 @@ mod tests {
         let reason = std::fs::read_to_string(&reason_path).expect("reason file");
         assert!(reason.contains("code: version-mismatch"), "{reason}");
         assert!(matches!(TraceView::open(&path, key().hash()), MapOutcome::Mapped(_)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_miss_serves_the_file_it_wrote_unless_the_file_was_swapped() {
+        let dir = std::env::temp_dir().join(format!("tls-harness-fresh-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (key, hash) = (key(), key().hash());
+        let path = dir.join(key.file_name());
+        let store = HarnessStore::new(Some(dir.clone()), true);
+        let fresh = store.programs(&key);
+        let ProgramRepr::Mapped { view, .. } = &fresh.tls.repr else {
+            panic!("a miss serves the snapshot it wrote");
+        };
+        let MapOutcome::Mapped(reopened) = TraceView::open(&path, hash) else {
+            panic!("the written snapshot opens");
+        };
+        assert_eq!(view.digest, reopened.digest, "the streamed digest is the file's");
+
+        let record = || {
+            let (plain, tls) = Tpcc::record_pair(&key.cfg, key.txn, key.count);
+            BenchmarkPrograms { plain, tls }
+        };
+        let want = {
+            let pair = StoredPrograms::new(record());
+            [pair.plain.fingerprint(), pair.tls.fingerprint(), pair.serialized(true).fingerprint()]
+        };
+        assert_eq!(
+            want,
+            [fresh.plain.fingerprint(), fresh.tls.fingerprint(), view.digest.tls_serialized]
+        );
+        // Another valid snapshot under the same key (it would pass a
+        // re-hash), a flipped op byte, a truncation, and no file at all.
+        let (other_plain, other_tls) = Tpcc::record_pair(&key.cfg, key.txn, key.count + 1);
+        let other = codec::encode_pair_file(
+            hash,
+            &BenchmarkPrograms { plain: other_plain, tls: other_tls },
+        );
+        let good = std::fs::read(&path).expect("snapshot");
+        let mut flipped = good.clone();
+        let at = good.len() - codec::CHECKSUM_LEN - 3;
+        flipped[at] ^= 0x10;
+        let swaps: [(&str, Option<Vec<u8>>); 4] = [
+            ("another pair", Some(other)),
+            ("a flipped byte", Some(flipped)),
+            ("a truncation", Some(good[..good.len() / 2].to_vec())),
+            ("a removed file", None),
+        ];
+        for (what, swap) in swaps {
+            let served = persist(&path, hash, record(), || match &swap {
+                Some(bytes) => std::fs::write(&path, bytes).expect("swap the snapshot"),
+                None => std::fs::remove_file(&path).expect("remove the snapshot"),
+            });
+            assert!(matches!(served.tls.repr, ProgramRepr::Owned(_)), "{what}: owned fallback");
+            assert!(matches!(served.plain.repr, ProgramRepr::Owned(_)), "{what}: owned fallback");
+            let got = [
+                served.plain.fingerprint(),
+                served.tls.fingerprint(),
+                served.serialized(true).fingerprint(),
+            ];
+            assert_eq!(got, want, "{what}: fingerprints");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

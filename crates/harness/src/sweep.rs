@@ -1110,6 +1110,18 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_field_is_an_error_not_the_last_value() {
+        // The grid used to take the last value of a repeated field, and
+        // derived impls the first.
+        let twice = grid_src().replace("\"seeds\": [1, 2],", "\"seeds\": [1, 2], \"seeds\": [3],");
+        let e = SweepSpec::parse(&twice).expect_err("repeated field");
+        assert!(e.message.contains("duplicate key `seeds`"), "{e}");
+        let opts = r#"{"per_thread_log":true,"no_global_stats":true,"latch_free":true,"latch_free":false}"#;
+        let e = serde_json::from_str::<tls_minidb::OptLevel>(opts).expect_err("repeated field");
+        assert!(e.to_string().contains("duplicate key `latch_free`"), "{e}");
+    }
+
+    #[test]
     fn points_are_seed_major_and_filterable() {
         let plan = SweepPlan::new(SweepSpec::parse(grid_src()).unwrap(), Scale::Test);
         let all = plan.selected(None);

@@ -415,11 +415,14 @@ pub struct CompiledWorkload {
     pub point_transactions: usize,
 }
 
-/// Compiles a spec: executes it twice against fresh databases and
-/// returns both recordings. Pure — every byte is a function of the spec.
+/// Compiles a spec: loads its database once and executes the spec twice,
+/// the plain half on a copy of the loaded database and the TLS half on
+/// the original, and returns both recordings. Pure — every byte is a
+/// function of the spec.
 pub fn compile(spec: &WorkloadSpec) -> CompiledWorkload {
-    let (plain, scans, points) = record(spec, false);
-    let (tls, _, _) = record(spec, true);
+    let loaded = load(spec);
+    let (plain, scans, points) = record(spec, loaded.fork(OptLevel::none()), false);
+    let (tls, _, _) = record(spec, loaded.with_opts(OptLevel::fully_optimized()), true);
     CompiledWorkload { plain, tls, scan_transactions: scans, point_transactions: points }
 }
 
@@ -454,15 +457,37 @@ impl Run {
     }
 }
 
-fn record(spec: &WorkloadSpec, tls: bool) -> (TraceProgram, usize, usize) {
-    let opts = if tls { OptLevel::fully_optimized() } else { OptLevel::none() };
+/// A spec's loaded database: the engine, the base table and its index.
+struct Loaded {
+    env: Env,
+    db: Db,
+    base: BTree,
+    index: BTree,
+}
+
+impl Loaded {
+    /// A copy of the loaded database that runs the engine with `opts`.
+    fn fork(&self, opts: OptLevel) -> Loaded {
+        let copy = Loaded { env: self.env.fork(), db: self.db, base: self.base, index: self.index };
+        copy.with_opts(opts)
+    }
+
+    /// This database, running the engine with `opts`.
+    fn with_opts(mut self, opts: OptLevel) -> Loaded {
+        self.db.opts = opts;
+        self
+    }
+}
+
+/// Creates the spec's tables and loads them (recording off): keys
+/// 0..rows, val seeded from the key, the index entry following the
+/// category of val. Loading never reads the engine options, so one load
+/// serves both halves of a compile.
+fn load(spec: &WorkloadSpec) -> Loaded {
     let mut env = Env::new();
-    let db = Db::new(&mut env, opts);
+    let db = Db::new(&mut env, OptLevel::none());
     let base = db.create_tree(&mut env, spec.row_bytes, WORKLOAD_MODULE);
     let index = db.create_tree(&mut env, 8, WORKLOAD_INDEX_MODULE);
-
-    // Load (recording off): keys 0..rows, val seeded from the key, the
-    // index entry following the category of val.
     let by_cat = SecondaryIndex::new(index);
     for k in 0..spec.rows {
         let val = k.wrapping_mul(31).wrapping_add(spec.seed);
@@ -472,7 +497,14 @@ fn record(spec: &WorkloadSpec, tls: bool) -> (TraceProgram, usize, usize) {
         assert!(base.insert(&mut env, &db.alloc, k, &row), "load keys are distinct");
         assert!(by_cat.insert(&mut env, &db.alloc, index_key(category(val), k), k));
     }
+    Loaded { env, db, base, index }
+}
 
+/// Executes the spec on `loaded`, recording it (`tls` selects the TLS
+/// transformation). Returns the recording and its scan and point
+/// transaction counts.
+fn record(spec: &WorkloadSpec, loaded: Loaded, tls: bool) -> (TraceProgram, usize, usize) {
+    let Loaded { env, db, base, index } = loaded;
     let mut run = Run {
         env,
         db,

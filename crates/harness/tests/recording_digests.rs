@@ -9,11 +9,17 @@ use tls_core::experiment::BenchmarkPrograms;
 use tls_harness::codec::{
     digest_pair, encode_pair_file, parse_pair_layout, PairDigest, CHECKSUM_LEN, HEADER_LEN,
 };
-use tls_harness::{instances, HarnessStore, JobPool, Scale, TraceKey};
+use tls_harness::{
+    compile, instances, HarnessStore, JobPool, MixWeights, Scale, TraceKey, WorkloadSpec,
+};
 use tls_minidb::{Tpcc, Transaction};
 
 fn digest(key: &TraceKey, pair: &BenchmarkPrograms) -> [u64; 5] {
-    let bytes = encode_pair_file(key.hash(), pair);
+    digest_bytes(&encode_pair_file(key.hash(), pair))
+}
+
+/// The digest of one snapshot file image.
+fn digest_bytes(bytes: &[u8]) -> [u64; 5] {
     let body = &bytes[..bytes.len() - CHECKSUM_LEN];
     let layout = parse_pair_layout(&body[HEADER_LEN..]).expect("layout");
     let PairDigest { checksum, plain, tls, plain_serialized, tls_serialized } =
@@ -80,4 +86,67 @@ fn recorded_pairs_match_their_pinned_digests() {
         let direct = digest(key, &BenchmarkPrograms { plain, tls });
         assert_eq!(&direct, want, "record_pair digest of {}", key.txn.trace_name());
     }
+}
+
+/// A disk-backed store streams each pair into its snapshot file: every
+/// file it writes digests to the pinned values, and the programs it
+/// serves carry the pinned fingerprints.
+#[test]
+fn snapshots_the_store_writes_match_the_pinned_digests() {
+    let dir = std::env::temp_dir().join(format!("tls-recording-digests-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let keys = keys();
+    let store = HarnessStore::new(Some(dir.clone()), false);
+    let pool = JobPool::new(2);
+    let jobs: Vec<Box<dyn FnOnce() -> [u64; 4] + Send + '_>> = keys
+        .iter()
+        .map(|key| {
+            let store = &store;
+            let job: Box<dyn FnOnce() -> [u64; 4] + Send + '_> = Box::new(move || {
+                let progs = store.programs(key);
+                [
+                    progs.plain.fingerprint(),
+                    progs.tls.fingerprint(),
+                    progs.serialized(false).fingerprint(),
+                    progs.serialized(true).fingerprint(),
+                ]
+            });
+            job
+        })
+        .collect();
+    let served = pool.run(jobs);
+    assert_eq!(store.stats.snapshot()[2], keys.len() as u64, "every key recorded");
+    for ((key, fingerprints), want) in keys.iter().zip(&served).zip(&WANT) {
+        let what = format!("{} seed {}", key.txn.trace_name(), key.cfg.seed);
+        let file = std::fs::read(dir.join(key.file_name())).expect("snapshot written");
+        assert_eq!(&digest_bytes(&file), want, "file digest of {what}");
+        assert_eq!(fingerprints, &want[1..], "served fingerprints of {what}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The zipf-0.8 scan-collision spec at paper scale, as the
+/// `scan_collision` plan and the benchmark's collider compile it.
+fn collider_spec() -> WorkloadSpec {
+    let mut spec = WorkloadSpec::example();
+    spec.name = "zipf_080".to_string();
+    spec.zipf_theta = 0.8;
+    spec.mix = MixWeights { point_read: 1, point_update: 2, range_scan: 5 };
+    spec.colliders_per_epoch = 4;
+    spec
+}
+
+/// Generated by the compiler that built the workload's database once per
+/// half.
+#[rustfmt::skip]
+const COLLIDER_WANT: [u64; 5] =
+    [0x49e0a6cd1875c397, 0xca3f50301fce526c, 0xb20b1586b88a2f67, 0xca3f50301fce526c, 0x81a59ad5ce654021];
+
+#[test]
+fn compiled_collider_matches_its_pinned_digest() {
+    let c = compile(&collider_spec());
+    let key = 0xC011_1DE5;
+    let got =
+        digest_bytes(&encode_pair_file(key, &BenchmarkPrograms { plain: c.plain, tls: c.tls }));
+    assert_eq!(got, COLLIDER_WANT, "{got:#018x?}");
 }

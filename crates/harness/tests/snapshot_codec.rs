@@ -4,8 +4,11 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tls_core::experiment::BenchmarkPrograms;
-use tls_harness::codec::{decode_pair_file, encode_pair_file, program_bytes};
-use tls_trace::{Addr, LatchId, OpSink, Pc, ProgramBuilder, TraceOp, TraceProgram};
+use tls_harness::codec::{
+    decode_pair_file, digest_pair, encode_pair_file, parse_pair_layout, program_bytes, PairEncoder,
+    CHECKSUM_LEN, HEADER_LEN,
+};
+use tls_trace::{Addr, Epoch, LatchId, OpSink, Pc, ProgramBuilder, Region, TraceOp, TraceProgram};
 
 /// A generated op: `(class, module, site, arg, addr, dep)`.
 type OpDesc = (u8, u16, u16, u8, u64, u16);
@@ -59,8 +62,53 @@ fn program(
     b.finish()
 }
 
+/// A program of any region sequence: each `(parallel, epochs)` is a
+/// sequential region of the epochs' ops, or a parallel region of the
+/// epochs (possibly none, possibly empty ones).
+fn regions(name: &str, shapes: &[(bool, Vec<Vec<OpDesc>>)]) -> TraceProgram {
+    let epoch = |ops: &[OpDesc]| Epoch::new(ops.iter().map(|&d| op(d)).collect());
+    let regions = shapes
+        .iter()
+        .map(|(parallel, epochs)| match parallel {
+            false => Region::Sequential(epoch(&epochs.concat())),
+            true => Region::Parallel(epochs.iter().map(|e| epoch(e)).collect()),
+        })
+        .collect();
+    TraceProgram::new(name, regions)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The streaming writer's bytes decode to the pair it was given, and
+    /// the digest it returns is the one a separate walk over those bytes
+    /// computes. The bytes are exactly what the writer recognizes as its
+    /// own, and flipping any one of them makes them not so.
+    #[test]
+    fn streamed_bytes_decode_and_digest_as_written(
+        plain in vec((any::<bool>(), vec(vec(op_desc(), 0..6), 0..4)), 0..4),
+        tls in vec((any::<bool>(), vec(vec(op_desc(), 0..6), 0..4)), 0..4),
+        key in any::<u64>(),
+        pos_seed in any::<u64>(),
+        mask in 1u8..255,
+    ) {
+        let pair = BenchmarkPrograms { plain: regions("plain-prog", &plain), tls: regions("tls", &tls) };
+        let encoder = PairEncoder::new(key, pair.plain.view(), pair.tls.view());
+        let mut bytes = Vec::new();
+        let digest = encoder.write_to(&mut bytes).expect("a Vec takes every write");
+        prop_assert_eq!(bytes.len(), encoder.file_len());
+        let decoded = decode_pair_file(&bytes, key).expect("streamed bytes decode");
+        prop_assert_eq!(program_bytes(&decoded.plain), program_bytes(&pair.plain));
+        prop_assert_eq!(program_bytes(&decoded.tls), program_bytes(&pair.tls));
+        let body = &bytes[..bytes.len() - CHECKSUM_LEN];
+        let layout = parse_pair_layout(&body[HEADER_LEN..]).expect("layout");
+        prop_assert_eq!(digest_pair(body, &layout), digest);
+        prop_assert!(encoder.wrote(&bytes, &digest));
+        let mut flipped = bytes.clone();
+        flipped[(pos_seed % bytes.len() as u64) as usize] ^= mask;
+        prop_assert!(!encoder.wrote(&flipped, &digest));
+        prop_assert!(!encoder.wrote(&bytes[..bytes.len() - 1], &digest));
+    }
 
     #[test]
     fn arbitrary_pairs_round_trip(

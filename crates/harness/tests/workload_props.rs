@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use tls_harness::workload::{WorkloadSpec, Zipf};
+use tls_harness::SweepSpec;
 
 /// Draws `count` samples and returns the fraction that landed in the
 /// lowest-ranked tenth of the key space.
@@ -96,6 +97,37 @@ proptest! {
     fn parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let src = String::from_utf8_lossy(&bytes);
         let _ = WorkloadSpec::parse(&src);
+    }
+
+    /// Arbitrary bytes given as a sweep grid produce `Ok` or a typed
+    /// `SweepError`, never a panic.
+    #[test]
+    fn sweep_parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        let src = String::from_utf8_lossy(&bytes);
+        let _ = SweepSpec::parse(&src);
+    }
+
+    /// The committed CI grid with one character replaced by any ASCII
+    /// byte parses or fails with a typed error, and never panics.
+    #[test]
+    fn mutated_sweep_grids_never_panic(at in 0usize..4096, byte in 0u8..0x80) {
+        let grid = include_str!("../specs/sweep_grid.json");
+        let i = at % grid.len();
+        let mutated = format!("{}{}{}", &grid[..i], byte as char, &grid[i + 1..]);
+        let _ = SweepSpec::parse(&mutated);
+    }
+
+    /// A grid that repeats any of its fields is a typed error naming the
+    /// field, whichever copy comes first.
+    #[test]
+    fn repeated_sweep_fields_are_typed_errors(line in 1usize..8, first in any::<bool>()) {
+        let grid = include_str!("../specs/sweep_grid.json").trim_end();
+        let field = grid.lines().nth(line).expect("a field line").trim().trim_end_matches(',');
+        let key = field.split('"').nth(1).expect("a quoted key");
+        let body = grid.strip_prefix('{').and_then(|g| g.strip_suffix('}')).expect("an object");
+        let src = if first { format!("{{{field},{body}}}") } else { format!("{{{body},{field}}}") };
+        let e = SweepSpec::parse(&src).expect_err("repeated field");
+        prop_assert!(e.message.contains(&format!("duplicate key `{key}`")), "{}", e);
     }
 
     /// An unknown field is always reported by name.

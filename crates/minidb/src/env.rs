@@ -147,14 +147,15 @@ impl Env {
     }
 
     /// A copy of the memory image and the page registry, with an idle
-    /// recorder and no pager.
+    /// recorder and no pager: what a loaded database is forked from, so
+    /// that it is loaded once and recorded more than once.
     ///
     /// # Panics
     ///
     /// Panics if a pager is attached or a recording is running: neither
     /// the pager's frames and disk nor a half-recorded program belong to
     /// the image, so a copy could not continue either.
-    pub(crate) fn fork(&self) -> Env {
+    pub fn fork(&self) -> Env {
         assert!(self.pager.is_none(), "cannot fork an environment with a pager attached");
         assert!(!self.rec.recording(), "cannot fork an environment while recording");
         Env {

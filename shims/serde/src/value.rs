@@ -289,10 +289,12 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut s = String::new();
         loop {
-            // Copy the run of plain text up to the next quote or escape
-            // in one piece. Both delimiters are ASCII, so the run ends on
-            // a character boundary of the (already valid UTF-8) input.
-            let run = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\');
+            // Copy the run of plain text up to the next quote, escape or
+            // control character in one piece. All three are ASCII, so the
+            // run ends on a character boundary of the (already valid
+            // UTF-8) input.
+            let run =
+                self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
             let end = run.map_or(self.bytes.len(), |n| self.pos + n);
             s.push_str(&self.src[self.pos..end]);
             self.pos = end;
@@ -301,6 +303,12 @@ impl<'a> Parser<'a> {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
+                }
+                Some(b) if b < 0x20 => {
+                    return Err(DeError(format!(
+                        "unescaped control character U+{b:04X} in a string at byte {}",
+                        self.pos
+                    )));
                 }
                 _ => {
                     self.pos += 1;
@@ -349,15 +357,24 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Value, DeError> {
         self.eat(b'{')?;
-        let mut pairs = Vec::new();
+        let mut pairs: Vec<(String, Value)> = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(Value::Object(pairs));
         }
+        // Bit `n % 64` is set once a key of `n` bytes has been read: the
+        // keys of an object mostly differ in length, so few are compared.
+        let mut lengths = 0u64;
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            let length = 1u64 << (key.len() % 64);
+            if lengths & length != 0 && pairs.iter().any(|(k, _)| *k == key) {
+                return Err(DeError(format!("duplicate key `{key}` in an object at byte {at}")));
+            }
+            lengths |= length;
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
@@ -426,6 +443,37 @@ mod tests {
             let err = parse(lone).unwrap_err();
             assert!(err.0.contains("lone surrogate"), "{lone}: {err}");
         }
+    }
+
+    #[test]
+    fn a_key_repeated_in_one_object_is_an_error_naming_it() {
+        for (doc, key) in [
+            (r#"{"a":1,"a":2}"#, "a"),
+            (r#"{"a":1,"b":[{"c":1,"d":2,"c":3}]}"#, "c"),
+            (r#"{"ab":1,"cd":2,"ab":3}"#, "ab"),
+            (r#"{"":1,"":2}"#, ""),
+            (r#"{"\u0061":1,"a":2}"#, "a"),
+        ] {
+            let err = parse(doc).unwrap_err();
+            assert!(err.0.contains(&format!("duplicate key `{key}`")), "{doc}: {err}");
+        }
+        // One key in two objects, and keys of one length, are fine.
+        assert!(parse(r#"{"a":{"a":1},"b":[{"a":1},{"a":2}],"c":3}"#).is_ok());
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_errors() {
+        for c in (0u8..0x20).map(char::from) {
+            for doc in [format!("\"a{c}b\""), format!("{{\"k{c}\":1}}")] {
+                let err = parse(&doc).unwrap_err();
+                assert!(err.0.contains("control character"), "{doc:?}: {err}");
+            }
+            let mut escaped = String::new();
+            crate::write_json_string(&format!("a{c}b"), &mut escaped);
+            assert_eq!(parse(&escaped).unwrap(), Value::Str(format!("a{c}b")));
+        }
+        // Whitespace between tokens is not inside a string.
+        assert_eq!(parse("[\n1,\t2\r]").unwrap(), Value::Array(vec![Value::Int(1), Value::Int(2)]));
     }
 
     #[test]

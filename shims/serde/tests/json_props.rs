@@ -1,7 +1,8 @@
 //! Properties of the JSON parser against the writer: any string
 //! round-trips, whether written as raw UTF-8 or as `\u` escapes with
-//! surrogate pairs (Python's `json.dumps` default), and a damaged
-//! document is an `Err`, never a panic.
+//! surrogate pairs (Python's `json.dumps` default), a raw control
+//! character inside a string is an `Err` (the writer escapes them all),
+//! and a damaged document is an `Err`, never a panic.
 
 use proptest::prelude::*;
 use serde::{parse, write_json_string, Value};
@@ -49,11 +50,12 @@ fn ascii_literal(s: &str) -> String {
     out
 }
 
-/// A document holding `s` beside numbers, nesting and literals.
+/// A document holding `s` beside numbers, nesting and literals. `s` is
+/// the only key of its own object, so no `s` repeats a key.
 fn document(s: &str, n: u64) -> String {
     let mut key = String::new();
     write_json_string(s, &mut key);
-    format!(r#"{{{key}:[{n},-{n}.5e-3,{key},{{"t":true,"f":false,"z":null}}],"n":{n}}}"#)
+    format!(r#"{{"s":{{{key}:[{n},-{n}.5e-3,{key},{{"t":true,"f":false,"z":null}}]}},"n":{n}}}"#)
 }
 
 proptest! {
@@ -67,6 +69,25 @@ proptest! {
         let ascii = ascii_literal(&s);
         prop_assert!(ascii.is_ascii());
         prop_assert_eq!(parse(&ascii).expect("escaped string parses"), Value::Str(s));
+    }
+
+    #[test]
+    fn raw_control_characters_are_errors_and_written_ones_round_trip(
+        s in any_string(),
+        c in 0u32..0x20,
+        at in 0usize..64,
+    ) {
+        let c = char::from_u32(c).expect("ASCII");
+        let mut with_c: Vec<char> = s.chars().filter(|&ch| ch >= ' ' && ch != '"' && ch != '\\').collect();
+        with_c.insert(at % (with_c.len() + 1), c);
+        let with_c: String = with_c.into_iter().collect();
+        let raw = format!("\"{with_c}\"");
+        let err = parse(&raw).expect_err("a raw control character is not JSON");
+        prop_assert!(err.0.contains("control character"), "{}", err);
+        let mut written = String::new();
+        write_json_string(&with_c, &mut written);
+        prop_assert!(!written.chars().any(|ch| ch < ' '), "the writer escapes {:?}", c);
+        prop_assert_eq!(parse(&written).expect("written string parses"), Value::Str(with_c));
     }
 
     #[test]
