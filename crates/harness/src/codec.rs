@@ -870,14 +870,6 @@ impl<'a> PairEncoder<'a> {
     }
 }
 
-/// Serializes a `(plain, tls)` pair as a version-2 (kind-1) payload.
-pub fn encode_pair(pair: &BenchmarkPrograms) -> Vec<u8> {
-    let mut file = encode_pair_file(0, pair);
-    file.truncate(file.len() - CHECKSUM_LEN);
-    file.drain(..HEADER_LEN);
-    file
-}
-
 fn parse_structure(r: &mut Reader<'_>, cursor: &mut usize) -> Result<ProgramLayout, SnapshotError> {
     let name = r.name()?;
     let region_count = r.u32()? as usize;
@@ -1119,6 +1111,13 @@ mod tests {
         BenchmarkPrograms { plain, tls }
     }
 
+    /// The version-2 (kind-1) payload of `pair`: its file without the
+    /// container header and seal.
+    fn payload_of(pair: &BenchmarkPrograms) -> Vec<u8> {
+        let file = encode_pair_file(0, pair);
+        file[HEADER_LEN..file.len() - CHECKSUM_LEN].to_vec()
+    }
+
     fn programs_equal(a: &TraceProgram, b: &TraceProgram) -> bool {
         a.name == b.name
             && a.regions.len() == b.regions.len()
@@ -1159,7 +1158,7 @@ mod tests {
     #[test]
     fn foreign_endian_stamp_is_rejected() {
         let pair = sample_pair();
-        let payload = encode_pair(&pair);
+        let payload = payload_of(&pair);
         let mut swapped = payload.clone();
         swapped[0..2].copy_from_slice(&ENDIAN_STAMP.swap_bytes().to_le_bytes());
         assert!(matches!(parse_pair_layout(&swapped), Err(SnapshotError::ForeignEndian { .. })));
@@ -1168,7 +1167,7 @@ mod tests {
     #[test]
     fn misaligned_bank_offset_is_rejected() {
         let pair = sample_pair();
-        let payload = encode_pair(&pair);
+        let payload = payload_of(&pair);
         let layout = parse_pair_layout(&payload).expect("layout");
         let mut bad = payload.clone();
         // Shift the declared bank offset off the alignment grid. (The
@@ -1181,7 +1180,7 @@ mod tests {
     #[test]
     fn bad_record_size_is_rejected() {
         let pair = sample_pair();
-        let mut payload = encode_pair(&pair);
+        let mut payload = payload_of(&pair);
         payload[2..4].copy_from_slice(&8u16.to_le_bytes());
         assert!(matches!(parse_pair_layout(&payload), Err(SnapshotError::BadRecordSize(8))));
     }
@@ -1189,7 +1188,7 @@ mod tests {
     #[test]
     fn op_count_mismatch_is_rejected() {
         let pair = sample_pair();
-        let mut payload = encode_pair(&pair);
+        let mut payload = payload_of(&pair);
         let declared = u64::from_le_bytes(payload[8..16].try_into().unwrap());
         payload[8..16].copy_from_slice(&(declared + 1).to_le_bytes());
         assert!(matches!(parse_pair_layout(&payload), Err(SnapshotError::OpCountMismatch { .. })));

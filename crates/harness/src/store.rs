@@ -31,8 +31,8 @@
 //! TLSNAP in place of a good one.
 
 use crate::codec::{
-    self, decode_container, encode_container, fingerprint_view, fnv1a, Fnv, PairEncoder,
-    SnapshotError, KIND_SIM_REPORT,
+    self, decode_container, encode_container, fingerprint_view, fnv1a, Fnv, PairDigest,
+    PairEncoder, SnapshotError, KIND_SIM_REPORT,
 };
 use crate::mapped::{MapOutcome, TraceView};
 use crate::population::{Lease, Populations};
@@ -490,7 +490,7 @@ impl HarnessStore {
             let tls = population.take(key.cfg.opts).record(key.txn, key.count);
             let pair = BenchmarkPrograms { plain, tls };
             Arc::new(match &path {
-                Some(path) => persist(path, hash, pair, || ()),
+                Some(path) => persist(path, hash, pair),
                 None => StoredPrograms::new(pair),
             })
         })
@@ -644,29 +644,27 @@ fn write_report(path: &Path, hash: u64, json: &str) {
 /// walk that hashes as it goes ([`PairEncoder`]), and the map is checked
 /// by comparing its bytes with the pair rather than by hashing the file
 /// again. If the file cannot be written, or does not hold exactly what
-/// was written when `before_map` has run (tests replace it there), the
-/// owned pair is served instead.
-fn persist(
-    path: &Path,
-    hash: u64,
-    pair: BenchmarkPrograms,
-    before_map: impl FnOnce(),
-) -> StoredPrograms {
+/// was written, the owned pair is served instead.
+fn persist(path: &Path, hash: u64, pair: BenchmarkPrograms) -> StoredPrograms {
     let view = {
         let encoder = PairEncoder::new(hash, pair.plain.view(), pair.tls.view());
-        let digest = write_atomic(path, |file| {
-            let mut out = BufWriter::with_capacity(codec::WRITE_CHUNK, file);
-            let digest = encoder.write_to(&mut out)?;
-            out.flush()?;
-            Ok(digest)
-        });
-        before_map();
-        digest.and_then(|digest| TraceView::open_written(path, &encoder, digest))
+        write_pair(path, &encoder)
+            .and_then(|digest| TraceView::open_written(path, &encoder, digest))
     };
     match view {
         Some(view) => StoredPrograms::from_view(Arc::new(view)),
         None => StoredPrograms::new(pair),
     }
+}
+
+/// [`write_atomic`] of `encoder`'s snapshot; returns its digest.
+fn write_pair(path: &Path, encoder: &PairEncoder<'_>) -> Option<PairDigest> {
+    write_atomic(path, |file| {
+        let mut out = BufWriter::with_capacity(codec::WRITE_CHUNK, file);
+        let digest = encoder.write_to(&mut out)?;
+        out.flush()?;
+        Ok(digest)
+    })
 }
 
 /// [`write_atomic`] of a byte slice.
@@ -874,20 +872,39 @@ mod tests {
             ("a truncation", Some(good[..good.len() / 2].to_vec())),
             ("a removed file", None),
         ];
+        // `persist`'s steps, with the file swapped between write and map:
+        // the map is refused, so `persist` serves the owned pair.
+        let pair = record();
+        let encoder = PairEncoder::new(hash, pair.plain.view(), pair.tls.view());
         for (what, swap) in swaps {
-            let served = persist(&path, hash, record(), || match &swap {
+            let digest = write_pair(&path, &encoder).expect("snapshot written");
+            match &swap {
                 Some(bytes) => std::fs::write(&path, bytes).expect("swap the snapshot"),
                 None => std::fs::remove_file(&path).expect("remove the snapshot"),
-            });
-            assert!(matches!(served.tls.repr, ProgramRepr::Owned(_)), "{what}: owned fallback");
-            assert!(matches!(served.plain.repr, ProgramRepr::Owned(_)), "{what}: owned fallback");
-            let got = [
-                served.plain.fingerprint(),
-                served.tls.fingerprint(),
-                served.serialized(true).fingerprint(),
-            ];
-            assert_eq!(got, want, "{what}: fingerprints");
+            }
+            assert!(TraceView::open_written(&path, &encoder, digest).is_none(), "{what}: refused");
         }
+        assert_eq!(std::fs::read(&path).ok(), None, "the last swap removed the file");
+        let served = persist(&path, hash, record());
+        assert!(matches!(served.tls.repr, ProgramRepr::Mapped { .. }), "an intact write is served");
+        let got = [
+            served.plain.fingerprint(),
+            served.tls.fingerprint(),
+            served.serialized(true).fingerprint(),
+        ];
+        assert_eq!(got, want, "fingerprints");
+        // A snapshot that cannot be written (its parent is a file) is
+        // served from the owned pair.
+        let unwritable = path.join(key.file_name());
+        let served = persist(&unwritable, hash, record());
+        assert!(matches!(served.tls.repr, ProgramRepr::Owned(_)), "owned fallback");
+        assert!(matches!(served.plain.repr, ProgramRepr::Owned(_)), "owned fallback");
+        let got = [
+            served.plain.fingerprint(),
+            served.tls.fingerprint(),
+            served.serialized(true).fingerprint(),
+        ];
+        assert_eq!(got, want, "owned fingerprints");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

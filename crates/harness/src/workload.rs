@@ -421,8 +421,8 @@ pub struct CompiledWorkload {
 /// function of the spec.
 pub fn compile(spec: &WorkloadSpec) -> CompiledWorkload {
     let loaded = load(spec);
-    let (plain, scans, points) = record(spec, loaded.fork(OptLevel::none()), false);
-    let (tls, _, _) = record(spec, loaded.with_opts(OptLevel::fully_optimized()), true);
+    let (plain, scans, points) = record(spec, loaded.fork(), false);
+    let (tls, _, _) = record(spec, loaded, true);
     CompiledWorkload { plain, tls, scan_transactions: scans, point_transactions: points }
 }
 
@@ -466,16 +466,9 @@ struct Loaded {
 }
 
 impl Loaded {
-    /// A copy of the loaded database that runs the engine with `opts`.
-    fn fork(&self, opts: OptLevel) -> Loaded {
-        let copy = Loaded { env: self.env.fork(), db: self.db, base: self.base, index: self.index };
-        copy.with_opts(opts)
-    }
-
-    /// This database, running the engine with `opts`.
-    fn with_opts(mut self, opts: OptLevel) -> Loaded {
-        self.db.opts = opts;
-        self
+    /// A copy of the loaded database.
+    fn fork(&self) -> Loaded {
+        Loaded { env: self.env.fork(), db: self.db, base: self.base, index: self.index }
     }
 }
 
@@ -504,7 +497,8 @@ fn load(spec: &WorkloadSpec) -> Loaded {
 /// transformation). Returns the recording and its scan and point
 /// transaction counts.
 fn record(spec: &WorkloadSpec, loaded: Loaded, tls: bool) -> (TraceProgram, usize, usize) {
-    let Loaded { env, db, base, index } = loaded;
+    let Loaded { env, mut db, base, index } = loaded;
+    db.opts = if tls { OptLevel::fully_optimized() } else { OptLevel::none() };
     let mut run = Run {
         env,
         db,

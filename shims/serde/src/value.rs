@@ -363,18 +363,13 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             return Ok(Value::Object(pairs));
         }
-        // Bit `n % 64` is set once a key of `n` bytes has been read: the
-        // keys of an object mostly differ in length, so few are compared.
-        let mut lengths = 0u64;
         loop {
             self.skip_ws();
             let at = self.pos;
             let key = self.string()?;
-            let length = 1u64 << (key.len() % 64);
-            if lengths & length != 0 && pairs.iter().any(|(k, _)| *k == key) {
+            if pairs.iter().any(|(k, _)| *k == key) {
                 return Err(DeError(format!("duplicate key `{key}` in an object at byte {at}")));
             }
-            lengths |= length;
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
