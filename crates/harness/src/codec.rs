@@ -1,5 +1,4 @@
-//! The versioned, checksummed snapshot container and the binary trace
-//! codec.
+//! The versioned, sealed snapshot container and the binary trace codec.
 //!
 //! Every file the harness writes under `traces/` is one *container*:
 //!
@@ -7,45 +6,51 @@
 //! |---|---|---|
 //! | 0  | 6 | magic `TLSNAP` |
 //! | 6  | 1 | payload kind (1 = trace pair, 2 = sim report) |
-//! | 7  | 1 | format version (currently 2) |
+//! | 7  | 1 | format version of that kind ([`PAIR_VERSION`] 3, [`REPORT_VERSION`] 2) |
 //! | 8  | 8 | cache-key hash, little-endian (see [`crate::store`]) |
 //! | 16 | 8 | payload length in bytes, little-endian |
 //! | 24 | n | payload |
-//! | 24 + n | 8 | FNV-1a-64 checksum of bytes `0 .. 24 + n` |
+//! | 24 + n | 8 | seal of bytes `0 .. 24 + n`, little-endian |
+//!
+//! The seal depends on the kind. A report is a few
+//! kilobytes of JSON sealed with FNV-1a-64, exactly as before trace pairs
+//! moved to version 3, so `traces/reports/` and every report key survive
+//! that change. A trace pair is up to a few hundred megabytes and is
+//! sealed with [`Seal`], a four-lane word hash (below).
 //!
 //! [`decode_container`] checks magic, kind, version and length, then the
-//! checksum, then the key hash, before it hands out a single payload
-//! byte, so a corrupt or truncated snapshot is rejected — never
-//! misdecoded. The mapped reader ([`crate::mapped`]) keeps that contract
-//! but reorders the work to touch each byte once: after the same header
-//! checks it parses the trace-pair *structure* from the still-unverified
-//! payload, only to learn where each epoch begins (a bounded parse with
-//! typed errors), and then [`digest_pair`] computes the checksum and every
-//! content fingerprint in one walk. Nothing from the payload — view,
-//! fingerprint or op — is handed out before the checksum and the key
-//! verify, and a payload whose structure does not parse is judged by its
-//! checksum alone, so every corrupt file gets the same [`SnapshotError`]
-//! either way.
+//! seal, then the key hash, before it hands out a single payload byte, so
+//! a corrupt or truncated snapshot is rejected — never misdecoded. The
+//! mapped reader ([`crate::mapped`]) keeps that contract in one walk:
+//! after the same header checks it parses the trace-pair *structure* from
+//! the still-unverified payload, only to learn where the op bank begins
+//! (a bounded parse with typed errors), and then folds the body into the
+//! seal and checks every record in the same loop
+//! (`Seal::update_records`). Nothing from the payload — view,
+//! fingerprint or op — is handed out before the seal and the key verify,
+//! and a payload whose structure does not parse is judged by its seal
+//! alone, so every corrupt file gets the same [`SnapshotError`] either
+//! way: a bad seal outranks a bad layout, which outranks a bad record.
 //!
 //! The write path is one walk too. [`PairEncoder`] builds the few hundred
 //! bytes before the op bank, then streams each epoch's records straight
-//! from the programs to its writer, folding each slice into the container
-//! checksum and its program's two fingerprint chains on the way, and
-//! returns the [`PairDigest`]. [`encode_pair_file`] is that walk into a
-//! buffer; the store's is into the snapshot's temp file, so no
-//! whole-container buffer exists. The framing of the fingerprint streams
-//! lives in one walker that the encoder, [`digest_pair`] and
-//! [`fingerprint_view`] share, so what a writer seals and what a reader
-//! verifies cannot drift. A file the store has just written is served
-//! after a byte comparison with what was streamed
-//! ([`PairEncoder::wrote`]), not a second hash of the file.
+//! from the programs to its writer, folding each slice into the seal and
+//! its program's two fingerprint chains on the way, writes the
+//! fingerprints as the trailer, and returns the [`PairDigest`].
+//! [`encode_pair_file`] is that walk into a buffer; the store's is into
+//! the snapshot's temp file, so no whole-container buffer exists. The
+//! framing of the fingerprint streams lives in one walker that the
+//! encoder, [`digest_pair`] and [`fingerprint_view`] share, so what a
+//! writer seals and what a check recomputes cannot drift. A file the
+//! store has just written is served after a byte comparison with what was
+//! streamed ([`PairEncoder::wrote`]), not a second hash of the file.
 //!
-//! # Version-2 trace-pair payload: the zero-copy record bank
+//! # Version-3 trace-pair payload: the zero-copy record bank
 //!
-//! Version 2 splits the `(plain, tls)` trace pair into a compact
-//! *structure section* and an aligned *op bank*, so the 16-byte
-//! [`TraceOp`] records can be served in place from a memory map (the
-//! `zerocopy` `FromBytes` idiom) instead of decoded into owned buffers:
+//! The `(plain, tls)` trace pair is a compact *structure section*, an
+//! aligned *op bank*, so the 16-byte [`TraceOp`] records can be served in
+//! place from a memory map (the `zerocopy` `FromBytes` idiom) instead of
+//! decoded into owned buffers, and a *trailer* of content fingerprints:
 //!
 //! | payload offset | size | field |
 //! |---|---|---|
@@ -56,6 +61,7 @@
 //! | 16 | — | structure section (see below) |
 //! | … | — | zero padding to the bank offset |
 //! | bank offset | 16 × total | op records, [`TraceOp::to_raw`] layout |
+//! | bank end | 32 | trailer: the plain, TLS, serialized-plain and serialized-TLS fingerprints, each a little-endian `u64` |
 //!
 //! The structure section describes both programs (plain first, then TLS)
 //! without inline ops — each epoch is just a record count, and records
@@ -72,10 +78,11 @@
 //! Two invariants make the in-place read sound:
 //!
 //! * **Alignment** — the encoder chooses the bank offset so the bank
-//!   begins at a *file* offset that is a multiple of 16; any page- (mmap)
-//!   or 16- (aligned heap) aligned buffer therefore presents the records
-//!   at `TraceOp`'s 8-byte alignment. A bank offset violating this is a
-//!   typed [`SnapshotError::Misaligned`] rejection.
+//!   begins at a *file* offset that is a multiple of [`BANK_ALIGN`] (32);
+//!   any page- (mmap) or 16- (aligned heap) aligned buffer therefore
+//!   presents the records at `TraceOp`'s 8-byte alignment, and each
+//!   32-byte block of the seal is exactly two records. A bank offset
+//!   violating this is a typed [`SnapshotError::Misaligned`] rejection.
 //! * **Endianness** — records are always written little-endian (the
 //!   canonical [`TraceOp::to_raw`] layout), and the stamp distinguishes a
 //!   container written by a native-byte-order writer on a big-endian
@@ -83,19 +90,50 @@
 //!   records in place; big-endian hosts fall back to the owned decoder,
 //!   which parses fields explicitly and is endian-correct everywhere.
 //!
-//! Every record is validated (same checks as [`TraceOp::from_raw`])
-//! exactly once — at decode for the owned path, at map time for the
-//! zero-copy path — so even a checksum collision cannot smuggle an op
-//! the simulator would choke on.
+//! Every record is validated (the rules of [`TraceOp::validate`]) exactly
+//! once — at decode for the owned path, at map time for the zero-copy
+//! path — so even a seal collision cannot smuggle an op the simulator
+//! would choke on.
 //!
-//! Any other version byte — including the retired version 1, which
-//! stored op records inline — is a typed
-//! [`SnapshotError::VersionMismatch`]; `traces/` is a cache, so the store
-//! quarantines such a file and records the pair afresh.
-//! [`program_bytes`] keeps the version-1 single-program encoding as the
-//! canonical *fingerprint* byte stream, so content fingerprints — and
-//! therefore every report-cache key and artifact — are identical
-//! whichever read path (owned or mapped) served the program.
+//! Any other version byte — the retired version 1, which stored op
+//! records inline, and version 2, which had no trailer and an FNV seal —
+//! is a typed [`SnapshotError::VersionMismatch`]; `traces/` is a cache,
+//! so the store quarantines such a file and records the pair afresh.
+//!
+//! # The seal
+//!
+//! [`Seal`] reads the body (header and payload) as little-endian 64-bit
+//! words, zero-padded to a whole number of 32-byte blocks; word `4k + i`
+//! feeds lane `i`. The lanes start at `[P1 + P2, P2, 0, -P1]`, and each
+//! word steps its lane as `l ← rotl(l + w·P2, 31)·P1` (the xxHash64 round
+//! and primes, all arithmetic mod 2⁶⁴). The seal is the xxHash64 final
+//! mix of `rotl(l0, 1) + rotl(l1, 7) + rotl(l2, 12) + rotl(l3, 18) + n`,
+//! where `n` is the body's length in bytes.
+//!
+//! For a fixed lane state the step is injective in the word (`P2` is
+//! odd), and for a fixed word it is a bijection of the lane state (an
+//! add, a rotation and an odd multiply). So a change confined to one word
+//! changes its lane's final state; the merge is a bijection of each lane
+//! with the others held, and the final mix is a bijection: the seal
+//! changes. Every single-byte flip, and every change inside one aligned
+//! 8-byte word, is caught without exception. The four lanes are
+//! independent, so four multiplies are in flight at once and the hash
+//! runs at memory speed, where FNV-1a's one dependent multiply per byte
+//! holds a walk to about four host cycles a byte.
+//!
+//! # Why the fingerprints are sealed, not recomputed
+//!
+//! The four content fingerprints are FNV-1a-64 over the canonical
+//! version-1 program streams ([`program_bytes`]), and every report-cache
+//! key and artifact is built from them, so their definition cannot
+//! change. Computing them costs that dependent multiply per byte, over
+//! every op. The writer already walks every op, so it folds them on the
+//! way and writes them into the trailer, inside the seal; the reader
+//! verifies the seal — which covers the trailer like any other byte — and
+//! serves them without a pass over the bank. A corrupt trailer is a bad
+//! seal. Debug builds recompute all four on every open and assert that
+//! they equal the trailer ([`crate::mapped`]), and [`digest_pair`] is the
+//! independent recompute tests compare against.
 
 use std::convert::Infallible;
 use std::fmt;
@@ -105,13 +143,16 @@ use tls_trace::{Epoch, ProgramView, RawOpError, Region, RegionView, TraceOp, Tra
 
 /// Magic prefix of every snapshot container.
 pub const MAGIC: &[u8; 6] = b"TLSNAP";
-/// Current container format version.
-pub const VERSION: u8 = 2;
 /// Container payload kind: a recorded `(plain, tls)` trace pair.
 pub const KIND_TRACE_PAIR: u8 = 1;
 /// Container payload kind: a cached simulation report (JSON payload).
 pub const KIND_SIM_REPORT: u8 = 2;
-/// The byte-order stamp of a version-2 trace-pair payload. Written as a
+/// Format version of trace-pair containers: a [`Seal`] and a fingerprint
+/// trailer.
+pub const PAIR_VERSION: u8 = 3;
+/// Format version of report containers: FNV-1a-64 sealed.
+pub const REPORT_VERSION: u8 = 2;
+/// The byte-order stamp of a trace-pair payload. Written as a
 /// little-endian `u16`; a writer that (incorrectly) used native byte
 /// order on a big-endian machine produces the swapped pattern, which the
 /// decoder rejects as [`SnapshotError::ForeignEndian`].
@@ -120,13 +161,15 @@ pub const ENDIAN_STAMP: u16 = 0x1EAF;
 /// Container header length: magic + kind + version + key hash +
 /// payload length. The payload starts at this file offset.
 pub const HEADER_LEN: usize = 24;
-/// Trailing FNV-1a checksum length.
+/// Trailing seal length.
 pub const CHECKSUM_LEN: usize = 8;
 const RECORD_LEN: usize = 16;
-/// The required file-offset alignment of the op bank (a multiple of
-/// `TraceOp`'s 8-byte alignment, rounded to the record size so records
-/// also never straddle an alignment boundary).
-pub const BANK_ALIGN: usize = 16;
+/// The length of a trace pair's fingerprint trailer: four `u64`s.
+const TRAILER_LEN: usize = 32;
+/// The required file-offset alignment of the op bank: one [`Seal`]
+/// block, so each block of the bank is exactly two records (and a
+/// multiple of `TraceOp`'s 8-byte alignment).
+pub const BANK_ALIGN: usize = SEAL_BLOCK;
 
 /// Why a snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,6 +189,8 @@ pub enum SnapshotError {
     VersionMismatch {
         /// Version found in the container.
         found: u8,
+        /// The version this build reads for the container's kind.
+        expected: u8,
     },
     /// The stored cache-key hash differs from the requested key (a stale
     /// or misfiled snapshot).
@@ -162,7 +207,7 @@ pub enum SnapshotError {
         /// Payload bytes actually present.
         present: u64,
     },
-    /// The trailing FNV-1a checksum does not match the bytes.
+    /// The trailing seal (checksum) does not match the bytes.
     ChecksumMismatch,
     /// A 16-byte op record failed validation.
     BadOp(RawOpError),
@@ -176,16 +221,16 @@ pub enum SnapshotError {
     TrailingBytes(usize),
     /// A JSON payload (sim report) failed to parse.
     BadJson(String),
-    /// A version-2 payload carries a byte-swapped endianness stamp: it
+    /// A trace-pair payload carries a byte-swapped endianness stamp: it
     /// was written by a native-byte-order writer on a foreign-endian
     /// machine and its op bank cannot be interpreted.
     ForeignEndian {
         /// The stamp as read little-endian.
         stamp: u16,
     },
-    /// A version-2 payload declares a record size other than 16.
+    /// A trace-pair payload declares a record size other than 16.
     BadRecordSize(u16),
-    /// A version-2 op bank starts at a file offset that is not a
+    /// A trace-pair op bank starts at a file offset that is not a
     /// multiple of [`BANK_ALIGN`] — in-place record casts would be
     /// misaligned.
     Misaligned {
@@ -213,8 +258,8 @@ impl fmt::Display for SnapshotError {
             SnapshotError::KindMismatch { found, expected } => {
                 write!(f, "payload kind {found} where {expected} expected")
             }
-            SnapshotError::VersionMismatch { found } => {
-                write!(f, "format version {found} (this build reads {VERSION})")
+            SnapshotError::VersionMismatch { found, expected } => {
+                write!(f, "format version {found} (this build reads {expected})")
             }
             SnapshotError::KeyMismatch { found, expected } => {
                 write!(f, "cache key {found:016x} where {expected:016x} expected")
@@ -289,9 +334,9 @@ impl From<RawOpError> for SnapshotError {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// A streaming FNV-1a-64 hasher: the container checksum, the cache-key
-/// fingerprint hash, and the content-fingerprint stream — without ever
-/// materializing the hashed bytes.
+/// A streaming FNV-1a-64 hasher: the report-container seal, the
+/// cache-key fingerprint hash, and the content-fingerprint stream —
+/// without ever materializing the hashed bytes.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 
@@ -329,16 +374,169 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     f.finish()
 }
 
-/// Wraps `payload` in a checksummed container.
+// ---------------------------------------------------------------------------
+// The trace-pair seal: a four-lane word hash.
+// ---------------------------------------------------------------------------
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+
+/// The bytes [`Seal`] folds at a time: one little-endian word per lane.
+pub(crate) const SEAL_BLOCK: usize = 32;
+
+/// The streaming seal of a trace-pair container: a four-lane 64-bit word
+/// hash over the body, defined in the [module doc](self). A change
+/// confined to one aligned 8-byte word always changes the seal, and the
+/// lanes run side by side at memory speed.
+#[derive(Debug, Clone)]
+pub struct Seal {
+    lanes: [u64; 4],
+    /// The bytes of a partial block, not yet folded.
+    tail: [u8; SEAL_BLOCK],
+    tail_len: usize,
+    /// Bytes folded so far, the tail included.
+    len: u64,
+}
+
+/// One lane step: injective in `word`, a bijection of `lane`.
+#[inline(always)]
+fn round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+/// The four little-endian words of one block.
+#[inline(always)]
+fn block_words(block: &[u8]) -> [u64; 4] {
+    std::array::from_fn(|i| u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("8")))
+}
+
+impl Seal {
+    /// A seal over no bytes yet.
+    pub fn new() -> Self {
+        Seal {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            tail: [0; SEAL_BLOCK],
+            tail_len: 0,
+            len: 0,
+        }
+    }
+
+    fn fold(&mut self, words: [u64; 4]) {
+        for (lane, word) in self.lanes.iter_mut().zip(words) {
+            *lane = round(*lane, word);
+        }
+    }
+
+    /// Folds `bytes` into the seal.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.tail_len > 0 {
+            let n = (SEAL_BLOCK - self.tail_len).min(bytes.len());
+            self.tail[self.tail_len..self.tail_len + n].copy_from_slice(&bytes[..n]);
+            self.tail_len += n;
+            bytes = &bytes[n..];
+            if self.tail_len < SEAL_BLOCK {
+                return;
+            }
+            self.fold(block_words(&self.tail));
+            self.tail_len = 0;
+        }
+        let mut blocks = bytes.chunks_exact(SEAL_BLOCK);
+        for block in &mut blocks {
+            self.fold(block_words(block));
+        }
+        let rest = blocks.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    /// Folds `bank` — whole blocks of op records, starting on a block
+    /// boundary of the seal — and checks every record against
+    /// [`TraceOp::wire_valid`] in the same loop, from the words the seal
+    /// reads anyway. Returns whether every record passed.
+    pub(crate) fn update_records(&mut self, bank: &[u8]) -> bool {
+        assert!(self.tail_len == 0 && bank.len().is_multiple_of(SEAL_BLOCK), "whole blocks");
+        self.len += bank.len() as u64;
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        let mut valid = true;
+        for block in bank.chunks_exact(SEAL_BLOCK) {
+            let [w0, w1, w2, w3] = block_words(block);
+            (a, b, c, d) = (round(a, w0), round(b, w1), round(c, w2), round(d, w3));
+            valid &= TraceOp::wire_valid(w0, w1) & TraceOp::wire_valid(w2, w3);
+        }
+        self.lanes = [a, b, c, d];
+        valid
+    }
+
+    /// The seal of every byte folded so far.
+    pub fn finish(&self) -> u64 {
+        let mut last = self.clone();
+        if last.tail_len > 0 {
+            last.tail[last.tail_len..].fill(0);
+            last.fold(block_words(&last.tail));
+        }
+        let [a, b, c, d] = last.lanes;
+        let mut h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18))
+            .wrapping_add(self.len);
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+}
+
+impl Default for Seal {
+    fn default() -> Self {
+        Seal::new()
+    }
+}
+
+/// The [`Seal`] of `bytes` (one-shot form).
+pub fn seal(bytes: &[u8]) -> u64 {
+    let mut s = Seal::new();
+    s.update(bytes);
+    s.finish()
+}
+
+// ---------------------------------------------------------------------------
+// The container.
+// ---------------------------------------------------------------------------
+
+/// The format version this build reads and writes for payload `kind`.
+fn version_of(kind: u8) -> u8 {
+    if kind == KIND_TRACE_PAIR {
+        PAIR_VERSION
+    } else {
+        REPORT_VERSION
+    }
+}
+
+/// The seal of a container `body` (header and payload) of payload
+/// `kind`: [`seal`] for a trace pair, FNV-1a-64 for a report.
+fn seal_of(kind: u8, body: &[u8]) -> u64 {
+    if kind == KIND_TRACE_PAIR {
+        seal(body)
+    } else {
+        fnv1a(body)
+    }
+}
+
+/// Wraps `payload` in a sealed container of payload `kind`.
 pub fn encode_container(kind: u8, key_hash: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
     out.extend_from_slice(MAGIC);
     out.push(kind);
-    out.push(VERSION);
+    out.push(version_of(kind));
     out.extend_from_slice(&key_hash.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    let sum = fnv1a(&out);
+    let sum = seal_of(kind, &out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -346,7 +544,7 @@ pub fn encode_container(kind: u8, key_hash: u64, payload: &[u8]) -> Vec<u8> {
 /// Verifies a container's framing and returns its payload slice.
 pub fn decode_container(bytes: &[u8], kind: u8, key_hash: u64) -> Result<&[u8], SnapshotError> {
     let payload = check_header(bytes, kind)?;
-    verify_seal(bytes, fnv1a(&bytes[..bytes.len() - CHECKSUM_LEN]), key_hash)?;
+    verify_seal(bytes, seal_of(kind, &bytes[..bytes.len() - CHECKSUM_LEN]), key_hash)?;
     Ok(payload)
 }
 
@@ -363,8 +561,9 @@ pub(crate) fn check_header(bytes: &[u8], kind: u8) -> Result<&[u8], SnapshotErro
     if bytes[6] != kind {
         return Err(SnapshotError::KindMismatch { found: bytes[6], expected: kind });
     }
-    if bytes[7] != VERSION {
-        return Err(SnapshotError::VersionMismatch { found: bytes[7] });
+    let expected = version_of(kind);
+    if bytes[7] != expected {
+        return Err(SnapshotError::VersionMismatch { found: bytes[7], expected });
     }
     let declared = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
     let present = (bytes.len() - HEADER_LEN - CHECKSUM_LEN) as u64;
@@ -375,9 +574,9 @@ pub(crate) fn check_header(bytes: &[u8], kind: u8) -> Result<&[u8], SnapshotErro
 }
 
 /// The seal half of [`decode_container`], for a container that passed
-/// [`check_header`]: the stored checksum must equal `checksum` (the
-/// FNV-1a of header + payload), and then the stored key must equal
-/// `key_hash`.
+/// [`check_header`]: the stored seal must equal `checksum` (the seal of
+/// header + payload for the container's kind), and then the stored key
+/// must equal `key_hash`.
 pub(crate) fn verify_seal(bytes: &[u8], checksum: u64, key_hash: u64) -> Result<(), SnapshotError> {
     let body_end = bytes.len() - CHECKSUM_LEN;
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
@@ -446,13 +645,12 @@ pub fn program_bytes(program: &TraceProgram) -> Vec<u8> {
 /// artifacts byte-identical across container versions.
 pub fn fingerprint_view(view: &ProgramView<'_>) -> u64 {
     let walked = walk_program(
-        &mut Fnv::new(),
         view.name,
         view_shapes(view),
         |e| e.len(),
-        |e, chains| {
+        |e, [fingerprint, _]| {
             op_bytes(e, |bytes| {
-                chains[1].update(bytes);
+                fingerprint.update(bytes);
                 Ok::<(), Infallible>(())
             })
         },
@@ -492,19 +690,17 @@ fn layout_shapes(program: &ProgramLayout) -> impl ExactSizeIterator<Item = Shape
 /// Walks one program in op-bank order and returns its `(fingerprint,
 /// serialized fingerprint)`. The walk feeds the framing bytes of both
 /// canonical streams (name, region tags, counts) to their chains itself,
-/// and hands each epoch to `ops` with three chains: the container
-/// checksum, the program fingerprint and the serialized fingerprint, in
-/// that order. `ops` folds the epoch's op bytes into them (and, when
-/// encoding, writes them out). This is the one definition of the
-/// fingerprint framing: the encoder, [`digest_pair`] and
-/// [`fingerprint_view`] all walk through it, so encode and open cannot
-/// drift.
+/// and hands each epoch to `ops` with the two chains: the program
+/// fingerprint and the serialized fingerprint, in that order. `ops` folds
+/// the epoch's op bytes into them (and, when encoding, seals and writes
+/// them out). This is the one definition of the fingerprint framing: the
+/// encoder, [`digest_pair`] and [`fingerprint_view`] all walk through it,
+/// so what is sealed and what is recomputed cannot drift.
 fn walk_program<'r, E: 'r, X>(
-    checksum: &mut Fnv,
     name: &str,
     regions: impl ExactSizeIterator<Item = Shape<'r, E>>,
     count: impl Fn(&E) -> usize,
-    mut ops: impl FnMut(&E, &mut [&mut Fnv; 3]) -> Result<(), X>,
+    mut ops: impl FnMut(&E, [&mut Fnv; 2]) -> Result<(), X>,
 ) -> Result<(u64, u64), X> {
     let (mut fp, mut ser) = (Fnv::new(), Fnv::new());
     for f in [&mut fp, &mut ser] {
@@ -519,7 +715,7 @@ fn walk_program<'r, E: 'r, X>(
                     f.update(&[0]);
                     f.update(&(count(e) as u32).to_le_bytes());
                 }
-                ops(e, &mut [&mut *checksum, &mut fp, &mut ser])?;
+                ops(e, [&mut fp, &mut ser])?;
             }
             Shape::Parallel(es) => {
                 fp.update(&[1]);
@@ -531,7 +727,7 @@ fn walk_program<'r, E: 'r, X>(
                 ser.update(&(total as u32).to_le_bytes());
                 for e in es {
                     fp.update(&(count(e) as u32).to_le_bytes());
-                    ops(e, &mut [&mut *checksum, &mut fp, &mut ser])?;
+                    ops(e, [&mut fp, &mut ser])?;
                 }
             }
         }
@@ -550,24 +746,23 @@ fn op_bytes<X>(ops: &[TraceOp], mut sink: impl FnMut(&[u8]) -> Result<(), X>) ->
     done
 }
 
-/// Folds `bytes` into three FNV-1a chains at once. The chains do not
+/// Folds `bytes` into two FNV-1a chains at once. The chains do not
 /// depend on one another, so their multiplies overlap in the pipeline.
-fn fnv3([a, b, c]: &mut [&mut Fnv; 3], bytes: &[u8]) {
-    let (mut x, mut y, mut z) = (a.0, b.0, c.0);
+fn fnv2([a, b]: [&mut Fnv; 2], bytes: &[u8]) {
+    let (mut x, mut y) = (a.0, b.0);
     for &byte in bytes {
         let v = byte as u64;
         x = (x ^ v).wrapping_mul(FNV_PRIME);
         y = (y ^ v).wrapping_mul(FNV_PRIME);
-        z = (z ^ v).wrapping_mul(FNV_PRIME);
     }
-    (a.0, b.0, c.0) = (x, y, z);
+    (a.0, b.0) = (x, y);
 }
 
 // ---------------------------------------------------------------------------
-// Version-2 trace-pair payload.
+// Version-3 trace-pair payload.
 // ---------------------------------------------------------------------------
 
-/// A contiguous run of records in a version-2 op bank.
+/// A contiguous run of records in an op bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpRange {
     /// First record index.
@@ -585,7 +780,7 @@ pub enum RegionLayout {
     Parallel(Vec<OpRange>),
 }
 
-/// The structural skeleton of one program in a version-2 payload: the
+/// The structural skeleton of one program in a trace-pair payload: the
 /// name plus record extents into the shared op bank. Tiny (a few dozen
 /// bytes per region) regardless of trace size.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -664,9 +859,9 @@ impl ProgramLayout {
     }
 }
 
-/// The parsed skeleton of a version-2 trace-pair payload: both program
-/// layouts plus the bank geometry. Holds no ops — pair it with the
-/// payload bytes (see [`PairLayout::bank`]) to read records.
+/// The parsed skeleton of a trace-pair payload: both program layouts
+/// plus the bank geometry. Holds no ops — pair it with the payload bytes
+/// (see [`PairLayout::bank`]) to read records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairLayout {
     /// The unmodified execution's skeleton.
@@ -682,7 +877,18 @@ pub struct PairLayout {
 impl PairLayout {
     /// The raw op-bank bytes of `payload`.
     pub fn bank<'a>(&self, payload: &'a [u8]) -> &'a [u8] {
-        &payload[self.bank_offset..]
+        &payload[self.bank_offset..self.bank_end()]
+    }
+
+    /// The payload offset where the bank ends and the trailer begins.
+    fn bank_end(&self) -> usize {
+        self.bank_offset + RECORD_LEN * self.total_ops
+    }
+
+    /// The four fingerprints sealed in `payload`'s trailer, in
+    /// [`PairDigest`] order: plain, TLS, serialized plain, serialized TLS.
+    fn trailer(&self, payload: &[u8]) -> [u64; 4] {
+        block_words(&payload[self.bank_end()..self.bank_end() + TRAILER_LEN])
     }
 }
 
@@ -761,17 +967,16 @@ fn encode_structure(out: &mut Vec<u8>, view: &ProgramView<'_>) {
 /// buffered writer passes them straight through.
 pub(crate) const WRITE_CHUNK: usize = 1 << 16;
 
-/// A `(plain, tls)` pair's version-2 container, written in one streaming
-/// walk.
+/// A `(plain, tls)` pair's trace-pair container, written in one
+/// streaming walk.
 ///
 /// Everything before the op bank — the container header, the payload
 /// header, the structure section and the padding — is a few hundred
 /// bytes built up front. [`PairEncoder::write_to`] then streams each
-/// epoch's records straight from the programs, hashing each slice into
-/// the container checksum and both fingerprint chains of its program as
-/// it goes, and returns the [`PairDigest`] that [`digest_pair`] would
-/// compute over the written bytes. No whole-container buffer exists
-/// unless the writer is one.
+/// epoch's records straight from the programs, folding each slice into
+/// the seal and both fingerprint chains of its program as it goes, writes
+/// the four fingerprints as the trailer, and returns the [`PairDigest`]
+/// it sealed. No whole-container buffer exists unless the writer is one.
 #[derive(Debug)]
 pub struct PairEncoder<'a> {
     plain: ProgramView<'a>,
@@ -794,9 +999,9 @@ impl<'a> PairEncoder<'a> {
         let mut prefix = Vec::with_capacity(HEADER_LEN + bank_offset);
         prefix.extend_from_slice(MAGIC);
         prefix.push(KIND_TRACE_PAIR);
-        prefix.push(VERSION);
+        prefix.push(PAIR_VERSION);
         prefix.extend_from_slice(&key_hash.to_le_bytes());
-        prefix.extend_from_slice(&((bank_offset + bank_len) as u64).to_le_bytes());
+        prefix.extend_from_slice(&((bank_offset + bank_len + TRAILER_LEN) as u64).to_le_bytes());
         prefix.extend_from_slice(&ENDIAN_STAMP.to_le_bytes());
         prefix.extend_from_slice(&(RECORD_LEN as u16).to_le_bytes());
         prefix.extend_from_slice(&(bank_offset as u32).to_le_bytes());
@@ -808,26 +1013,26 @@ impl<'a> PairEncoder<'a> {
 
     /// The container's length in bytes.
     pub fn file_len(&self) -> usize {
-        self.prefix.len() + self.bank_len + CHECKSUM_LEN
+        self.prefix.len() + self.bank_len + TRAILER_LEN + CHECKSUM_LEN
     }
 
     /// Writes the whole container to `out` in one walk and returns its
-    /// digest: the checksum it sealed the container with and the four
-    /// content fingerprints.
+    /// digest: the seal it wrote and the four content fingerprints it
+    /// sealed in the trailer.
     pub fn write_to(&self, out: &mut impl Write) -> io::Result<PairDigest> {
-        let mut checksum = Fnv::new();
-        checksum.update(&self.prefix);
+        let mut seal = Seal::new();
+        seal.update(&self.prefix);
         out.write_all(&self.prefix)?;
         let mut program = |view: &ProgramView<'_>| {
             walk_program(
-                &mut checksum,
                 view.name,
                 view_shapes(view),
                 |e| e.len(),
-                |e, chains| {
+                |e, [fp, ser]| {
                     op_bytes(e, |bytes| {
                         bytes.chunks(WRITE_CHUNK).try_for_each(|chunk| {
-                            fnv3(chains, chunk);
+                            fnv2([&mut *fp, &mut *ser], chunk);
+                            seal.update(chunk);
                             out.write_all(chunk)
                         })
                     })
@@ -836,21 +1041,25 @@ impl<'a> PairEncoder<'a> {
         };
         let (plain, plain_serialized) = program(&self.plain)?;
         let (tls, tls_serialized) = program(&self.tls)?;
-        let checksum = checksum.finish();
-        out.write_all(&checksum.to_le_bytes())?;
-        Ok(PairDigest { checksum, plain, tls, plain_serialized, tls_serialized })
+        let mut digest = PairDigest { checksum: 0, plain, tls, plain_serialized, tls_serialized };
+        let trailer = digest.trailer();
+        seal.update(&trailer);
+        out.write_all(&trailer)?;
+        digest.checksum = seal.finish();
+        out.write_all(&digest.checksum.to_le_bytes())?;
+        Ok(digest)
     }
 
     /// Whether `file` holds exactly what [`PairEncoder::write_to`] wrote
     /// when it returned `digest`: the same length, the same bytes before
     /// the bank, every epoch's records equal to the programs' own, and
-    /// the container sealed with `digest`'s checksum. It compares bytes
-    /// and hashes none, and it is a stronger check than a re-hash.
+    /// `digest`'s fingerprints and seal after them. It compares bytes and
+    /// hashes none, and it is a stronger check than a re-hash.
     pub fn wrote(&self, file: &[u8], digest: &PairDigest) -> bool {
         if file.len() != self.file_len() || !file.starts_with(&self.prefix) {
             return false;
         }
-        let (mut bank, seal) = file[self.prefix.len()..].split_at(self.bank_len);
+        let (mut bank, sealed) = file[self.prefix.len()..].split_at(self.bank_len);
         let mut epochs = [&self.plain, &self.tls].into_iter().flat_map(|view| {
             view.regions.iter().flat_map(|r| match r {
                 RegionView::Sequential(e) => std::slice::from_ref(e),
@@ -864,7 +1073,9 @@ impl<'a> PairEncoder<'a> {
             }
             None => Err(()),
         };
-        seal == digest.checksum.to_le_bytes()
+        let (trailer, checksum) = sealed.split_at(TRAILER_LEN);
+        trailer == digest.trailer()
+            && checksum == digest.checksum.to_le_bytes()
             && epochs.all(|ops| op_bytes(ops, &mut same).is_ok())
             && bank.is_empty()
     }
@@ -904,11 +1115,11 @@ fn parse_structure(r: &mut Reader<'_>, cursor: &mut usize) -> Result<ProgramLayo
     Ok(ProgramLayout { name, regions })
 }
 
-/// Parses and validates the skeleton of a version-2 trace-pair payload:
-/// stamp, record size, bank alignment and extent, padding, and the
-/// op-count identity. Does **not** validate individual records — the
-/// owned decoder validates while materializing, the map path validates
-/// once per map via [`validate_bank`].
+/// Parses and validates the skeleton of a trace-pair payload: stamp,
+/// record size, bank alignment, the extent of the bank and trailer,
+/// padding, and the op-count identity. Does **not** validate individual
+/// records — the owned decoder validates while materializing, the map
+/// path once per map, while it seals (`Seal::update_records`).
 pub fn parse_pair_layout(payload: &[u8]) -> Result<PairLayout, SnapshotError> {
     let mut r = Reader { bytes: payload, pos: 0 };
     let stamp = r.u16()?;
@@ -947,7 +1158,10 @@ pub fn parse_pair_layout(payload: &[u8]) -> Result<PairLayout, SnapshotError> {
         });
     }
     let bank_len = payload.len() - bank_offset;
-    let need = declared_ops.checked_mul(RECORD_LEN as u64).ok_or(SnapshotError::Truncated)?;
+    let need = declared_ops
+        .checked_mul(RECORD_LEN as u64)
+        .and_then(|n| n.checked_add(TRAILER_LEN as u64))
+        .ok_or(SnapshotError::Truncated)?;
     if (bank_len as u64) < need {
         return Err(SnapshotError::Truncated);
     }
@@ -957,8 +1171,9 @@ pub fn parse_pair_layout(payload: &[u8]) -> Result<PairLayout, SnapshotError> {
     Ok(PairLayout { plain, tls, bank_offset, total_ops: cursor })
 }
 
-/// Validates every record of a version-2 op bank — the once-per-map
-/// semantic pass that licenses serving records in place thereafter.
+/// Validates every record of an op bank, returning the first bad
+/// record's typed error. The map path runs it only after its branch-free
+/// check (`Seal::update_records`) found a bad record, to say which.
 /// Alignment-independent: uses the bulk zerocopy cast when the bytes are
 /// aligned, field-wise decoding otherwise.
 pub fn validate_bank(bank: &[u8]) -> Result<(), SnapshotError> {
@@ -975,10 +1190,11 @@ pub fn validate_bank(bank: &[u8]) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// The five FNV-1a-64 digests of a trace-pair container.
+/// The seal and the four content fingerprints of a trace-pair
+/// container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairDigest {
-    /// The container checksum: FNV-1a of header + payload.
+    /// The container seal: [`seal`] of header + payload.
     pub checksum: u64,
     /// The plain program's content fingerprint ([`fingerprint_view`]).
     pub plain: u64,
@@ -991,33 +1207,49 @@ pub struct PairDigest {
     pub tls_serialized: u64,
 }
 
-/// Computes all five [`PairDigest`] values in one walk over a container
-/// `body` (header + payload: the file without its trailing checksum)
-/// whose payload parsed as `layout`. Each op-bank byte feeds three
-/// interleaved FNV-1a chains — checksum, program fingerprint, serialized
-/// fingerprint — that are independent of one another, so the walk costs
-/// about what the checksum alone did. The framing bytes of the two
-/// canonical fingerprint streams come from the layout, through the same
-/// walk the encoder takes.
+impl PairDigest {
+    /// The fingerprints as the container's trailer bytes.
+    fn trailer(&self) -> [u8; TRAILER_LEN] {
+        let mut out = [0u8; TRAILER_LEN];
+        let fingerprints = [self.plain, self.tls, self.plain_serialized, self.tls_serialized];
+        for (slot, fp) in out.chunks_exact_mut(8).zip(fingerprints) {
+            slot.copy_from_slice(&fp.to_le_bytes());
+        }
+        out
+    }
+}
+
+/// The digest a trace-pair `file` carries: its stored seal and the four
+/// fingerprints of its trailer, read, not recomputed. Trust it only once
+/// the seal has verified; [`digest_pair`] is the recompute.
+pub fn sealed_digest(file: &[u8], layout: &PairLayout) -> PairDigest {
+    let payload = &file[HEADER_LEN..file.len() - CHECKSUM_LEN];
+    let [plain, tls, plain_serialized, tls_serialized] = layout.trailer(payload);
+    let seal = &file[file.len() - CHECKSUM_LEN..];
+    let checksum = u64::from_le_bytes(seal.try_into().expect("8 bytes"));
+    PairDigest { checksum, plain, tls, plain_serialized, tls_serialized }
+}
+
+/// Recomputes all five [`PairDigest`] values from a container `body`
+/// (header + payload: the file without its trailing seal) whose payload
+/// parsed as `layout`: the [`seal`] of the body, and each fingerprint by
+/// an FNV-1a walk over the bank, through the same framing walk the
+/// encoder takes. It ignores the trailer's contents, so it is the
+/// independent check of what the encoder sealed.
 ///
 /// # Panics
 ///
 /// If `layout` was not parsed from this body's payload (the bank would
 /// not be where, or as long as, the layout says).
 pub fn digest_pair(body: &[u8], layout: &PairLayout) -> PairDigest {
-    let bank_at = HEADER_LEN + layout.bank_offset;
-    let mut checksum = Fnv::new();
-    checksum.update(&body[..bank_at]);
-    let bank = &body[bank_at..];
-    assert_eq!(bank.len(), RECORD_LEN * layout.total_ops, "layout does not match the body");
-    let mut program = |p: &ProgramLayout| {
+    let bank = layout.bank(&body[HEADER_LEN..]);
+    let program = |p: &ProgramLayout| {
         let walked = walk_program(
-            &mut checksum,
             &p.name,
             layout_shapes(p),
             |x| x.count,
             |x, chains| {
-                fnv3(chains, &bank[RECORD_LEN * x.start..RECORD_LEN * (x.start + x.count)]);
+                fnv2(chains, &bank[RECORD_LEN * x.start..RECORD_LEN * (x.start + x.count)]);
                 Ok::<(), Infallible>(())
             },
         );
@@ -1026,7 +1258,7 @@ pub fn digest_pair(body: &[u8], layout: &PairLayout) -> PairDigest {
     };
     let (plain, plain_serialized) = program(&layout.plain);
     let (tls, tls_serialized) = program(&layout.tls);
-    PairDigest { checksum: checksum.finish(), plain, tls, plain_serialized, tls_serialized }
+    PairDigest { checksum: seal(body), plain, tls, plain_serialized, tls_serialized }
 }
 
 /// Casts a (validated) op bank to records in place. Fails with a typed
@@ -1052,7 +1284,7 @@ pub fn cast_bank(bank: &[u8]) -> Result<&[TraceOp], SnapshotError> {
     }
 }
 
-/// Decodes a version-2 (kind-1) payload into an owned `(plain, tls)`
+/// Decodes a trace-pair (kind-1) payload into an owned `(plain, tls)`
 /// pair, validating every record. Endian-correct on every host.
 pub fn decode_pair(payload: &[u8]) -> Result<BenchmarkPrograms, SnapshotError> {
     let layout = parse_pair_layout(payload)?;
@@ -1071,7 +1303,7 @@ pub fn decode_pair(payload: &[u8]) -> Result<BenchmarkPrograms, SnapshotError> {
 // Whole-file forms.
 // ---------------------------------------------------------------------------
 
-/// Encodes a pair as a complete (version-2) container file image: the
+/// Encodes a pair as a complete trace-pair container file image: the
 /// [`PairEncoder`] written into a buffer.
 pub fn encode_pair_file(key_hash: u64, pair: &BenchmarkPrograms) -> Vec<u8> {
     let encoder = PairEncoder::new(key_hash, pair.plain.view(), pair.tls.view());
@@ -1081,7 +1313,7 @@ pub fn encode_pair_file(key_hash: u64, pair: &BenchmarkPrograms) -> Vec<u8> {
 }
 
 /// Decodes a container file image back into an owned pair, verifying
-/// framing, checksum and key.
+/// framing, seal and key.
 pub fn decode_pair_file(bytes: &[u8], key_hash: u64) -> Result<BenchmarkPrograms, SnapshotError> {
     decode_pair(decode_container(bytes, KIND_TRACE_PAIR, key_hash)?)
 }
@@ -1111,7 +1343,7 @@ mod tests {
         BenchmarkPrograms { plain, tls }
     }
 
-    /// The version-2 (kind-1) payload of `pair`: its file without the
+    /// The trace-pair (kind-1) payload of `pair`: its file without the
     /// container header and seal.
     fn payload_of(pair: &BenchmarkPrograms) -> Vec<u8> {
         let file = encode_pair_file(0, pair);
@@ -1225,15 +1457,15 @@ mod tests {
             decode_pair_file(&file, 8),
             Err(SnapshotError::KeyMismatch { found: 7, expected: 8 })
         ));
-        // Version is checked before the checksum, so a retired (1) or
+        // Version is checked before the seal, so a retired (1, 2) or
         // future-format file reads as a version mismatch (then gets
         // re-recorded), not as corruption.
-        for version in [1, VERSION + 1] {
+        for version in [1, 2, PAIR_VERSION + 1] {
             let mut wrong_version = file.clone();
             wrong_version[7] = version;
             assert_eq!(
                 decode_pair_file(&wrong_version, 7).err(),
-                Some(SnapshotError::VersionMismatch { found: version })
+                Some(SnapshotError::VersionMismatch { found: version, expected: PAIR_VERSION })
             );
         }
         let report = encode_container(KIND_SIM_REPORT, 7, b"{}");
@@ -1241,6 +1473,92 @@ mod tests {
             decode_pair_file(&report, 7),
             Err(SnapshotError::KindMismatch { found: KIND_SIM_REPORT, expected: KIND_TRACE_PAIR })
         ));
+    }
+
+    /// Report containers keep version 2 and their FNV-1a seal: the exact
+    /// bytes of one small report, as every build since version 2 wrote
+    /// them, so cached reports and their keys survive trace-format
+    /// changes.
+    #[test]
+    fn report_container_bytes_are_pinned() {
+        let payload = br#"{"total_cycles":42}"#;
+        let key = 0x0123_4567_89AB_CDEF;
+        let mut want = b"TLSNAP\x02\x02".to_vec();
+        want.extend_from_slice(&[0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01]);
+        want.extend_from_slice(&[19, 0, 0, 0, 0, 0, 0, 0]);
+        want.extend_from_slice(payload);
+        want.extend_from_slice(&0x6fd5_0e26_f061_00b4u64.to_le_bytes());
+        let container = encode_container(KIND_SIM_REPORT, key, payload);
+        assert_eq!(container, want);
+        assert_eq!(decode_container(&container, KIND_SIM_REPORT, key), Ok(&payload[..]));
+        let mut v3 = container.clone();
+        v3[7] = PAIR_VERSION;
+        assert_eq!(
+            decode_container(&v3, KIND_SIM_REPORT, key),
+            Err(SnapshotError::VersionMismatch { found: PAIR_VERSION, expected: REPORT_VERSION })
+        );
+    }
+
+    /// The seal matches an independent implementation of its definition
+    /// (the module doc's) on a few vectors, and streaming it in pieces of
+    /// any size gives the one-shot value.
+    #[test]
+    fn seal_matches_reference_vectors_and_streams() {
+        let counting: Vec<u8> = (0..100u8).collect();
+        assert_eq!(seal(b""), 0x9090_306c_6e91_ed59);
+        assert_eq!(seal(b"a"), 0x2648_9728_c2a1_efd1);
+        assert_eq!(seal(b"TLSNAP"), 0x9ceb_35cd_35da_5a7d);
+        assert_eq!(seal(&counting), 0x70f1_8a67_5866_9f20);
+        for step in 1..=70 {
+            let mut streamed = Seal::new();
+            counting.chunks(step).for_each(|c| streamed.update(c));
+            assert_eq!(streamed.finish(), seal(&counting), "pieces of {step}");
+        }
+        let mut records = Seal::new();
+        records.update(&counting[..32]);
+        assert!(!records.update_records(&counting[32..96]), "counting bytes are not records");
+        records.update(&counting[96..]);
+        assert_eq!(records.finish(), seal(&counting));
+    }
+
+    /// A change confined to one 8-byte word always changes the seal, as
+    /// does a change of length by zero bytes appended.
+    #[test]
+    fn every_word_change_changes_the_seal() {
+        let body: Vec<u8> = (0..96u32).map(|i| (i * 37 % 251) as u8).collect();
+        let want = seal(&body);
+        for i in 0..body.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut bad = body.clone();
+                bad[i] ^= mask;
+                assert_ne!(seal(&bad), want, "byte {i} ^ {mask:#x}");
+            }
+        }
+        for word in 0..body.len() / 8 {
+            let mut bad = body.clone();
+            bad[8 * word..8 * word + 8].iter_mut().for_each(|b| *b = !*b);
+            assert_ne!(seal(&bad), want, "word {word} inverted");
+        }
+        for extra in 1..=40 {
+            let mut longer = body.clone();
+            longer.resize(body.len() + extra, 0);
+            assert_ne!(seal(&longer), want, "{extra} zero bytes appended");
+        }
+    }
+
+    /// The trailer holds the four fingerprints, and the file's digest as
+    /// read equals the recompute.
+    #[test]
+    fn trailer_is_sealed_and_equals_the_recompute() {
+        let pair = sample_pair();
+        let file = encode_pair_file(5, &pair);
+        let payload = decode_container(&file, KIND_TRACE_PAIR, 5).expect("framing");
+        let layout = parse_pair_layout(payload).expect("layout");
+        let fps = [&pair.plain, &pair.tls].map(|p| fnv1a(&program_bytes(p)));
+        assert_eq!(&layout.trailer(payload)[..2], &fps);
+        let body = &file[..file.len() - CHECKSUM_LEN];
+        assert_eq!(sealed_digest(&file, &layout), digest_pair(body, &layout));
+        assert_eq!(payload.len(), layout.bank_offset + 16 * layout.total_ops + TRAILER_LEN);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The simulator's warm path used to re-read and re-decode every op of a
 //! cached trace pair into owned buffers on each suite invocation — for
 //! the full-scale TPC-C traces, hundreds of megabytes of copying before
-//! the first simulated cycle. The version-2 container (see
+//! the first simulated cycle. The trace-pair container (see
 //! [`crate::codec`]) stores its op records as an aligned little-endian
 //! bank whose byte layout *is* `TraceOp`'s in-memory layout, so this
 //! module maps the file and serves `&[TraceOp]` straight from the page
@@ -11,23 +11,30 @@
 //!
 //! 1. [`Mapping`] — a read-only `mmap(2)` of the snapshot file (with an
 //!    aligned heap fallback for non-unix hosts), `munmap`ed on drop.
-//! 2. [`TraceView::open`] — verifies the container framing, checksum
-//!    and key, and validates every record, **once per map**; then hands
-//!    out borrowed [`ProgramView`]s for the pair and for each program's
-//!    serialized form (the SEQUENTIAL and TLS-SEQ input); no op bytes are
-//!    ever copied after open.
+//! 2. [`TraceView::open`] — verifies the container framing, seal and
+//!    key, and validates every record, **once per map**, in one walk over
+//!    the file; then hands out borrowed [`ProgramView`]s for the pair and
+//!    for each program's serialized form (the SEQUENTIAL and TLS-SEQ
+//!    input); no op bytes are ever copied after open.
 //! 3. `TraceView::open_written` — the same view over a file the store
 //!    has just streamed: it compares the mapped bytes with what was
-//!    written instead of hashing them again, and keeps the digest the
+//!    written instead of sealing them again, and keeps the digest the
 //!    write computed.
 //!
-//! The checksum and the four content fingerprints (each program and
-//! each serialized program) come from one walk over the file
-//! ([`codec::digest_pair`]), not one pass each. The header is checked
-//! first, the structure is parsed from the unverified payload only to
-//! find the epoch boundaries, and nothing is served until the checksum
-//! and key have verified (see the [`crate::codec`] module doc for the
-//! order).
+//! The walk of `open` is memory-speed work: the header is checked first,
+//! the structure is parsed from the unverified payload only to find the
+//! bank, and then one loop folds each 32-byte block — two records — into
+//! the four-lane seal and checks both records against the per-class rule
+//! table ([`tls_trace::TraceOp::wire_valid`]) from the same words, with
+//! no branch per record. The four content fingerprints (each program and
+//! each serialized program) are not recomputed: the writer sealed them in
+//! the trailer, and they are served once the seal verifies. Nothing is
+//! served until the seal and key have verified, and a bad seal outranks a
+//! bad layout, which outranks a bad record (see the [`crate::codec`]
+//! module doc for the order). Only when the loop finds a bad record does
+//! [`validate_bank`] walk the bank again, to name it. Debug builds
+//! recompute the four fingerprints from the served views on every open
+//! and assert that they equal the trailer.
 //!
 //! Outcomes a caller must handle (see [`MapOutcome`]): a big-endian host
 //! falls back to the owned decoder (records are stored little-endian),
@@ -55,8 +62,9 @@
 //! means snapshot files are never modified in place anyway.
 
 use crate::codec::{
-    self, cast_bank, check_header, digest_pair, parse_pair_layout, validate_bank, verify_seal,
-    PairDigest, PairEncoder, PairLayout, SnapshotError, CHECKSUM_LEN, HEADER_LEN, KIND_TRACE_PAIR,
+    self, cast_bank, check_header, fingerprint_view, parse_pair_layout, sealed_digest,
+    validate_bank, verify_seal, PairDigest, PairEncoder, PairLayout, Seal, SnapshotError,
+    CHECKSUM_LEN, HEADER_LEN, KIND_TRACE_PAIR, SEAL_BLOCK,
 };
 use std::path::Path;
 use tls_core::experiment::BenchmarkPrograms;
@@ -191,21 +199,19 @@ impl Mapping {
 // TraceView: a validated, borrowable pair of programs over a Mapping.
 // ---------------------------------------------------------------------------
 
-/// A trace pair served in place from a mapped version-2 snapshot.
+/// A trace pair served in place from a mapped trace-pair snapshot.
 ///
 /// Construction performs the *single* integrity pass — container
-/// framing, checksum, key, layout validation and per-record validation —
-/// so the view accessors afterwards are pure pointer arithmetic. The
-/// content fingerprints of both programs and of both serialized forms
-/// come out of the same pass ([`PairDigest`]), because every consumer of
-/// a program needs its fingerprint for report-cache keys.
+/// framing, seal, key, layout validation and per-record validation — so
+/// the view accessors afterwards are pure pointer arithmetic. The content
+/// fingerprints of both programs and of both serialized forms, which
+/// every consumer of a program needs for report-cache keys, come from the
+/// sealed trailer ([`PairDigest`]).
 #[derive(Debug)]
 pub struct TraceView {
     map: Mapping,
     layout: PairLayout,
-    /// Byte offset of the (validated) bank within the whole file.
-    bank_at: usize,
-    /// The container checksum and the four content fingerprints.
+    /// The container seal and the four content fingerprints.
     pub digest: PairDigest,
 }
 
@@ -214,8 +220,7 @@ impl TraceView {
     /// Infallible after construction's validation pass (alignment and
     /// record validity already checked).
     pub fn bank(&self) -> &[TraceOp] {
-        let bytes = self.map.bytes();
-        cast_bank(&bytes[self.bank_at..bytes.len() - CHECKSUM_LEN])
+        cast_bank(self.layout.bank(&self.map.bytes()[HEADER_LEN..]))
             .expect("bank alignment and size verified at open")
     }
 
@@ -262,7 +267,7 @@ impl TraceView {
     /// Returns the same [`SnapshotError`] for a corrupt file as
     /// [`codec::decode_container`], then [`parse_pair_layout`], then
     /// [`validate_bank`] would, in that order — while reading each byte
-    /// once for the checksum and the fingerprints together.
+    /// once, for the seal and the record check together.
     pub fn open(path: &Path, key_hash: u64) -> MapOutcome {
         let map = match Mapping::open(path) {
             Ok(m) => m,
@@ -276,19 +281,33 @@ impl TraceView {
         };
         let body = &bytes[..bytes.len() - CHECKSUM_LEN];
         // The layout comes from the unverified payload and only places
-        // the epoch boundaries of the digest walk. A payload it cannot
-        // parse is judged on its checksum alone: a bad seal outranks the
-        // layout error, as in the verify-first order.
+        // the bank for the walk. A payload it cannot parse is judged on
+        // its seal alone: a bad seal outranks the layout error, as in
+        // the verify-first order.
         let layout = match parse_pair_layout(payload) {
             Ok(l) => l,
             Err(e) => {
-                let seal = verify_seal(bytes, codec::fnv1a(body), key_hash);
+                let seal = verify_seal(bytes, codec::seal(body), key_hash);
                 return MapOutcome::Bad(seal.err().unwrap_or(e));
             }
         };
-        let digest = digest_pair(body, &layout);
-        if let Err(e) = verify_seal(bytes, digest.checksum, key_hash) {
+        // The bank starts on a seal block (the layout checked its
+        // alignment), so its record pairs are whole blocks; an odd last
+        // record is sealed with the trailer and checked on its own.
+        let bank_at = HEADER_LEN + layout.bank_offset;
+        let bank = layout.bank(payload);
+        let paired = bank.len() - bank.len() % SEAL_BLOCK;
+        let mut seal = Seal::new();
+        seal.update(&body[..bank_at]);
+        let valid = seal.update_records(&bank[..paired]) & validate_bank(&bank[paired..]).is_ok();
+        seal.update(&body[bank_at + paired..]);
+        if let Err(e) = verify_seal(bytes, seal.finish(), key_hash) {
             return MapOutcome::Bad(e);
+        }
+        if !valid {
+            if let Err(e) = validate_bank(bank) {
+                return MapOutcome::Bad(e);
+            }
         }
         if cfg!(not(target_endian = "little")) {
             // Records are stored little-endian; this host cannot serve
@@ -298,21 +317,17 @@ impl TraceView {
                 Err(e) => MapOutcome::Bad(e),
             };
         }
-        let bank_at = HEADER_LEN + layout.bank_offset;
-        let bank_bytes = &body[bank_at..];
-        if let Err(e) = validate_bank(bank_bytes) {
-            return MapOutcome::Bad(e);
-        }
-        if let Err(e) = cast_bank(bank_bytes) {
+        if let Err(e) = cast_bank(bank) {
             // Unreachable for a real mmap (page-aligned) or the aligned
             // heap fallback; kept as a typed rejection, not an assert.
             return MapOutcome::Bad(e);
         }
-        MapOutcome::Mapped(Box::new(TraceView { map, layout, bank_at, digest }))
+        let digest = sealed_digest(bytes, &layout);
+        MapOutcome::Mapped(Box::new(TraceView::served(map, layout, digest)))
     }
 
     /// Maps the snapshot that `encoder` has just written at `path`, whose
-    /// write returned `digest`, without hashing it again: the map is
+    /// write returned `digest`, without sealing it again: the map is
     /// served only if its bytes are exactly what was streamed
     /// ([`PairEncoder::wrote`]) and every record validates. `None` on any
     /// difference (a file replaced after the write, say), and always on a
@@ -330,19 +345,37 @@ impl TraceView {
         if !encoder.wrote(bytes, &digest) {
             return None;
         }
-        let body = &bytes[..bytes.len() - CHECKSUM_LEN];
-        let layout = parse_pair_layout(&body[HEADER_LEN..]).ok()?;
-        let bank_at = HEADER_LEN + layout.bank_offset;
-        validate_bank(&body[bank_at..]).ok()?;
-        cast_bank(&body[bank_at..]).ok()?;
-        Some(TraceView { map, layout, bank_at, digest })
+        let layout = parse_pair_layout(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]).ok()?;
+        let bank = layout.bank(&bytes[HEADER_LEN..]);
+        validate_bank(bank).ok()?;
+        cast_bank(bank).ok()?;
+        Some(TraceView::served(map, layout, digest))
+    }
+
+    /// The view of a verified map. Debug builds recompute the four
+    /// fingerprints from the views it serves and assert that they equal
+    /// the sealed ones: a writer whose trailer drifted from
+    /// [`fingerprint_view`] fails every test that opens a snapshot.
+    fn served(map: Mapping, layout: PairLayout, digest: PairDigest) -> TraceView {
+        let view = TraceView { map, layout, digest };
+        if cfg!(debug_assertions) {
+            let recomputed = PairDigest {
+                checksum: digest.checksum,
+                plain: fingerprint_view(&view.plain()),
+                tls: fingerprint_view(&view.tls()),
+                plain_serialized: fingerprint_view(&view.serialized(false)),
+                tls_serialized: fingerprint_view(&view.serialized(true)),
+            };
+            assert_eq!(recomputed, digest, "sealed fingerprints drifted from the served programs");
+        }
+        view
     }
 }
 
 /// What opening a snapshot for mapping produced.
 #[derive(Debug)]
 pub enum MapOutcome {
-    /// A verified version-2 snapshot, served in place.
+    /// A verified trace-pair snapshot, served in place.
     Mapped(Box<TraceView>),
     /// No snapshot on disk (a cold cache, not an error).
     Missing,
@@ -379,7 +412,7 @@ mod tests {
         BenchmarkPrograms { plain, tls }
     }
 
-    fn write_v2(dir: &Path, pair: &BenchmarkPrograms, key: u64) -> std::path::PathBuf {
+    fn write_pair(dir: &Path, pair: &BenchmarkPrograms, key: u64) -> std::path::PathBuf {
         let path = dir.join("pair.tlsnap");
         std::fs::write(&path, encode_pair_file(key, pair)).unwrap();
         path
@@ -396,7 +429,7 @@ mod tests {
     fn mapped_view_equals_owned_decode() {
         let dir = tmpdir("eq");
         let pair = sample_pair();
-        let path = write_v2(&dir, &pair, 42);
+        let path = write_pair(&dir, &pair, 42);
         let view = match TraceView::open(&path, 42) {
             MapOutcome::Mapped(v) => v,
             other => panic!("expected Mapped, got {other:?}"),
@@ -417,7 +450,7 @@ mod tests {
         let dir = tmpdir("bad");
         assert!(matches!(TraceView::open(&dir.join("absent"), 1), MapOutcome::Missing));
         let pair = sample_pair();
-        let path = write_v2(&dir, &pair, 7);
+        let path = write_pair(&dir, &pair, 7);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
@@ -429,7 +462,7 @@ mod tests {
     #[test]
     fn wrong_key_is_bad() {
         let dir = tmpdir("key");
-        let path = write_v2(&dir, &sample_pair(), 7);
+        let path = write_pair(&dir, &sample_pair(), 7);
         assert!(matches!(
             TraceView::open(&path, 8),
             MapOutcome::Bad(SnapshotError::KeyMismatch { .. })
@@ -441,7 +474,7 @@ mod tests {
     fn heap_fallback_is_aligned_and_identical() {
         let dir = tmpdir("heap");
         let pair = sample_pair();
-        let path = write_v2(&dir, &pair, 3);
+        let path = write_pair(&dir, &pair, 3);
         let map = Mapping::read_aligned(&path, usize::MAX).unwrap();
         let direct = std::fs::read(&path).unwrap();
         assert_eq!(map.bytes(), &direct[..]);

@@ -809,21 +809,28 @@ mod tests {
         assert_eq!(again.stats.snapshot()[1], 1, "healed snapshot served from disk");
         assert_eq!(again.stats.snapshot()[6], 0, "nothing left to quarantine");
 
-        // A container stamped with the retired version 1 (checksum intact)
-        // is not decoded: it is quarantined as a version mismatch and
-        // recorded afresh, and the rewritten snapshot maps in place.
-        let mut v1 = healed;
-        v1[7] = 1;
-        let body_end = v1.len() - codec::CHECKSUM_LEN;
-        let sum = codec::fnv1a(&v1[..body_end]);
-        v1[body_end..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &v1).expect("rewrite");
-        let upgraded = HarnessStore::new(Some(dir.clone()), true);
-        upgraded.programs(&key());
-        assert_eq!(upgraded.stats.snapshot()[2], 1, "re-recorded after version mismatch");
-        let reason = std::fs::read_to_string(&reason_path).expect("reason file");
-        assert!(reason.contains("code: version-mismatch"), "{reason}");
-        assert!(matches!(TraceView::open(&path, key().hash()), MapOutcome::Mapped(_)));
+        // A container stamped with a retired version, sealed as that
+        // version sealed it (FNV-1a, as versions 1 and 2 did), is not
+        // decoded: it is quarantined as a version mismatch and recorded
+        // afresh, and the rewritten snapshot maps in place.
+        for retired in [1, 2] {
+            let mut old = healed.clone();
+            old[7] = retired;
+            let body_end = old.len() - codec::CHECKSUM_LEN;
+            let sum = codec::fnv1a(&old[..body_end]);
+            old[body_end..].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &old).expect("rewrite");
+            let upgraded = HarnessStore::new(Some(dir.clone()), true);
+            upgraded.programs(&key());
+            let stats = upgraded.stats.snapshot();
+            assert_eq!(stats[6], 1, "version {retired} quarantined");
+            assert_eq!(stats[2], 1, "re-recorded after version {retired}");
+            assert_eq!(std::fs::read(&qfile).expect("quarantined bytes"), old);
+            let reason = std::fs::read_to_string(&reason_path).expect("reason file");
+            assert!(reason.contains("code: version-mismatch"), "{reason}");
+            assert!(matches!(TraceView::open(&path, key().hash()), MapOutcome::Mapped(_)));
+            assert_eq!(std::fs::read(&path).expect("rewritten"), healed, "version {retired}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -67,12 +67,20 @@ fn open_bytes(tag: &str, bytes: &[u8], key: u64) -> MapOutcome {
     outcome
 }
 
-/// Recomputes the trailing container checksum after a deliberate tamper,
-/// so the tampered field itself — not the checksum — is what the decoder
-/// trips over.
+/// Seals a deliberately tampered container as a writer would have: the
+/// fingerprint trailer is recomputed from the tampered content wherever
+/// the layout still parses, then the seal, so the tampered field itself —
+/// not the seal or the trailer — is what the opener trips over.
 fn reseal(bytes: &mut [u8]) {
     let n = bytes.len() - CHECKSUM_LEN;
-    let sum = fnv1a(&bytes[..n]).to_le_bytes();
+    if let Ok(layout) = codec::parse_pair_layout(&bytes[HEADER_LEN..n]) {
+        let d = digest_pair(&bytes[..n], &layout);
+        let at = HEADER_LEN + layout.bank_offset + 16 * layout.total_ops;
+        for (i, fp) in [d.plain, d.tls, d.plain_serialized, d.tls_serialized].iter().enumerate() {
+            bytes[at + 8 * i..at + 8 * i + 8].copy_from_slice(&fp.to_le_bytes());
+        }
+    }
+    let sum = codec::seal(&bytes[..n]).to_le_bytes();
     bytes[n..].copy_from_slice(&sum);
 }
 
@@ -121,8 +129,9 @@ fn runs<'a>(view: &ProgramView<'a>) -> Vec<Vec<&'a [TraceOp]>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// One digest walk gives the checksum and all four fingerprints the
-    /// separate passes give, and the mapped serialized programs equal
+    /// The recompute gives the seal and all four fingerprints the
+    /// separate passes give, the open serves the same digest from the
+    /// sealed trailer, and the mapped serialized programs equal
     /// `serialize_view` op for op while borrowing the mapping.
     #[test]
     fn digest_and_serialized_views_match_the_reference(
@@ -138,7 +147,7 @@ proptest! {
         let layout = codec::parse_pair_layout(&body[HEADER_LEN..]).expect("layout");
         let serialized_fp = |p: &TraceProgram| fingerprint_view(&serialize_view(&p.view()).view());
         let want = PairDigest {
-            checksum: fnv1a(body),
+            checksum: codec::seal(body),
             plain: fingerprint_view(&pair.plain.view()),
             tls: fingerprint_view(&pair.tls.view()),
             plain_serialized: serialized_fp(&pair.plain),
@@ -260,6 +269,43 @@ proptest! {
                 prop_assert_eq!(view.digest.tls, fingerprint_view(&view.tls()));
             }
             (other, want) => prop_assert!(false, "open gave {other:?}, reference {want:?}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A corrupt record under a valid seal gets exactly the typed error
+    /// `validate_bank` gives for the bank — whether it lies in a record
+    /// pair of the sealing loop or is an odd last record — and a record
+    /// the change leaves valid still maps.
+    #[test]
+    fn a_corrupt_record_under_a_valid_seal_fails_like_validate_bank(
+        regions in vec((0u8..4, vec(vec((any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>(), any::<u64>(), any::<u16>()), 1..4), 1..5)), 1..4),
+        at in any::<u64>(),
+        field in 0u8..3,
+        value in any::<u8>(),
+    ) {
+        let pair = BenchmarkPrograms {
+            plain: shaped("plain-prog", &regions, true),
+            tls: shaped("tls-prog", &regions, false),
+        };
+        let mut bytes = encode_pair_file(3, &pair);
+        let payload = &bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN];
+        let layout = codec::parse_pair_layout(payload).expect("layout");
+        let record = HEADER_LEN + layout.bank_offset + 16 * (at % layout.total_ops as u64) as usize;
+        match field {
+            0 => bytes[record + 4] = 7 + value % 249,
+            1 => bytes[record + 5] = value,
+            _ => bytes[record + 8 + (value % 8) as usize] = value | 1,
+        }
+        reseal(&mut bytes);
+        let payload = &bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN];
+        match (open_bytes("record", &bytes, 3), codec::validate_bank(layout.bank(payload))) {
+            (MapOutcome::Bad(got), Err(want)) => prop_assert_eq!(got, want),
+            (MapOutcome::Mapped(_), Ok(())) => {}
+            (other, want) => prop_assert!(false, "open gave {other:?}, validate_bank {want:?}"),
         }
     }
 }

@@ -1,13 +1,15 @@
 //! Pins what recording produces. The snapshot digest (`codec::digest_pair`:
-//! container checksum plus the four program fingerprints) of every
+//! container seal plus the four program fingerprints) of every
 //! test-scale Figure-5 pair and of each CI sweep-grid PAYMENT seed is
 //! compared with constants, through both recording entry points: the
 //! store (on a two-worker pool, so misses overlap) and
-//! `Tpcc::record_pair`.
+//! `Tpcc::record_pair`. The four fingerprints are what report keys and
+//! the sweep rows' `fingerprint` field are built from.
 
 use tls_core::experiment::BenchmarkPrograms;
 use tls_harness::codec::{
-    digest_pair, encode_pair_file, parse_pair_layout, PairDigest, CHECKSUM_LEN, HEADER_LEN,
+    digest_pair, encode_pair_file, parse_pair_layout, sealed_digest, PairDigest, CHECKSUM_LEN,
+    HEADER_LEN,
 };
 use tls_harness::{
     compile, instances, HarnessStore, JobPool, MixWeights, Scale, TraceKey, WorkloadSpec,
@@ -18,12 +20,22 @@ fn digest(key: &TraceKey, pair: &BenchmarkPrograms) -> [u64; 5] {
     digest_bytes(&encode_pair_file(key.hash(), pair))
 }
 
-/// The digest of one snapshot file image.
+/// The digest of one snapshot file image, recomputed from its bytes.
 fn digest_bytes(bytes: &[u8]) -> [u64; 5] {
     let body = &bytes[..bytes.len() - CHECKSUM_LEN];
     let layout = parse_pair_layout(&body[HEADER_LEN..]).expect("layout");
-    let PairDigest { checksum, plain, tls, plain_serialized, tls_serialized } =
-        digest_pair(body, &layout);
+    columns(digest_pair(body, &layout))
+}
+
+/// The digest one snapshot file image carries: its stored seal and the
+/// fingerprints of its trailer.
+fn sealed_bytes(bytes: &[u8]) -> [u64; 5] {
+    let layout = parse_pair_layout(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]).expect("layout");
+    columns(sealed_digest(bytes, &layout))
+}
+
+fn columns(d: PairDigest) -> [u64; 5] {
+    let PairDigest { checksum, plain, tls, plain_serialized, tls_serialized } = d;
     [checksum, plain, tls, plain_serialized, tls_serialized]
 }
 
@@ -42,21 +54,22 @@ fn keys() -> Vec<TraceKey> {
     keys
 }
 
-/// Generated by the recording path that populated a database per half;
-/// rows follow [`keys`].
+/// Columns 1–4 (the fingerprints) were generated by the recording path
+/// that populated a database per half and have not moved since; column 0
+/// (the container seal) by the version-3 encoder. Rows follow [`keys`].
 #[rustfmt::skip]
 const WANT: [[u64; 5]; 11] = [
-    [0xca7d95a7e57bab0c, 0x0c871f752229acd3, 0xd01a0ade8063a743, 0x0c871f752229acd3, 0x9c1219771771e32b],
-    [0xce606bc846cf21e2, 0xa9e87c760f5e9b4b, 0xc333e499c386ee45, 0xa9e87c760f5e9b4b, 0x8d319db335d1bd59],
-    [0xfcc8a50493eab2b8, 0x2bb15b606beb2367, 0xdcef6c23f10005a8, 0x2bb15b606beb2367, 0xbd7e9e84a6f8e3dd],
-    [0x3e0b2d8ca248b0f0, 0x47e6b9f9716cce41, 0x63a4ff61dc8ed5f4, 0x47e6b9f9716cce41, 0xf33b379cff0188ce],
-    [0xa215b117cee0ba8c, 0x6f4834856ddba639, 0x38f349ed1b0acd51, 0x6f4834856ddba639, 0x073e46a447f8bce5],
-    [0xeff45780454b612a, 0x17b11d83364a5bbc, 0xf7546bc4b55ec93e, 0x17b11d83364a5bbc, 0xdf4aa47da7749660],
-    [0x61b48c82728de294, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35],
-    [0x04b5459b588dbec4, 0x5a0bfac1d6f26707, 0xe5d0db2a0480e2ef, 0x5a0bfac1d6f26707, 0xb5f12f1caef0d7c5],
-    [0xe6825f3fcd53bc59, 0x178648084cd53fbb, 0x76d3f4bf3a11c01f, 0x178648084cd53fbb, 0x76d3f4bf3a11c01f],
-    [0x789373bae40bb7a1, 0xc2ff0d4d10a8d61b, 0x3b7040f6f943893d, 0xc2ff0d4d10a8d61b, 0xcbe17ada75444f4f],
-    [0xffc3aaf67b516fda, 0x69375a31e21c1ead, 0xa14f5ab73f495481, 0x69375a31e21c1ead, 0x0907e13ceec878ef],
+    [0x01e10deeceb9902d, 0x0c871f752229acd3, 0xd01a0ade8063a743, 0x0c871f752229acd3, 0x9c1219771771e32b],
+    [0xf8f1ac8389257c79, 0xa9e87c760f5e9b4b, 0xc333e499c386ee45, 0xa9e87c760f5e9b4b, 0x8d319db335d1bd59],
+    [0x2c530cf53350089f, 0x2bb15b606beb2367, 0xdcef6c23f10005a8, 0x2bb15b606beb2367, 0xbd7e9e84a6f8e3dd],
+    [0x70a67c8995ac5e44, 0x47e6b9f9716cce41, 0x63a4ff61dc8ed5f4, 0x47e6b9f9716cce41, 0xf33b379cff0188ce],
+    [0xe94c3b1f53c4b678, 0x6f4834856ddba639, 0x38f349ed1b0acd51, 0x6f4834856ddba639, 0x073e46a447f8bce5],
+    [0xfb8dcb487ec7273b, 0x17b11d83364a5bbc, 0xf7546bc4b55ec93e, 0x17b11d83364a5bbc, 0xdf4aa47da7749660],
+    [0x6f55b7d59d905153, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35],
+    [0x49113f48b41e0e0d, 0x5a0bfac1d6f26707, 0xe5d0db2a0480e2ef, 0x5a0bfac1d6f26707, 0xb5f12f1caef0d7c5],
+    [0x21d10ace5ca8ff99, 0x178648084cd53fbb, 0x76d3f4bf3a11c01f, 0x178648084cd53fbb, 0x76d3f4bf3a11c01f],
+    [0x18d0116c9416a847, 0xc2ff0d4d10a8d61b, 0x3b7040f6f943893d, 0xc2ff0d4d10a8d61b, 0xcbe17ada75444f4f],
+    [0x29304633b2f27e11, 0x69375a31e21c1ead, 0xa14f5ab73f495481, 0x69375a31e21c1ead, 0x0907e13ceec878ef],
 ];
 
 #[test]
@@ -89,7 +102,8 @@ fn recorded_pairs_match_their_pinned_digests() {
 }
 
 /// A disk-backed store streams each pair into its snapshot file: every
-/// file it writes digests to the pinned values, and the programs it
+/// file it writes carries the pinned digest in its seal and trailer, an
+/// independent recompute over its bytes agrees, and the programs it
 /// serves carry the pinned fingerprints.
 #[test]
 fn snapshots_the_store_writes_match_the_pinned_digests() {
@@ -119,7 +133,8 @@ fn snapshots_the_store_writes_match_the_pinned_digests() {
     for ((key, fingerprints), want) in keys.iter().zip(&served).zip(&WANT) {
         let what = format!("{} seed {}", key.txn.trace_name(), key.cfg.seed);
         let file = std::fs::read(dir.join(key.file_name())).expect("snapshot written");
-        assert_eq!(&digest_bytes(&file), want, "file digest of {what}");
+        assert_eq!(&sealed_bytes(&file), want, "sealed digest of {what}");
+        assert_eq!(&digest_bytes(&file), want, "recomputed digest of {what}");
         assert_eq!(fingerprints, &want[1..], "served fingerprints of {what}");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -136,11 +151,12 @@ fn collider_spec() -> WorkloadSpec {
     spec
 }
 
-/// Generated by the compiler that built the workload's database once per
-/// half.
+/// Columns 1–4 generated by the compiler that built the workload's
+/// database once per half; column 0 (the container seal) by the
+/// version-3 encoder.
 #[rustfmt::skip]
 const COLLIDER_WANT: [u64; 5] =
-    [0x49e0a6cd1875c397, 0xca3f50301fce526c, 0xb20b1586b88a2f67, 0xca3f50301fce526c, 0x81a59ad5ce654021];
+    [0xe44d4c6dd4e6a066, 0xca3f50301fce526c, 0xb20b1586b88a2f67, 0xca3f50301fce526c, 0x81a59ad5ce654021];
 
 #[test]
 fn compiled_collider_matches_its_pinned_digest() {

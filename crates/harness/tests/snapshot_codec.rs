@@ -3,10 +3,10 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tls_core::experiment::BenchmarkPrograms;
+use tls_core::experiment::{serialize_view, BenchmarkPrograms};
 use tls_harness::codec::{
-    decode_pair_file, digest_pair, encode_pair_file, parse_pair_layout, program_bytes, PairEncoder,
-    CHECKSUM_LEN, HEADER_LEN,
+    decode_pair_file, digest_pair, encode_pair_file, fnv1a, parse_pair_layout, program_bytes,
+    sealed_digest, PairEncoder, CHECKSUM_LEN, HEADER_LEN,
 };
 use tls_trace::{Addr, Epoch, LatchId, OpSink, Pc, ProgramBuilder, Region, TraceOp, TraceProgram};
 
@@ -108,6 +108,32 @@ proptest! {
         flipped[(pos_seed % bytes.len() as u64) as usize] ^= mask;
         prop_assert!(!encoder.wrote(&flipped, &digest));
         prop_assert!(!encoder.wrote(&bytes[..bytes.len() - 1], &digest));
+    }
+
+    /// The trailer the writer seals holds each program's and each
+    /// serialized program's canonical content hash, the values report
+    /// keys are built from, whatever the pair's shape.
+    #[test]
+    fn sealed_trailer_holds_the_canonical_fingerprints(
+        plain in vec((any::<bool>(), vec(vec(op_desc(), 0..6), 0..4)), 0..4),
+        tls in vec((any::<bool>(), vec(vec(op_desc(), 0..6), 0..4)), 0..4),
+        key in any::<u64>(),
+    ) {
+        let pair = BenchmarkPrograms { plain: regions("plain-prog", &plain), tls: regions("t", &tls) };
+        let bytes = encode_pair_file(key, &pair);
+        let layout = parse_pair_layout(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]).expect("layout");
+        let sealed = sealed_digest(&bytes, &layout);
+        let canonical = |p: &TraceProgram| fnv1a(&program_bytes(p));
+        let serialized = |p: &TraceProgram| canonical(&serialize_view(&p.view()));
+        prop_assert_eq!(
+            [sealed.plain, sealed.tls, sealed.plain_serialized, sealed.tls_serialized],
+            [
+                canonical(&pair.plain),
+                canonical(&pair.tls),
+                serialized(&pair.plain),
+                serialized(&pair.tls),
+            ]
+        );
     }
 
     #[test]

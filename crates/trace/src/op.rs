@@ -390,7 +390,36 @@ impl TraceOp {
         }
         Ok(())
     }
+
+    /// Whether the wire record ([`TraceOp::to_raw`]) whose two
+    /// little-endian words are `head` (bytes 0–8: pc, class, arg, dep)
+    /// and `addr` (bytes 8–16) passes [`TraceOp::validate`]. The rules
+    /// are the same, read from a per-class table without a branch, so a
+    /// loop over millions of records runs at memory speed. It says only
+    /// whether a record is valid; `validate` says why not.
+    #[inline]
+    pub fn wire_valid(head: u64, addr: u64) -> bool {
+        let class = (head >> 32) as u8;
+        let arg = (head >> 40) as u8;
+        let (arg_min, arg_span, addr_max) = WIRE_RULES[(class & 7) as usize];
+        (class <= CLASS_LATCH_REL) & (arg.wrapping_sub(arg_min) <= arg_span) & (addr <= addr_max)
+    }
 }
+
+/// [`TraceOp::validate`]'s rules by class: `arg` must lie in `arg_min ..=
+/// arg_min + arg_span` and `addr` must not exceed `addr_max`. Row 7 is a
+/// placeholder; classes above [`CLASS_LATCH_REL`] fail on their own.
+const WIRE_RULES: [(u8, u8, u64); 8] = {
+    let mut rules = [(0, 0, 0); 8];
+    rules[CLASS_INT as usize] = (1, 254, 0);
+    rules[CLASS_FP as usize] = (1, 254, 0);
+    rules[CLASS_LOAD as usize] = (1, 7, u64::MAX);
+    rules[CLASS_STORE as usize] = (1, 7, u64::MAX);
+    rules[CLASS_BRANCH as usize] = (0, 1, 0);
+    rules[CLASS_LATCH_ACQ as usize] = (0, 0, u16::MAX as u64);
+    rules[CLASS_LATCH_REL as usize] = (0, 0, u16::MAX as u64);
+    rules
+};
 
 /// Why a 16-byte record was rejected by [`TraceOp::from_raw`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -556,6 +585,30 @@ mod tests {
             r
         };
         assert_eq!(TraceOp::from_raw(zero_lat), Err(RawOpError::ZeroLatency));
+    }
+
+    /// The branch-free table agrees with `validate` on every class and
+    /// `arg` byte, at the `addr` values either side of each limit.
+    #[test]
+    fn wire_rules_agree_with_validate() {
+        for class in 0..=u8::MAX {
+            for arg in 0..=u8::MAX {
+                for addr in [0, 1, u16::MAX as u64, u16::MAX as u64 + 1, u64::MAX] {
+                    let mut raw = [0u8; 16];
+                    raw[0..4].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+                    raw[4] = class;
+                    raw[5] = arg;
+                    raw[6..8].copy_from_slice(&7u16.to_le_bytes());
+                    raw[8..16].copy_from_slice(&addr.to_le_bytes());
+                    let head = u64::from_le_bytes(raw[0..8].try_into().unwrap());
+                    assert_eq!(
+                        TraceOp::wire_valid(head, addr),
+                        TraceOp::from_raw(raw).is_ok(),
+                        "class {class} arg {arg} addr {addr:#x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
