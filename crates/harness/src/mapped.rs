@@ -18,8 +18,9 @@
 //!    input); no op bytes are ever copied after open.
 //! 3. `TraceView::open_written` — the same view over a file the store
 //!    has just streamed: it compares the mapped bytes with what was
-//!    written instead of sealing them again, and keeps the digest the
-//!    write computed.
+//!    written instead of sealing them again or validating their records
+//!    (the recorder's ops are valid by construction), and keeps the
+//!    digest the write computed.
 //!
 //! The walk of `open` is memory-speed work: the header is checked first,
 //! the structure is parsed from the unverified payload only to find the
@@ -329,9 +330,13 @@ impl TraceView {
     /// Maps the snapshot that `encoder` has just written at `path`, whose
     /// write returned `digest`, without sealing it again: the map is
     /// served only if its bytes are exactly what was streamed
-    /// ([`PairEncoder::wrote`]) and every record validates. `None` on any
-    /// difference (a file replaced after the write, say), and always on a
-    /// big-endian host, which cannot serve records in place.
+    /// ([`PairEncoder::wrote`]). `None` on any difference (a file
+    /// replaced after the write, say), and always on a big-endian host,
+    /// which cannot serve records in place.
+    ///
+    /// The records are not validated again: equal to the recorder's ops,
+    /// which are valid by construction, they are the records the owned
+    /// fallback would serve. Debug builds check them anyway.
     pub(crate) fn open_written(
         path: &Path,
         encoder: &PairEncoder<'_>,
@@ -347,7 +352,7 @@ impl TraceView {
         }
         let layout = parse_pair_layout(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]).ok()?;
         let bank = layout.bank(&bytes[HEADER_LEN..]);
-        validate_bank(bank).ok()?;
+        debug_assert_eq!(validate_bank(bank), Ok(()), "the recorder wrote an invalid record");
         cast_bank(bank).ok()?;
         Some(TraceView::served(map, layout, digest))
     }

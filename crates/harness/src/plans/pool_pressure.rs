@@ -19,7 +19,7 @@
 //! meaningful even when one transaction pins most of a small database.
 //!
 //! Paged recordings bypass the `TraceKey` snapshot cache (the key
-//! cannot express a pool size). All six halves page databases taken
+//! cannot express a pool size). All six halves page databases forked
 //! from one population through the store's population memo. The
 //! recordings run as jobs in the pool and results assemble
 //! positionally, so output stays byte-identical for any `--jobs`.
@@ -95,7 +95,7 @@ type Recorded = (Arc<StoredPrograms>, PagerCounters, usize);
 /// the recovery oracle, this plan measures timing), each half on its own
 /// database from `population`. Returns the pair plus the TLS recording's
 /// pool counters and the frame count used.
-fn record_paged(ctx: &PlanCtx, mut population: Lease, frames: Option<usize>) -> Recorded {
+fn record_paged(ctx: &PlanCtx, population: Lease, frames: Option<usize>) -> Recorded {
     let count = crate::eval::instances(TXN, ctx.scale) * COUNT_MULT;
     let record = |mut db: Tpcc, tls: bool| {
         let pages = db.env.registered_pages();
@@ -105,7 +105,7 @@ fn record_paged(ctx: &PlanCtx, mut population: Lease, frames: Option<usize>) -> 
         (program, db.pager_counters().expect("paged"), frames)
     };
     let (plain, _, _) = record(population.fork(OptLevel::none()), false);
-    let (tls, counters, frames) = record(population.take(ctx.scale.tpcc().opts), true);
+    let (tls, counters, frames) = record(population.fork(ctx.scale.tpcc().opts), true);
     let pair = StoredPrograms::new(BenchmarkPrograms { plain, tls });
     (Arc::new(pair), counters, frames)
 }
@@ -114,7 +114,7 @@ fn run(ctx: &PlanCtx) -> PlanOutput {
     // Phase 1: the resident recording measures the touched-page
     // footprint (cold misses = distinct pages touched, no evictions)
     // and the pin high-water mark (the pool-size hard floor).
-    // Every recording pages a database taken from one population,
+    // Every recording pages a database forked from one population,
     // which this lease keeps until the jobs below hold their own.
     let cfg = ctx.scale.tpcc();
     let population = ctx.store.population(&cfg);

@@ -485,9 +485,9 @@ impl HarnessStore {
             self.stats.trace_records.fetch_add(1, Ordering::Relaxed);
             // The lease lives until the pair is stored, so a worker that
             // moves on to its next miss finds the image still resident.
-            let mut population = self.population(&key.cfg);
+            let population = self.population(&key.cfg);
             let plain = population.fork(OptLevel::none()).record_plain(key.txn, key.count);
-            let tls = population.take(key.cfg.opts).record(key.txn, key.count);
+            let tls = population.fork(key.cfg.opts).record(key.txn, key.count);
             let pair = BenchmarkPrograms { plain, tls };
             Arc::new(match &path {
                 Some(path) => persist(path, hash, pair),

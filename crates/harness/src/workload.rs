@@ -420,7 +420,7 @@ pub struct CompiledWorkload {
 /// the original, and returns both recordings. Pure — every byte is a
 /// function of the spec.
 pub fn compile(spec: &WorkloadSpec) -> CompiledWorkload {
-    let loaded = load(spec);
+    let mut loaded = load(spec);
     let (plain, scans, points) = record(spec, loaded.fork(), false);
     let (tls, _, _) = record(spec, loaded, true);
     CompiledWorkload { plain, tls, scan_transactions: scans, point_transactions: points }
@@ -467,7 +467,7 @@ struct Loaded {
 
 impl Loaded {
     /// A copy of the loaded database.
-    fn fork(&self) -> Loaded {
+    fn fork(&mut self) -> Loaded {
         Loaded { env: self.env.fork(), db: self.db, base: self.base, index: self.index }
     }
 }

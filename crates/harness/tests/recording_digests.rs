@@ -4,7 +4,9 @@
 //! compared with constants, through both recording entry points: the
 //! store (on a two-worker pool, so misses overlap) and
 //! `Tpcc::record_pair`. The four fingerprints are what report keys and
-//! the sweep rows' `fingerprint` field are built from.
+//! the sweep rows' `fingerprint` field are built from. In release builds
+//! the fingerprints of the seven paper-scale Figure-5 pairs are pinned
+//! too, recorded through the store.
 
 use tls_core::experiment::BenchmarkPrograms;
 use tls_harness::codec::{
@@ -101,21 +103,14 @@ fn recorded_pairs_match_their_pinned_digests() {
     }
 }
 
-/// A disk-backed store streams each pair into its snapshot file: every
-/// file it writes carries the pinned digest in its seal and trailer, an
-/// independent recompute over its bytes agrees, and the programs it
-/// serves carry the pinned fingerprints.
-#[test]
-fn snapshots_the_store_writes_match_the_pinned_digests() {
-    let dir = std::env::temp_dir().join(format!("tls-recording-digests-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let keys = keys();
-    let store = HarnessStore::new(Some(dir.clone()), false);
+/// The four fingerprints (plain, TLS, serialized plain, serialized TLS)
+/// of the pair `store` serves for each key, fetched on a two-worker pool
+/// so that misses overlap.
+fn served_fingerprints(store: &HarnessStore, keys: &[TraceKey]) -> Vec<[u64; 4]> {
     let pool = JobPool::new(2);
     let jobs: Vec<Box<dyn FnOnce() -> [u64; 4] + Send + '_>> = keys
         .iter()
         .map(|key| {
-            let store = &store;
             let job: Box<dyn FnOnce() -> [u64; 4] + Send + '_> = Box::new(move || {
                 let progs = store.programs(key);
                 [
@@ -128,7 +123,20 @@ fn snapshots_the_store_writes_match_the_pinned_digests() {
             job
         })
         .collect();
-    let served = pool.run(jobs);
+    pool.run(jobs)
+}
+
+/// A disk-backed store streams each pair into its snapshot file: every
+/// file it writes carries the pinned digest in its seal and trailer, an
+/// independent recompute over its bytes agrees, and the programs it
+/// serves carry the pinned fingerprints.
+#[test]
+fn snapshots_the_store_writes_match_the_pinned_digests() {
+    let dir = std::env::temp_dir().join(format!("tls-recording-digests-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let keys = keys();
+    let store = HarnessStore::new(Some(dir.clone()), false);
+    let served = served_fingerprints(&store, &keys);
     assert_eq!(store.stats.snapshot()[2], keys.len() as u64, "every key recorded");
     for ((key, fingerprints), want) in keys.iter().zip(&served).zip(&WANT) {
         let what = format!("{} seed {}", key.txn.trace_name(), key.cfg.seed);
@@ -138,6 +146,36 @@ fn snapshots_the_store_writes_match_the_pinned_digests() {
         assert_eq!(fingerprints, &want[1..], "served fingerprints of {what}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fingerprints of the seven Figure-5 pairs at paper scale, in
+/// `Transaction::ALL` order: (plain, TLS, serialized plain, serialized
+/// TLS), generated by the recording path that copied the whole image
+/// per fork. Paper-scale images are ~92 MB, so a fault in how the image is
+/// stored that only shows far from address 0 is caught here and not by
+/// the test-scale rows.
+#[rustfmt::skip]
+const PAPER_WANT: [[u64; 4]; 7] = [
+    [0x4466a1021a9002a2, 0x81453671eddc8a4a, 0x4466a1021a9002a2, 0x16a969a56d6600ab],
+    [0xaf7041974df16f73, 0x40200d9e29435835, 0xaf7041974df16f73, 0x1da92efe2287e589],
+    [0xf7e1ab50df20d1e8, 0x01fe09100e020a41, 0xf7e1ab50df20d1e8, 0x2051809c86958116],
+    [0xe37659e524e1d57e, 0x95738e5e9ea28c8a, 0xe37659e524e1d57e, 0x8c64610a9343fa2d],
+    [0x09377aeafcef9d81, 0xb24ce317e103ff8a, 0x09377aeafcef9d81, 0x21749a5d422f656f],
+    [0xfa0205e6ee97da40, 0x2cf338331085dc0e, 0xfa0205e6ee97da40, 0x2c6da7ebf75fe5f2],
+    [0xecee4d285d14d33a, 0x98a6738695b21a0d, 0xecee4d285d14d33a, 0x3731e132152f7620],
+];
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper-scale; run with --release")]
+fn paper_scale_pairs_match_their_pinned_fingerprints() {
+    let keys: Vec<TraceKey> = Transaction::ALL
+        .iter()
+        .map(|&txn| TraceKey { cfg: Scale::Paper.tpcc(), txn, count: instances(txn, Scale::Paper) })
+        .collect();
+    let served = served_fingerprints(&HarnessStore::uncached(), &keys);
+    for ((key, got), want) in keys.iter().zip(&served).zip(&PAPER_WANT) {
+        assert_eq!(got, want, "paper-scale fingerprints of {}", key.txn.trace_name());
+    }
 }
 
 /// The zipf-0.8 scan-collision spec at paper scale, as the

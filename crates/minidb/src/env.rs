@@ -155,11 +155,11 @@ impl Env {
     /// Panics if a pager is attached or a recording is running: neither
     /// the pager's frames and disk nor a half-recorded program belong to
     /// the image, so a copy could not continue either.
-    pub fn fork(&self) -> Env {
+    pub fn fork(&mut self) -> Env {
         assert!(self.pager.is_none(), "cannot fork an environment with a pager attached");
         assert!(!self.rec.recording(), "cannot fork an environment while recording");
         Env {
-            mem: self.mem.clone(),
+            mem: self.mem.fork(),
             rec: Recorder::new(),
             pager: None,
             page_registry: self.page_registry.clone(),
@@ -268,39 +268,49 @@ impl Env {
         self.mem.alloc(size, align)
     }
 
+    /// Runs `emit` against the recorder only while it records: the
+    /// database load runs with the recorder off, and would otherwise
+    /// build millions of ops for the recorder to drop.
+    #[inline]
+    fn trace(&mut self, emit: impl FnOnce(&mut Recorder)) {
+        if self.rec.recording() {
+            emit(&mut self.rec);
+        }
+    }
+
     /// A recorded u64 load whose value feeds subsequent work.
     pub fn load_u64(&mut self, pc: Pc, addr: Addr) -> u64 {
-        self.rec.emit(TraceOp::load(pc, addr, 8));
+        self.trace(|r| r.emit(TraceOp::load(pc, addr, 8)));
         self.mem.peek_u64(addr)
     }
 
     /// A recorded u64 store.
     pub fn store_u64(&mut self, pc: Pc, addr: Addr, v: u64) {
-        self.rec.emit(TraceOp::store(pc, addr, 8));
+        self.trace(|r| r.emit(TraceOp::store(pc, addr, 8)));
         self.mem.poke_u64(addr, v);
     }
 
     /// A recorded u32 load.
     pub fn load_u32(&mut self, pc: Pc, addr: Addr) -> u32 {
-        self.rec.emit(TraceOp::load(pc, addr, 4));
+        self.trace(|r| r.emit(TraceOp::load(pc, addr, 4)));
         self.mem.peek_u32(addr)
     }
 
     /// A recorded u32 store.
     pub fn store_u32(&mut self, pc: Pc, addr: Addr, v: u32) {
-        self.rec.emit(TraceOp::store(pc, addr, 4));
+        self.trace(|r| r.emit(TraceOp::store(pc, addr, 4)));
         self.mem.poke_u32(addr, v);
     }
 
     /// A recorded u16 load.
     pub fn load_u16(&mut self, pc: Pc, addr: Addr) -> u16 {
-        self.rec.emit(TraceOp::load(pc, addr, 2));
+        self.trace(|r| r.emit(TraceOp::load(pc, addr, 2)));
         self.mem.peek_u16(addr)
     }
 
     /// A recorded u16 store.
     pub fn store_u16(&mut self, pc: Pc, addr: Addr, v: u16) {
-        self.rec.emit(TraceOp::store(pc, addr, 2));
+        self.trace(|r| r.emit(TraceOp::store(pc, addr, 2)));
         self.mem.poke_u16(addr, v);
     }
 
@@ -308,73 +318,85 @@ impl Env {
     /// load/store pairs plus loop control, like a `memcpy`. Handles
     /// overlapping ranges like `memmove`.
     pub fn copy(&mut self, pc: Pc, dst: Addr, src: Addr, len: u64) {
-        let mut off = 0;
-        while off < len {
-            let chunk = (len - off).min(8) as u8;
-            self.rec.emit(TraceOp::load(pc, src.offset(off), chunk));
-            self.rec.emit(TraceOp::store(pc, dst.offset(off), chunk).with_dep(1));
-            off += chunk as u64;
-        }
-        self.rec.emit(TraceOp::branch(pc, false));
-        let data = self.mem.bytes(src, len as usize).to_vec();
-        self.mem.write_bytes(dst, &data);
+        self.trace(|r| {
+            let mut off = 0;
+            while off < len {
+                let chunk = (len - off).min(8) as u8;
+                r.emit(TraceOp::load(pc, src.offset(off), chunk));
+                r.emit(TraceOp::store(pc, dst.offset(off), chunk).with_dep(1));
+                off += chunk as u64;
+            }
+            r.emit(TraceOp::branch(pc, false));
+        });
+        self.mem.copy_within(src, dst, len);
     }
 
     /// Recorded read of `len` bytes into a caller buffer.
     pub fn read_into(&mut self, pc: Pc, src: Addr, buf: &mut [u8]) {
-        let mut off = 0usize;
-        while off < buf.len() {
-            let chunk = (buf.len() - off).min(8) as u8;
-            self.rec.emit(TraceOp::load(pc, src.offset(off as u64), chunk));
-            off += chunk as usize;
-        }
-        buf.copy_from_slice(self.mem.bytes(src, buf.len()));
+        let len = buf.len();
+        self.trace(|r| {
+            let mut off = 0usize;
+            while off < len {
+                let chunk = (len - off).min(8) as u8;
+                r.emit(TraceOp::load(pc, src.offset(off as u64), chunk));
+                off += chunk as usize;
+            }
+        });
+        self.mem.read(src, buf);
     }
 
     /// Recorded write of a caller buffer to simulated memory.
     pub fn write_from(&mut self, pc: Pc, dst: Addr, buf: &[u8]) {
-        let mut off = 0usize;
-        while off < buf.len() {
-            let chunk = (buf.len() - off).min(8) as u8;
-            self.rec.emit(TraceOp::store(pc, dst.offset(off as u64), chunk));
-            off += chunk as usize;
-        }
+        self.trace(|r| {
+            let mut off = 0usize;
+            while off < buf.len() {
+                let chunk = (buf.len() - off).min(8) as u8;
+                r.emit(TraceOp::store(pc, dst.offset(off as u64), chunk));
+                off += chunk as usize;
+            }
+        });
         self.mem.write_bytes(dst, buf);
     }
 
     /// Recorded fill of `len` bytes (stores only — used for log payloads,
     /// whose content the simulator never inspects).
     pub fn fill(&mut self, pc: Pc, dst: Addr, len: u64) {
-        let mut off = 0;
-        while off < len {
-            let chunk = (len - off).min(8) as u8;
-            self.rec.emit(TraceOp::store(pc, dst.offset(off), chunk));
-            off += chunk as u64;
-        }
+        self.trace(|r| {
+            let mut off = 0;
+            while off < len {
+                let chunk = (len - off).min(8) as u8;
+                r.emit(TraceOp::store(pc, dst.offset(off), chunk));
+                off += chunk as u64;
+            }
+        });
     }
 
     /// Emits `n` integer ALU ops (computation between memory accesses).
     pub fn alu(&mut self, pc: Pc, n: usize) {
-        for _ in 0..n {
-            self.rec.emit(TraceOp::int_alu(pc, latency::INT));
-        }
+        self.trace(|r| {
+            for _ in 0..n {
+                r.emit(TraceOp::int_alu(pc, latency::INT));
+            }
+        });
     }
 
     /// Emits a compare-and-branch with the given outcome; the compare
     /// depends on the most recent op (typically the key load).
     pub fn cmp_branch(&mut self, pc: Pc, taken: bool) {
-        self.rec.emit(TraceOp::int_alu(pc, latency::INT).with_dep(1));
-        self.rec.emit(TraceOp::branch(pc, taken).with_dep(1));
+        self.trace(|r| {
+            r.emit(TraceOp::int_alu(pc, latency::INT).with_dep(1));
+            r.emit(TraceOp::branch(pc, taken).with_dep(1));
+        });
     }
 
     /// Emits a latch acquire.
     pub fn latch_acquire(&mut self, pc: Pc, latch: LatchId) {
-        self.rec.emit(TraceOp::latch_acquire(pc, latch));
+        self.trace(|r| r.emit(TraceOp::latch_acquire(pc, latch)));
     }
 
     /// Emits a latch release.
     pub fn latch_release(&mut self, pc: Pc, latch: LatchId) {
-        self.rec.emit(TraceOp::latch_release(pc, latch));
+        self.trace(|r| r.emit(TraceOp::latch_release(pc, latch)));
     }
 
     /// Emits `n` "DBMS overhead" instruction groups, modeling the code a
@@ -386,17 +408,19 @@ impl Env {
     /// thread-private memory so the overhead perturbs timing without
     /// creating cross-thread dependences.
     pub fn overhead(&mut self, pc: Pc, scratch: Addr, n: usize) {
-        for i in 0..n {
-            let a = scratch.offset(((i % 32) * 8) as u64);
-            self.rec.emit(TraceOp::load(pc, a, 8));
-            self.rec.emit(TraceOp::int_alu(pc, latency::INT).with_dep(1));
-            self.rec.emit(TraceOp::int_alu(pc, latency::INT).with_dep(1));
-            self.rec.emit(TraceOp::int_alu(pc, latency::INT));
-            self.rec.emit(TraceOp::int_alu(pc, latency::INT));
-            self.rec.emit(TraceOp::int_alu(pc, latency::INT).with_dep(2));
-            self.rec.emit(TraceOp::branch(pc, i % 7 != 0));
-            self.rec.emit(TraceOp::branch(pc, true));
-        }
+        self.trace(|r| {
+            for i in 0..n {
+                let a = scratch.offset(((i % 32) * 8) as u64);
+                r.emit(TraceOp::load(pc, a, 8));
+                r.emit(TraceOp::int_alu(pc, latency::INT).with_dep(1));
+                r.emit(TraceOp::int_alu(pc, latency::INT).with_dep(1));
+                r.emit(TraceOp::int_alu(pc, latency::INT));
+                r.emit(TraceOp::int_alu(pc, latency::INT));
+                r.emit(TraceOp::int_alu(pc, latency::INT).with_dep(2));
+                r.emit(TraceOp::branch(pc, i % 7 != 0));
+                r.emit(TraceOp::branch(pc, true));
+            }
+        });
     }
 }
 
@@ -513,7 +537,7 @@ mod tests {
             Tpcc::new(cfg).env
         };
         let (none, full) = (populate(OptLevel::none()), populate(OptLevel::fully_optimized()));
-        let image = |env: &Env| env.mem.bytes(Addr(64), env.mem.allocated() as usize).to_vec();
+        let image = |env: &Env| env.mem.bytes(Addr(64), env.mem.allocated() as usize);
         assert_eq!(none.mem.allocated(), full.mem.allocated());
         assert!(image(&none) == image(&full), "memory images differ");
         assert_eq!(none.page_registry, full.page_registry);

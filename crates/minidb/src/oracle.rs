@@ -262,7 +262,7 @@ impl OracleWorkload {
         for (ti, &(meta, vs, module)) in self.tree_meta.iter().enumerate() {
             let tree = BTree::open_existing(meta, vs, module);
             tree.scan_from(&mut renv, 0, |env, k, addr| {
-                out.insert((ti, k), env.mem.bytes(addr, vs as usize).to_vec());
+                out.insert((ti, k), env.mem.bytes(addr, vs as usize));
                 true
             });
         }

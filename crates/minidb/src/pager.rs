@@ -180,7 +180,7 @@ impl Pager {
     /// [`Env`] registry at attach). Starts non-resident: the first pin
     /// reads it in, so a cold pool behaves like a cold pool.
     pub fn register_page(&mut self, mem: &SimMemory, base: Addr) {
-        let content = mem.bytes(base, PAGE_SIZE as usize).to_vec();
+        let content = mem.bytes(base, PAGE_SIZE as usize);
         self.regions.insert(
             base.0,
             RegionState {
@@ -201,7 +201,7 @@ impl Pager {
     /// Registers a permanent region (tree meta block): always resident,
     /// never evicted, diffed at every mtr commit.
     pub fn register_permanent(&mut self, mem: &SimMemory, base: Addr, len: u64) {
-        let content = mem.bytes(base, len as usize).to_vec();
+        let content = mem.bytes(base, len as usize);
         self.regions.insert(
             base.0,
             RegionState {
@@ -366,7 +366,7 @@ impl Pager {
         let st = self.regions.get_mut(&region).expect("page state");
         debug_assert_eq!(
             env.mem.bytes(Addr(region), st.len),
-            &st.last_logged[..],
+            st.last_logged,
             "write-ahead violated: page {region:#x} has unlogged modifications at flush"
         );
         let envelope = envelope_encode(st.page_lsn, &st.last_logged);
@@ -426,7 +426,7 @@ impl Pager {
         to_log.extend(perms);
         for region in to_log {
             let st = self.regions.get_mut(&region).expect("page state");
-            let current = env.mem.bytes(Addr(region), st.len).to_vec();
+            let current = env.mem.bytes(Addr(region), st.len);
             if current != st.last_logged {
                 let lsn = if st.has_fpi {
                     let ranges = diff_ranges(&st.last_logged, &current);

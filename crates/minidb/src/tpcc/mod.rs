@@ -224,16 +224,16 @@ impl Tpcc {
     }
 
     /// A copy of this database that runs the engine with `opts`. It
-    /// copies the memory image, page registry, catalog, transaction RNG
-    /// and history sequence, so the copy records exactly what this
-    /// database would. A populated database is forked once per
-    /// recording instead of populated again: population never reads
-    /// the engine options (DESIGN §9.7).
+    /// shares the memory image copy-on-write and copies the page
+    /// registry, catalog, transaction RNG and history sequence, so the
+    /// copy records exactly what this database would. A populated
+    /// database is forked once per recording instead of populated again:
+    /// population never reads the engine options (DESIGN §9.7).
     ///
     /// # Panics
     ///
     /// Panics if a pager is attached or a recording is running.
-    pub fn fork(&self, opts: OptLevel) -> Tpcc {
+    pub fn fork(&mut self, opts: OptLevel) -> Tpcc {
         let mut copy = Tpcc {
             env: self.env.fork(),
             db: self.db,
@@ -242,14 +242,9 @@ impl Tpcc {
             rng: self.rng.clone(),
             history_seq: self.history_seq,
         };
-        copy.set_opts(opts);
+        copy.cfg.opts = opts;
+        copy.db.opts = opts;
         copy
-    }
-
-    /// Switches the engine options of this database.
-    pub fn set_opts(&mut self, opts: OptLevel) {
-        self.cfg.opts = opts;
-        self.db.opts = opts;
     }
 
     /// Records `count` back-to-back instances of `txn` as a
@@ -339,9 +334,9 @@ impl Tpcc {
     }
 
     /// Records the (plain, TLS) trace pair of a benchmark from one
-    /// population: the plain half runs the unmodified engine
-    /// ([`OptLevel::none`]) on a [fork](Self::fork), the TLS half the
-    /// engine configured in `cfg` on the populated database itself.
+    /// population, each half on its own [fork](Self::fork): the plain
+    /// half runs the unmodified engine ([`OptLevel::none`]), the TLS half
+    /// the engine configured in `cfg`.
     pub fn record_pair(
         cfg: &TpccConfig,
         txn: Transaction,
@@ -349,7 +344,8 @@ impl Tpcc {
     ) -> (TraceProgram, TraceProgram) {
         let mut db = Tpcc::new(cfg.clone());
         let plain = db.fork(OptLevel::none()).record_plain(txn, count);
-        (plain, db.record(txn, count))
+        let tls = db.fork(cfg.opts).record(txn, count);
+        (plain, tls)
     }
 
     // ------------------------------------------------------------------

@@ -208,12 +208,12 @@ fn paged_mix_recovers_at_the_final_lsn(t: &mut Tpcc) -> PagerCounters {
         let recovered = BTree::open_existing(meta, tree.value_size(), tree.module());
         let mut live_rows = Vec::new();
         tree.scan_from(&mut t.env, 0, |env, k, addr| {
-            live_rows.push((k, env.mem.bytes(addr, tree.value_size() as usize).to_vec()));
+            live_rows.push((k, env.mem.bytes(addr, tree.value_size() as usize)));
             true
         });
         let mut rec_rows = Vec::new();
         recovered.scan_from(&mut renv, 0, |env, k, addr| {
-            rec_rows.push((k, env.mem.bytes(addr, tree.value_size() as usize).to_vec()));
+            rec_rows.push((k, env.mem.bytes(addr, tree.value_size() as usize)));
             true
         });
         assert_eq!(live_rows, rec_rows, "module {:#x} diverged", tree.module());
@@ -232,7 +232,7 @@ fn pagers_attached_to_forks_recover_like_fresh_populations() {
     // Recording forks one populated database per half; a pager attached
     // to a fork must see exactly the pages a fresh population has, and
     // its paged run must leave the populated image untouched.
-    let populated = Tpcc::new(TpccConfig::test());
+    let mut populated = Tpcc::new(TpccConfig::test());
     let fresh = paged_mix_recovers_at_the_final_lsn(&mut Tpcc::new(TpccConfig::test()));
     let opts = TpccConfig::test().opts;
     for _ in 0..2 {
