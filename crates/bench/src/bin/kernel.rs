@@ -9,13 +9,12 @@
 //!    lifecycle.
 //! 2. **Pager**: buffer-pool pins and full REDO recovery per crash point
 //!    on the recovery-oracle workload (asserted green).
-//! 3. **Trace store**: owned decode vs zero-copy map of one recorded
-//!    snapshot (asserted to yield the same program).
-//! 4. **Value predictor**: train, probe and commit-time validation.
-//! 5. **Store buffer**: push, forward and a full 32-entry drain.
+//! 3. **Value predictor**: train, probe and commit-time validation.
+//! 4. **Store buffer**: push, forward and a full 32-entry drain.
 //!
-//! Whole-machine throughput is measured by the repository benchmark
-//! (`BENCHMARK.json`), with repeated samples and calibrated bounds.
+//! Whole-machine throughput, and the snapshot store's map and open
+//! costs, are measured by the repository benchmark (`BENCHMARK.json`),
+//! with repeated samples and calibrated bounds.
 //!
 //! Usage: `kernel [--out PATH]` (default `BENCH_kernel.json`).
 
@@ -49,29 +48,6 @@ struct PagerBench {
 }
 
 #[derive(Serialize)]
-struct TraceStoreBench {
-    /// Dynamic ops of the measured snapshot (both programs of the pair).
-    trace_ops: u64,
-    /// Snapshot size on disk in bytes.
-    trace_bytes: u64,
-    /// ns per op for the owned warm path: read the file, parse the
-    /// structure, copy every record into heap programs, fingerprint both
-    /// (what every warm store open cost before the zero-copy store).
-    decode_ns_per_op: f64,
-    /// Ops per host-second through the owned decode path.
-    decode_ops_per_s: f64,
-    /// ns per op for the zero-copy warm path: map the file, then one walk
-    /// that yields the checksum and all four fingerprints (both programs
-    /// and both serialized forms), then one record-validation pass — no
-    /// op copies.
-    mmap_ns_per_op: f64,
-    /// Ops per host-second through the mapped path.
-    mmap_ops_per_s: f64,
-    /// decode time over map time for the same snapshot.
-    mmap_speedup: f64,
-}
-
-#[derive(Serialize)]
 struct VpredictBench {
     /// ns per predictor training (tag match, confidence update).
     ns_per_train: f64,
@@ -97,7 +73,6 @@ struct MembufBench {
 struct KernelBench {
     ops: Vec<OpBench>,
     pager: PagerBench,
-    trace_store: TraceStoreBench,
     vpredict: VpredictBench,
     membuf: MembufBench,
 }
@@ -222,65 +197,6 @@ fn bench_pager() -> PagerBench {
         ns_per_crash_point: check_secs * 1e9 / crash_points as f64,
         crash_points,
         counters,
-    }
-}
-
-/// Host cost of the snapshot read paths, owned decode vs zero-copy map,
-/// on a real recorded benchmark. Both decoders are verified against each
-/// other before timing: a fast path serving different ops would be a
-/// timing for the wrong data.
-fn bench_trace_store() -> TraceStoreBench {
-    use std::sync::Arc;
-    use tls_harness::codec::{decode_pair_file, program_bytes};
-    use tls_harness::mapped::{MapOutcome, TraceView};
-    use tls_harness::store::{HarnessStore, StoredPrograms, TraceKey};
-    use tls_harness::Scale;
-    use tls_minidb::Transaction;
-
-    let dir = std::env::temp_dir().join(format!("tls-kernel-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let traces = dir.join("traces");
-    let store = HarnessStore::new(Some(traces.clone()), true);
-    // A big-enough recording that per-op cost dominates per-open cost
-    // (the syscall + container validation amortize away, as they do on
-    // the multi-megabyte paper-scale snapshots).
-    let key = TraceKey { cfg: Scale::Test.tpcc(), txn: Transaction::Payment, count: 128 };
-    store.programs(&key);
-    let path = traces.join(key.file_name());
-    let hash = key.hash();
-    let bytes = std::fs::read(&path).expect("snapshot written");
-    let trace_bytes = bytes.len() as u64;
-
-    // Cross-check the two read paths before timing either.
-    let owned = decode_pair_file(&bytes, hash).expect("owned decode");
-    let MapOutcome::Mapped(view) = TraceView::open(&path, hash) else {
-        panic!("fresh snapshot must map");
-    };
-    assert_eq!(program_bytes(&view.tls().to_program()), program_bytes(&owned.tls));
-    let trace_ops = (owned.plain.view().total_ops() + owned.tls.view().total_ops()) as u64;
-
-    // Both timings produce a StoredPrograms ready for report-cache
-    // lookups of the recorded pair. The mapped one has done more: its
-    // open also fingerprinted both serialized forms, which the owned one
-    // would copy and fingerprint on first use.
-    let decode_secs = time_s(7, || {
-        let bytes = std::fs::read(&path).expect("read snapshot");
-        StoredPrograms::new(decode_pair_file(&bytes, hash).expect("owned decode"))
-    });
-    let mmap_secs = time_s(7, || match TraceView::open(&path, hash) {
-        MapOutcome::Mapped(v) => StoredPrograms::from_view(Arc::new(*v)),
-        other => panic!("snapshot stopped mapping: {other:?}"),
-    });
-
-    let _ = std::fs::remove_dir_all(&dir);
-    TraceStoreBench {
-        trace_ops,
-        trace_bytes,
-        decode_ns_per_op: decode_secs * 1e9 / trace_ops as f64,
-        decode_ops_per_s: trace_ops as f64 / decode_secs,
-        mmap_ns_per_op: mmap_secs * 1e9 / trace_ops as f64,
-        mmap_ops_per_s: trace_ops as f64 / mmap_secs,
-        mmap_speedup: decode_secs / mmap_secs,
     }
 }
 
@@ -423,17 +339,6 @@ fn main() {
         "pager_counters", c.hits, c.misses, c.evictions, c.flushes, c.recovery_replays, c.mtrs
     );
 
-    let trace_store = bench_trace_store();
-    println!(
-        "{:<24} {:>9.2} ns/op decode  {:>9.3} ns/op mmap  ({:.2}x; {} ops, {} bytes)",
-        "trace_store",
-        trace_store.decode_ns_per_op,
-        trace_store.mmap_ns_per_op,
-        trace_store.mmap_speedup,
-        trace_store.trace_ops,
-        trace_store.trace_bytes
-    );
-
     let vpredict = bench_vpredict();
     println!(
         "{:<24} {:>6.1} ns/train  {:>6.1} ns/probe  {:>6.1} ns/validate",
@@ -449,9 +354,8 @@ fn main() {
         membuf.ns_per_full_drain
     );
 
-    let mut json =
-        serde_json::to_string_pretty(&KernelBench { ops, pager, trace_store, vpredict, membuf })
-            .expect("serialize kernel bench");
+    let mut json = serde_json::to_string_pretty(&KernelBench { ops, pager, vpredict, membuf })
+        .expect("serialize kernel bench");
     json.push('\n');
     std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     eprintln!("wrote {out_path}");

@@ -6,22 +6,20 @@
 //! |---|---|---|
 //! | 0  | 6 | magic `TLSNAP` |
 //! | 6  | 1 | payload kind (1 = trace pair, 2 = sim report) |
-//! | 7  | 1 | format version of that kind ([`PAIR_VERSION`] 3, [`REPORT_VERSION`] 2) |
+//! | 7  | 1 | format version ([`VERSION`], 3) |
 //! | 8  | 8 | cache-key hash, little-endian (see [`crate::store`]) |
 //! | 16 | 8 | payload length in bytes, little-endian |
 //! | 24 | n | payload |
 //! | 24 + n | 8 | seal of bytes `0 .. 24 + n`, little-endian |
 //!
-//! The seal depends on the kind. A report is a few
-//! kilobytes of JSON sealed with FNV-1a-64, exactly as before trace pairs
-//! moved to version 3, so `traces/reports/` and every report key survive
-//! that change. A trace pair is up to a few hundred megabytes and is
-//! sealed with [`Seal`], a four-lane word hash (below).
+//! Both kinds are sealed with [`Seal`], a four-lane word hash (below): a
+//! report is a few kilobytes of JSON, a trace pair up to a few hundred
+//! megabytes.
 //!
 //! [`decode_container`] checks magic, kind, version and length, then the
 //! seal, then the key hash, before it hands out a single payload byte, so
 //! a corrupt or truncated snapshot is rejected — never misdecoded. The
-//! mapped reader ([`crate::mapped`]) keeps that contract in one walk:
+//! trace-pair reader ([`crate::mapped`]) keeps that contract in one walk:
 //! after the same header checks it parses the trace-pair *structure* from
 //! the still-unverified payload, only to learn where the op bank begins
 //! (a bounded parse with typed errors), and then folds the body into the
@@ -86,19 +84,21 @@
 //! * **Endianness** — records are always written little-endian (the
 //!   canonical [`TraceOp::to_raw`] layout), and the stamp distinguishes a
 //!   container written by a native-byte-order writer on a big-endian
-//!   machine ([`SnapshotError::ForeignEndian`]). Little-endian hosts map
-//!   records in place; big-endian hosts fall back to the owned decoder,
-//!   which parses fields explicitly and is endian-correct everywhere.
+//!   machine ([`SnapshotError::ForeignEndian`]). The only reader,
+//!   [`crate::mapped::TraceView`], serves records in place, so only a
+//!   little-endian host reads trace pairs; a big-endian host's store
+//!   records every pair afresh and neither reads nor writes them.
 //!
 //! Every record is validated (the rules of [`TraceOp::validate`]) exactly
-//! once — at decode for the owned path, at map time for the zero-copy
-//! path — so even a seal collision cannot smuggle an op the simulator
-//! would choke on.
+//! once, at map time, so even a seal collision cannot smuggle an op the
+//! simulator would choke on.
 //!
 //! Any other version byte — the retired version 1, which stored op
-//! records inline, and version 2, which had no trailer and an FNV seal —
-//! is a typed [`SnapshotError::VersionMismatch`]; `traces/` is a cache,
-//! so the store quarantines such a file and records the pair afresh.
+//! records inline, and version 2, which had no trailer and sealed trace
+//! pairs and reports alike with FNV-1a-64 — is a typed
+//! [`SnapshotError::VersionMismatch`]; `traces/` is a cache, so the store
+//! quarantines such a file and records the pair, or simulates the report,
+//! afresh.
 //!
 //! # The seal
 //!
@@ -139,7 +139,7 @@ use std::convert::Infallible;
 use std::fmt;
 use std::io::{self, Write};
 use tls_core::experiment::BenchmarkPrograms;
-use tls_trace::{Epoch, ProgramView, RawOpError, Region, RegionView, TraceOp, TraceProgram};
+use tls_trace::{ProgramView, RawOpError, RegionView, TraceOp, TraceProgram};
 
 /// Magic prefix of every snapshot container.
 pub const MAGIC: &[u8; 6] = b"TLSNAP";
@@ -147,11 +147,9 @@ pub const MAGIC: &[u8; 6] = b"TLSNAP";
 pub const KIND_TRACE_PAIR: u8 = 1;
 /// Container payload kind: a cached simulation report (JSON payload).
 pub const KIND_SIM_REPORT: u8 = 2;
-/// Format version of trace-pair containers: a [`Seal`] and a fingerprint
-/// trailer.
-pub const PAIR_VERSION: u8 = 3;
-/// Format version of report containers: FNV-1a-64 sealed.
-pub const REPORT_VERSION: u8 = 2;
+/// Format version of every container: sealed with [`Seal`], and a trace
+/// pair carries a fingerprint trailer.
+pub const VERSION: u8 = 3;
 /// The byte-order stamp of a trace-pair payload. Written as a
 /// little-endian `u16`; a writer that (incorrectly) used native byte
 /// order on a big-endian machine produces the swapped pattern, which the
@@ -189,7 +187,7 @@ pub enum SnapshotError {
     VersionMismatch {
         /// Version found in the container.
         found: u8,
-        /// The version this build reads for the container's kind.
+        /// The version this build reads ([`VERSION`]).
         expected: u8,
     },
     /// The stored cache-key hash differs from the requested key (a stale
@@ -334,9 +332,9 @@ impl From<RawOpError> for SnapshotError {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// A streaming FNV-1a-64 hasher: the report-container seal, the
-/// cache-key fingerprint hash, and the content-fingerprint stream —
-/// without ever materializing the hashed bytes.
+/// A streaming FNV-1a-64 hasher: the cache-key hashes and the
+/// content-fingerprint stream, without ever materializing the hashed
+/// bytes.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 
@@ -375,7 +373,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The trace-pair seal: a four-lane word hash.
+// The container seal: a four-lane word hash.
 // ---------------------------------------------------------------------------
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
@@ -385,8 +383,8 @@ const P3: u64 = 0x1656_67B1_9E37_79F9;
 /// The bytes [`Seal`] folds at a time: one little-endian word per lane.
 pub(crate) const SEAL_BLOCK: usize = 32;
 
-/// The streaming seal of a trace-pair container: a four-lane 64-bit word
-/// hash over the body, defined in the [module doc](self). A change
+/// The streaming seal of a container: a four-lane 64-bit word hash over
+/// the body, defined in the [module doc](self). A change
 /// confined to one aligned 8-byte word always changes the seal, and the
 /// lanes run side by side at memory speed.
 #[derive(Debug, Clone)]
@@ -508,35 +506,16 @@ pub fn seal(bytes: &[u8]) -> u64 {
 // The container.
 // ---------------------------------------------------------------------------
 
-/// The format version this build reads and writes for payload `kind`.
-fn version_of(kind: u8) -> u8 {
-    if kind == KIND_TRACE_PAIR {
-        PAIR_VERSION
-    } else {
-        REPORT_VERSION
-    }
-}
-
-/// The seal of a container `body` (header and payload) of payload
-/// `kind`: [`seal`] for a trace pair, FNV-1a-64 for a report.
-fn seal_of(kind: u8, body: &[u8]) -> u64 {
-    if kind == KIND_TRACE_PAIR {
-        seal(body)
-    } else {
-        fnv1a(body)
-    }
-}
-
 /// Wraps `payload` in a sealed container of payload `kind`.
 pub fn encode_container(kind: u8, key_hash: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
     out.extend_from_slice(MAGIC);
     out.push(kind);
-    out.push(version_of(kind));
+    out.push(VERSION);
     out.extend_from_slice(&key_hash.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    let sum = seal_of(kind, &out);
+    let sum = seal(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -544,7 +523,7 @@ pub fn encode_container(kind: u8, key_hash: u64, payload: &[u8]) -> Vec<u8> {
 /// Verifies a container's framing and returns its payload slice.
 pub fn decode_container(bytes: &[u8], kind: u8, key_hash: u64) -> Result<&[u8], SnapshotError> {
     let payload = check_header(bytes, kind)?;
-    verify_seal(bytes, seal_of(kind, &bytes[..bytes.len() - CHECKSUM_LEN]), key_hash)?;
+    verify_seal(bytes, seal(&bytes[..bytes.len() - CHECKSUM_LEN]), key_hash)?;
     Ok(payload)
 }
 
@@ -561,9 +540,8 @@ pub(crate) fn check_header(bytes: &[u8], kind: u8) -> Result<&[u8], SnapshotErro
     if bytes[6] != kind {
         return Err(SnapshotError::KindMismatch { found: bytes[6], expected: kind });
     }
-    let expected = version_of(kind);
-    if bytes[7] != expected {
-        return Err(SnapshotError::VersionMismatch { found: bytes[7], expected });
+    if bytes[7] != VERSION {
+        return Err(SnapshotError::VersionMismatch { found: bytes[7], expected: VERSION });
     }
     let declared = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
     let present = (bytes.len() - HEADER_LEN - CHECKSUM_LEN) as u64;
@@ -574,9 +552,8 @@ pub(crate) fn check_header(bytes: &[u8], kind: u8) -> Result<&[u8], SnapshotErro
 }
 
 /// The seal half of [`decode_container`], for a container that passed
-/// [`check_header`]: the stored seal must equal `checksum` (the seal of
-/// header + payload for the container's kind), and then the stored key
-/// must equal `key_hash`.
+/// [`check_header`]: the stored seal must equal `checksum` (the [`seal`]
+/// of header + payload), and then the stored key must equal `key_hash`.
 pub(crate) fn verify_seal(bytes: &[u8], checksum: u64, key_hash: u64) -> Result<(), SnapshotError> {
     let body_end = bytes.len() - CHECKSUM_LEN;
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
@@ -838,25 +815,6 @@ impl ProgramLayout {
                 .collect(),
         }
     }
-
-    /// Materializes the owned program from a decoded record vector.
-    fn to_program(&self, records: &[TraceOp]) -> TraceProgram {
-        let regions = self
-            .regions
-            .iter()
-            .map(|r| match r {
-                RegionLayout::Sequential(x) => {
-                    Region::Sequential(Epoch::new(records[x.start..x.start + x.count].to_vec()))
-                }
-                RegionLayout::Parallel(es) => Region::Parallel(
-                    es.iter()
-                        .map(|x| Epoch::new(records[x.start..x.start + x.count].to_vec()))
-                        .collect(),
-                ),
-            })
-            .collect();
-        TraceProgram::new(self.name.clone(), regions)
-    }
 }
 
 /// The parsed skeleton of a trace-pair payload: both program layouts
@@ -999,7 +957,7 @@ impl<'a> PairEncoder<'a> {
         let mut prefix = Vec::with_capacity(HEADER_LEN + bank_offset);
         prefix.extend_from_slice(MAGIC);
         prefix.push(KIND_TRACE_PAIR);
-        prefix.push(PAIR_VERSION);
+        prefix.push(VERSION);
         prefix.extend_from_slice(&key_hash.to_le_bytes());
         prefix.extend_from_slice(&((bank_offset + bank_len + TRAILER_LEN) as u64).to_le_bytes());
         prefix.extend_from_slice(&ENDIAN_STAMP.to_le_bytes());
@@ -1118,18 +1076,15 @@ fn parse_structure(r: &mut Reader<'_>, cursor: &mut usize) -> Result<ProgramLayo
 /// Parses and validates the skeleton of a trace-pair payload: stamp,
 /// record size, bank alignment, the extent of the bank and trailer,
 /// padding, and the op-count identity. Does **not** validate individual
-/// records — the owned decoder validates while materializing, the map
-/// path once per map, while it seals (`Seal::update_records`).
+/// records — the map path does, once per map, while it seals
+/// (`Seal::update_records`).
 pub fn parse_pair_layout(payload: &[u8]) -> Result<PairLayout, SnapshotError> {
     let mut r = Reader { bytes: payload, pos: 0 };
     let stamp = r.u16()?;
+    // A byte-swapped stamp and an unrecognizable one are both rejected
+    // as foreign-endian: neither payload can be read in place.
     if stamp != ENDIAN_STAMP {
-        return Err(if stamp == ENDIAN_STAMP.swap_bytes() {
-            SnapshotError::ForeignEndian { stamp }
-        } else {
-            // An unrecognizable stamp is corruption, not a byte order.
-            SnapshotError::ForeignEndian { stamp }
-        });
+        return Err(SnapshotError::ForeignEndian { stamp });
     }
     let record = r.u16()?;
     if record as usize != RECORD_LEN {
@@ -1263,45 +1218,18 @@ pub fn digest_pair(body: &[u8], layout: &PairLayout) -> PairDigest {
 
 /// Casts a (validated) op bank to records in place. Fails with a typed
 /// error if the bytes are misaligned for `TraceOp` — the caller's buffer
-/// must be [`BANK_ALIGN`]-aligned — or on a big-endian host, where the
-/// in-memory layout does not match the little-endian wire records.
+/// must be [`BANK_ALIGN`]-aligned. The records are little-endian, so the
+/// cast is what they hold only on a little-endian host.
 pub fn cast_bank(bank: &[u8]) -> Result<&[TraceOp], SnapshotError> {
-    #[cfg(target_endian = "little")]
-    {
-        zerocopy::slice_from_bytes::<TraceOp>(bank).map_err(|e| match e {
-            zerocopy::CastError::Misaligned { offset, .. } => {
-                SnapshotError::Misaligned { file_offset: offset }
-            }
-            zerocopy::CastError::SizeMismatch { len, .. } => {
-                SnapshotError::TrailingBytes(len % RECORD_LEN)
-            }
-        })
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        let _ = bank;
-        Err(SnapshotError::ForeignEndian { stamp: ENDIAN_STAMP.swap_bytes() })
-    }
-}
-
-/// Decodes a trace-pair (kind-1) payload into an owned `(plain, tls)`
-/// pair, validating every record. Endian-correct on every host.
-pub fn decode_pair(payload: &[u8]) -> Result<BenchmarkPrograms, SnapshotError> {
-    let layout = parse_pair_layout(payload)?;
-    let bank = layout.bank(payload);
-    let mut records = Vec::with_capacity(layout.total_ops);
-    for raw in bank.chunks_exact(RECORD_LEN) {
-        records.push(TraceOp::from_raw(raw.try_into().expect("16 bytes"))?);
-    }
-    Ok(BenchmarkPrograms {
-        plain: layout.plain.to_program(&records),
-        tls: layout.tls.to_program(&records),
+    zerocopy::slice_from_bytes::<TraceOp>(bank).map_err(|e| match e {
+        zerocopy::CastError::Misaligned { offset, .. } => {
+            SnapshotError::Misaligned { file_offset: offset }
+        }
+        zerocopy::CastError::SizeMismatch { len, .. } => {
+            SnapshotError::TrailingBytes(len % RECORD_LEN)
+        }
     })
 }
-
-// ---------------------------------------------------------------------------
-// Whole-file forms.
-// ---------------------------------------------------------------------------
 
 /// Encodes a pair as a complete trace-pair container file image: the
 /// [`PairEncoder`] written into a buffer.
@@ -1310,12 +1238,6 @@ pub fn encode_pair_file(key_hash: u64, pair: &BenchmarkPrograms) -> Vec<u8> {
     let mut out = Vec::with_capacity(encoder.file_len());
     encoder.write_to(&mut out).expect("writing to a Vec cannot fail");
     out
-}
-
-/// Decodes a container file image back into an owned pair, verifying
-/// framing, seal and key.
-pub fn decode_pair_file(bytes: &[u8], key_hash: u64) -> Result<BenchmarkPrograms, SnapshotError> {
-    decode_pair(decode_container(bytes, KIND_TRACE_PAIR, key_hash)?)
 }
 
 #[cfg(test)]
@@ -1350,20 +1272,12 @@ mod tests {
         file[HEADER_LEN..file.len() - CHECKSUM_LEN].to_vec()
     }
 
-    fn programs_equal(a: &TraceProgram, b: &TraceProgram) -> bool {
-        a.name == b.name
-            && a.regions.len() == b.regions.len()
-            && a.iter_ops().zip(b.iter_ops()).all(|(x, y)| x == y)
-            && a.total_ops() == b.total_ops()
-    }
-
-    #[test]
-    fn pair_round_trips() {
-        let pair = sample_pair();
-        let file = encode_pair_file(0xABCD, &pair);
-        let back = decode_pair_file(&file, 0xABCD).expect("decode");
-        assert!(programs_equal(&pair.plain, &back.plain));
-        assert!(programs_equal(&pair.tls, &back.tls));
+    /// The verify-first reference chain of checks on a trace-pair file:
+    /// framing, seal and key, then the layout, then every record.
+    fn reference_open(file: &[u8], key: u64) -> Result<(), SnapshotError> {
+        let payload = decode_container(file, KIND_TRACE_PAIR, key)?;
+        let layout = parse_pair_layout(payload)?;
+        validate_bank(layout.bank(payload))
     }
 
     #[test]
@@ -1433,10 +1347,9 @@ mod tests {
         for i in 0..file.len() {
             let mut bad = file.clone();
             bad[i] ^= 0x20;
-            // Either the framing/checksum rejects it, or (never, for a
-            // single flip with FNV over the body) it decodes — it must
-            // not silently misdecode.
-            assert!(decode_pair_file(&bad, 7).is_err(), "flip at byte {i} was accepted");
+            // The seal catches every single-word change, so no flip
+            // gets past the verify-first checks.
+            assert!(reference_open(&bad, 7).is_err(), "flip at byte {i} was accepted");
         }
     }
 
@@ -1445,7 +1358,7 @@ mod tests {
         let pair = sample_pair();
         let file = encode_pair_file(7, &pair);
         for len in [0, 10, 23, 24, file.len() / 2, file.len() - 1] {
-            assert!(decode_pair_file(&file[..len], 7).is_err(), "truncation to {len} accepted");
+            assert!(reference_open(&file[..len], 7).is_err(), "truncation to {len} accepted");
         }
     }
 
@@ -1454,48 +1367,50 @@ mod tests {
         let pair = sample_pair();
         let file = encode_pair_file(7, &pair);
         assert!(matches!(
-            decode_pair_file(&file, 8),
+            reference_open(&file, 8),
             Err(SnapshotError::KeyMismatch { found: 7, expected: 8 })
         ));
         // Version is checked before the seal, so a retired (1, 2) or
         // future-format file reads as a version mismatch (then gets
         // re-recorded), not as corruption.
-        for version in [1, 2, PAIR_VERSION + 1] {
+        for version in [1, 2, VERSION + 1] {
             let mut wrong_version = file.clone();
             wrong_version[7] = version;
             assert_eq!(
-                decode_pair_file(&wrong_version, 7).err(),
-                Some(SnapshotError::VersionMismatch { found: version, expected: PAIR_VERSION })
+                reference_open(&wrong_version, 7).err(),
+                Some(SnapshotError::VersionMismatch { found: version, expected: VERSION })
             );
         }
         let report = encode_container(KIND_SIM_REPORT, 7, b"{}");
         assert!(matches!(
-            decode_pair_file(&report, 7),
+            reference_open(&report, 7),
             Err(SnapshotError::KindMismatch { found: KIND_SIM_REPORT, expected: KIND_TRACE_PAIR })
         ));
     }
 
-    /// Report containers keep version 2 and their FNV-1a seal: the exact
-    /// bytes of one small report, as every build since version 2 wrote
-    /// them, so cached reports and their keys survive trace-format
-    /// changes.
+    /// Report containers are version 3 and sealed with [`Seal`]: the
+    /// exact bytes of one small report. A version-2 report, as older
+    /// builds wrote it (sealed with FNV-1a), reads as a version mismatch.
     #[test]
     fn report_container_bytes_are_pinned() {
         let payload = br#"{"total_cycles":42}"#;
         let key = 0x0123_4567_89AB_CDEF;
-        let mut want = b"TLSNAP\x02\x02".to_vec();
+        let mut want = b"TLSNAP\x02\x03".to_vec();
         want.extend_from_slice(&[0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01]);
         want.extend_from_slice(&[19, 0, 0, 0, 0, 0, 0, 0]);
         want.extend_from_slice(payload);
-        want.extend_from_slice(&0x6fd5_0e26_f061_00b4u64.to_le_bytes());
+        want.extend_from_slice(&0x098f_3eb9_1dd8_7145u64.to_le_bytes());
         let container = encode_container(KIND_SIM_REPORT, key, payload);
         assert_eq!(container, want);
         assert_eq!(decode_container(&container, KIND_SIM_REPORT, key), Ok(&payload[..]));
-        let mut v3 = container.clone();
-        v3[7] = PAIR_VERSION;
+        let mut v2 = container.clone();
+        v2[7] = 2;
+        let body_end = v2.len() - CHECKSUM_LEN;
+        let sum = fnv1a(&v2[..body_end]);
+        v2[body_end..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
-            decode_container(&v3, KIND_SIM_REPORT, key),
-            Err(SnapshotError::VersionMismatch { found: PAIR_VERSION, expected: REPORT_VERSION })
+            decode_container(&v2, KIND_SIM_REPORT, key),
+            Err(SnapshotError::VersionMismatch { found: 2, expected: VERSION })
         );
     }
 

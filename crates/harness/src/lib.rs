@@ -49,7 +49,7 @@ pub mod suite;
 pub mod sweep;
 pub mod workload;
 
-pub use codec::{decode_pair, SnapshotError};
+pub use codec::SnapshotError;
 pub use eval::{breakdown_row, initials, instances, paper_machine, render_stack, Scale};
 pub use mapped::{MapOutcome, Mapping, TraceView};
 pub use observe::{observe_run, ObserveOutcome, ObserveRequest};

@@ -37,11 +37,13 @@
 //! recompute the four fingerprints from the served views on every open
 //! and assert that they equal the trailer.
 //!
-//! Outcomes a caller must handle (see [`MapOutcome`]): a big-endian host
-//! falls back to the owned decoder (records are stored little-endian),
-//! and a corrupt file — or one in any format version but the current
-//! one — is a typed error for the store's quarantine-and-heal machinery:
-//! never a panic, never a misdecode.
+//! This is the only reader of trace-pair snapshots. Outcomes a caller
+//! must handle (see [`MapOutcome`]): a corrupt file — or one in any
+//! format version but the current one — is a typed error for the store's
+//! quarantine-and-heal machinery: never a panic, never a misdecode. The
+//! records are stored little-endian and served in place, so a big-endian
+//! host maps nothing (an [`MapOutcome::Io`] refusal); its store keeps
+//! trace pairs in memory only.
 //!
 //! # Safety
 //!
@@ -68,7 +70,6 @@ use crate::codec::{
     CHECKSUM_LEN, HEADER_LEN, KIND_TRACE_PAIR, SEAL_BLOCK,
 };
 use std::path::Path;
-use tls_core::experiment::BenchmarkPrograms;
 use tls_trace::{ProgramView, TraceOp};
 
 // ---------------------------------------------------------------------------
@@ -270,6 +271,9 @@ impl TraceView {
     /// [`validate_bank`] would, in that order — while reading each byte
     /// once, for the seal and the record check together.
     pub fn open(path: &Path, key_hash: u64) -> MapOutcome {
+        if cfg!(not(target_endian = "little")) {
+            return MapOutcome::Io("a big-endian host cannot map little-endian records".into());
+        }
         let map = match Mapping::open(path) {
             Ok(m) => m,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return MapOutcome::Missing,
@@ -310,14 +314,6 @@ impl TraceView {
                 return MapOutcome::Bad(e);
             }
         }
-        if cfg!(not(target_endian = "little")) {
-            // Records are stored little-endian; this host cannot serve
-            // them in place. Decode owned (endian-correct) instead.
-            return match codec::decode_pair(payload) {
-                Ok(pair) => MapOutcome::Unsupported(Box::new(pair)),
-                Err(e) => MapOutcome::Bad(e),
-            };
-        }
         if let Err(e) = cast_bank(bank) {
             // Unreachable for a real mmap (page-aligned) or the aligned
             // heap fallback; kept as a typed rejection, not an assert.
@@ -334,9 +330,9 @@ impl TraceView {
     /// replaced after the write, say), and always on a big-endian host,
     /// which cannot serve records in place.
     ///
-    /// The records are not validated again: equal to the recorder's ops,
-    /// which are valid by construction, they are the records the owned
-    /// fallback would serve. Debug builds check them anyway.
+    /// The records are not validated again: they equal the recorder's
+    /// ops, which are valid by construction. Debug builds check them
+    /// anyway.
     pub(crate) fn open_written(
         path: &Path,
         encoder: &PairEncoder<'_>,
@@ -384,12 +380,10 @@ pub enum MapOutcome {
     Mapped(Box<TraceView>),
     /// No snapshot on disk (a cold cache, not an error).
     Missing,
-    /// A verified snapshot this host cannot serve in place (big-endian),
-    /// decoded owned. Do **not** rewrite — the bytes are fine.
-    Unsupported(Box<BenchmarkPrograms>),
     /// A corrupt or mismatched snapshot: quarantine and re-record.
     Bad(SnapshotError),
-    /// The file exists but could not be read or mapped.
+    /// The file could not be read or mapped (or this host is big-endian):
+    /// not evidence against the bytes, so not quarantined.
     Io(String),
 }
 
@@ -397,6 +391,7 @@ pub enum MapOutcome {
 mod tests {
     use super::*;
     use crate::codec::{encode_pair_file, fnv1a, program_bytes};
+    use tls_core::experiment::BenchmarkPrograms;
     use tls_trace::{Addr, OpSink, Pc, ProgramBuilder};
 
     fn sample_pair() -> BenchmarkPrograms {
@@ -431,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn mapped_view_equals_owned_decode() {
+    fn mapped_view_equals_the_source_pair() {
         let dir = tmpdir("eq");
         let pair = sample_pair();
         let path = write_pair(&dir, &pair, 42);
@@ -442,9 +437,9 @@ mod tests {
         assert_eq!(view.total_ops(), pair.plain.total_ops() + pair.tls.total_ops());
         let owned_plain = view.plain().to_program();
         let owned_tls = view.tls().to_program();
-        assert_eq!(owned_plain.name, pair.plain.name);
-        assert!(pair.plain.iter_ops().eq(owned_plain.iter_ops()));
-        assert!(pair.tls.iter_ops().eq(owned_tls.iter_ops()));
+        assert_eq!((view.plain_name(), view.tls_name()), ("plain", "tls"));
+        assert_eq!(program_bytes(&owned_plain), program_bytes(&pair.plain));
+        assert_eq!(program_bytes(&owned_tls), program_bytes(&pair.tls));
         assert_eq!(view.digest.plain, fnv1a(&program_bytes(&pair.plain)));
         assert_eq!(view.digest.tls, fnv1a(&program_bytes(&pair.tls)));
         let _ = std::fs::remove_dir_all(&dir);

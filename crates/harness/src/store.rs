@@ -10,17 +10,21 @@
 //!
 //! 1. **Trace snapshots** — the recorded `(plain, tls)` pair is written
 //!    once to `traces/<name>-<key>.trace` in the versioned binary format
-//!    of [`crate::codec`] and replayed by every binary and test that
-//!    asks for the same key. Corrupt, stale or truncated snapshots fail
-//!    closed *and self-heal*: the offending file is moved to
-//!    `<dir>/quarantine/` beside a reason file naming the decode
+//!    of [`crate::codec`] and mapped in place ([`TraceView`]) by every
+//!    binary and test that asks for the same key. Corrupt, stale or
+//!    truncated snapshots fail closed *and self-heal*: the offending file
+//!    is moved to `<dir>/quarantine/` beside a reason file naming the
 //!    failure, and the trace is re-recorded and rewritten transparently.
+//!    A big-endian host cannot map the little-endian records, so its
+//!    store neither reads nor writes trace snapshots and records each
+//!    pair in memory.
 //! 2. **Simulation reports** — a simulation is likewise a pure function
 //!    of (program bytes, machine configuration). When enabled, finished
 //!    [`SimReport`]s are memoized in memory (deduplicating the many
 //!    identical SEQUENTIAL/BASELINE runs shared across figures) and
-//!    persisted under `traces/reports/`, so a warm-cache suite run
-//!    replays timing results instead of re-simulating them. The sweep
+//!    persisted under `traces/reports/` (on every host: the payload is
+//!    JSON), so a warm-cache suite run replays timing results instead of
+//!    re-simulating them. The sweep
 //!    takes a cached report as its JSON bytes ([`ReportJson`]) and
 //!    decodes nothing.
 //!
@@ -86,7 +90,7 @@ impl TraceKey {
 pub struct StoreStats {
     /// Trace pairs served from the in-memory map.
     pub trace_mem_hits: AtomicU64,
-    /// Trace pairs decoded from a disk snapshot.
+    /// Trace pairs mapped from a disk snapshot.
     pub trace_disk_hits: AtomicU64,
     /// Trace pairs recorded from scratch.
     pub trace_records: AtomicU64,
@@ -154,7 +158,7 @@ impl StoreStats {
 /// Where a [`KeyedProgram`]'s ops live.
 #[derive(Debug, Clone)]
 enum ProgramRepr {
-    /// An owned, heap-decoded program.
+    /// An owned program, as recorded or built in memory.
     Owned(Arc<TraceProgram>),
     /// One side of a memory-mapped snapshot, as recorded or serialized:
     /// the ops are served in place from the page cache, never copied.
@@ -251,15 +255,6 @@ impl KeyedProgram {
     /// [`ProgramView::epochs_of_module`]).
     pub fn epochs_of_module(&self, module: u16) -> (u64, u64) {
         self.view().epochs_of_module(module)
-    }
-
-    /// Materializes an owned copy (tests and the healing path; the hot
-    /// paths never need one).
-    pub fn to_program(&self) -> TraceProgram {
-        match &self.repr {
-            ProgramRepr::Owned(p) => (**p).clone(),
-            ProgramRepr::Mapped { .. } => self.view().to_program(),
-        }
     }
 }
 
@@ -453,7 +448,8 @@ impl HarnessStore {
     /// (and persisted in the mappable format).
     ///
     /// A corrupt snapshot, or one in a retired format version, is
-    /// quarantined and re-recorded.
+    /// quarantined and re-recorded. A big-endian host, which cannot map
+    /// the little-endian records, leaves snapshots alone and records.
     pub fn programs(&self, key: &TraceKey) -> Arc<StoredPrograms> {
         let hash = key.hash();
         let slot = Self::slot(&self.traces, hash);
@@ -462,18 +458,14 @@ impl HarnessStore {
             return hit.clone();
         }
         slot.get_or_init(|| {
-            let path = self.dir.as_ref().map(|d| d.join(key.file_name()));
+            let path = (self.dir.as_ref())
+                .filter(|_| cfg!(target_endian = "little"))
+                .map(|d| d.join(key.file_name()));
             if let Some(path) = &path {
                 match TraceView::open(path, hash) {
                     MapOutcome::Mapped(view) => {
                         self.stats.trace_disk_hits.fetch_add(1, Ordering::Relaxed);
                         return Arc::new(StoredPrograms::from_view(Arc::new(*view)));
-                    }
-                    MapOutcome::Unsupported(pair) => {
-                        // Decoded owned (big-endian host); the snapshot
-                        // bytes are fine — leave them be.
-                        self.stats.trace_disk_hits.fetch_add(1, Ordering::Relaxed);
-                        return Arc::new(StoredPrograms::new(*pair));
                     }
                     MapOutcome::Bad(e) => self.quarantine(path, &e),
                     MapOutcome::Io(e) => {
@@ -767,8 +759,8 @@ mod tests {
         assert_eq!(a.tls.total_ops(), b.tls.total_ops());
         assert_eq!(a.tls.fingerprint(), b.tls.fingerprint(), "same content fingerprint");
         assert_eq!(
-            crate::codec::program_bytes(&a.tls.to_program()),
-            crate::codec::program_bytes(&b.tls.to_program()),
+            crate::codec::program_bytes(&a.tls.view().to_program()),
+            crate::codec::program_bytes(&b.tls.view().to_program()),
             "decoded trace is bit-identical"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -800,7 +792,7 @@ mod tests {
         let reason = std::fs::read_to_string(&reason_path).expect("reason file");
         assert!(reason.contains("code: checksum-mismatch"), "{reason}");
         let healed = std::fs::read(&path).expect("regenerated snapshot");
-        assert!(codec::decode_pair_file(&healed, key().hash()).is_ok());
+        assert!(matches!(TraceView::open(&path, key().hash()), MapOutcome::Mapped(_)));
 
         // A third store sees only the healed snapshot: no re-record, no
         // new quarantine.
@@ -982,7 +974,16 @@ mod tests {
         let mut torn = good.clone();
         torn[30] ^= 0x20;
         let unsplicable = encode_container(KIND_SIM_REPORT, hash, br#"{"total_cycles":1}"#);
-        for (bytes, code) in [(torn, "checksum-mismatch"), (unsplicable, "bad-json")] {
+        // The good report as builds before version 3 wrote it: stamped
+        // version 2 and sealed with FNV-1a.
+        let mut retired = good.clone();
+        retired[7] = 2;
+        let body_end = retired.len() - codec::CHECKSUM_LEN;
+        let sum = fnv1a(&retired[..body_end]);
+        retired[body_end..].copy_from_slice(&sum.to_le_bytes());
+        for (bytes, code) in
+            [(torn, "checksum-mismatch"), (unsplicable, "bad-json"), (retired, "version-mismatch")]
+        {
             std::fs::write(&path, &bytes).expect("damage report");
             let warm = HarnessStore::new(Some(dir.clone()), true);
             let healed = warm.report_json(&warm.programs(&key()).tls, &cfg, &cfg_json);

@@ -27,15 +27,15 @@
 //!    out-of-order tails are truncated, finished points are not re-run).
 //!
 //! The verb also measures the *one-simulation-per-job equivalent* on a
-//! sample of points — read + owned-decode + fingerprint + simulate +
-//! fsynced report write, the full cost the old warm path paid per point
-//! — and reports both throughputs (points/hour), their ratio, and the
+//! sample of points — map and verify the snapshot, simulate, and write
+//! the report with an fsync, each point on its own — and reports both throughputs (points/hour), their ratio, and the
 //! process's peak RSS in a `sweep` section merged into
 //! `BENCH_suite.json`.
 
 use crate::cli::{self, CliError};
-use crate::codec::{self, encode_container, KIND_SIM_REPORT};
+use crate::codec::{encode_container, KIND_SIM_REPORT};
 use crate::eval::{instances, paper_machine, Scale};
+use crate::mapped::{MapOutcome, TraceView};
 use crate::runner::JobPool;
 use crate::store::{HarnessStore, ReportJson, StoreStats, StoredPrograms, TraceKey};
 use crate::suite::USAGE;
@@ -43,6 +43,7 @@ use serde::{Serialize, Value};
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 use tls_core::{
     CmpConfig, CmpSimulator, MemoryModel, RunOptions, SpacingPolicy, VPredictConfig, MAX_SUBTHREADS,
@@ -862,10 +863,9 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepOutcome, 
     })
 }
 
-/// The one-simulation-per-job equivalent of one point: exactly what the
-/// pre-batching warm path cost — read the snapshot file, decode every
-/// op into owned buffers, fingerprint both programs, simulate, and
-/// persist the report container with an fsync. Returns the simulated
+/// The one-simulation-per-job equivalent of one point: map and verify
+/// the snapshot file, simulate, and persist the report container with an
+/// fsync, sharing nothing with other points. Returns the simulated
 /// cycles (so the caller can sanity-check against the batched rows).
 fn baseline_point(
     trace_path: &Path,
@@ -874,11 +874,11 @@ fn baseline_point(
     scratch: &Path,
     idx: usize,
 ) -> Result<u64, String> {
-    let bytes = std::fs::read(trace_path)
-        .map_err(|e| format!("baseline read {}: {e}", trace_path.display()))?;
-    let pair = codec::decode_pair_file(&bytes, key_hash)
-        .map_err(|e| format!("baseline decode {}: {e}", trace_path.display()))?;
-    let programs = StoredPrograms::new(pair);
+    let view = match TraceView::open(trace_path, key_hash) {
+        MapOutcome::Mapped(view) => view,
+        other => return Err(format!("baseline open {}: {other:?}", trace_path.display())),
+    };
+    let programs = StoredPrograms::from_view(Arc::new(*view));
     let report =
         CmpSimulator::new(*cfg).run_view(&programs.tls.view(), RunOptions::checked_default(), None);
     let json = serde_json::to_string(&report).expect("report serializes");

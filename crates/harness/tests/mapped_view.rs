@@ -1,5 +1,5 @@
 //! Zero-copy read-path properties: a memory-mapped [`TraceView`] must be
-//! observationally identical to an owned decode of the same snapshot,
+//! observationally identical to the pair the snapshot was written from,
 //! and every malformed container must be rejected with a *typed* error
 //! before any op is served in place.
 
@@ -156,7 +156,7 @@ proptest! {
         prop_assert_eq!(digest_pair(body, &layout), want);
 
         let MapOutcome::Mapped(view) = open_bytes("digest", &bytes, key) else {
-            panic!("fresh v2 snapshot must map");
+            panic!("fresh snapshot must map");
         };
         prop_assert_eq!(view.digest, want);
         let bank = view.bank().as_ptr_range();
@@ -176,10 +176,10 @@ proptest! {
         }
     }
 
-    /// The mapped view and the owned decode of the same snapshot agree
+    /// The mapped view and the pair the snapshot was written from agree
     /// on every observable: canonical bytes, fingerprints, op counts.
     #[test]
-    fn mapped_view_equals_owned_decode(
+    fn mapped_view_equals_the_source_pair(
         prefix in vec((any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>(), any::<u64>(), any::<u16>()), 0..10),
         epochs in vec(vec((any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>(), any::<u64>(), any::<u16>()), 0..12), 0..4),
         key in any::<u64>(),
@@ -189,20 +189,19 @@ proptest! {
             tls: program("tls-prog", &prefix, &epochs),
         };
         let bytes = encode_pair_file(key, &pair);
-        let owned = codec::decode_pair_file(&bytes, key).expect("owned decode");
         let MapOutcome::Mapped(view) = open_bytes("eq", &bytes, key) else {
-            panic!("fresh v2 snapshot must map");
+            panic!("fresh snapshot must map");
         };
         prop_assert_eq!(
             program_bytes(&view.plain().to_program()),
-            program_bytes(&owned.plain)
+            program_bytes(&pair.plain)
         );
-        prop_assert_eq!(program_bytes(&view.tls().to_program()), program_bytes(&owned.tls));
-        prop_assert_eq!(view.plain().total_ops(), owned.plain.view().total_ops());
-        prop_assert_eq!(view.tls().total_ops(), owned.tls.view().total_ops());
+        prop_assert_eq!(program_bytes(&view.tls().to_program()), program_bytes(&pair.tls));
+        prop_assert_eq!(view.plain().total_ops(), pair.plain.view().total_ops());
+        prop_assert_eq!(view.tls().total_ops(), pair.tls.view().total_ops());
         // The map-time fingerprints are the canonical content hashes.
-        prop_assert_eq!(view.digest.plain, fnv1a(&program_bytes(&owned.plain)));
-        prop_assert_eq!(view.digest.tls, fnv1a(&program_bytes(&owned.tls)));
+        prop_assert_eq!(view.digest.plain, fnv1a(&program_bytes(&pair.plain)));
+        prop_assert_eq!(view.digest.tls, fnv1a(&program_bytes(&pair.tls)));
         prop_assert_eq!(view.digest.plain, fingerprint_view(&view.plain()));
     }
 
@@ -326,9 +325,6 @@ fn foreign_endian_snapshots_are_rejected_with_a_typed_error() {
         MapOutcome::Bad(e) => assert_eq!(e.code(), "foreign-endian", "{e}"),
         other => panic!("foreign-endian snapshot produced {other:?}"),
     }
-    // The owned decoder agrees (no path serves swapped records).
-    let err = codec::decode_pair_file(&bytes, 9).expect_err("owned decode rejects too");
-    assert_eq!(err.code(), "foreign-endian");
 }
 
 #[test]

@@ -86,8 +86,8 @@ fn recorded_pairs_match_their_pinned_digests() {
             let job: Box<dyn FnOnce() -> [u64; 5] + Send + '_> = Box::new(move || {
                 let progs = store.programs(key);
                 let pair = BenchmarkPrograms {
-                    plain: progs.plain.to_program(),
-                    tls: progs.tls.to_program(),
+                    plain: progs.plain.view().to_program(),
+                    tls: progs.tls.view().to_program(),
                 };
                 digest(key, &pair)
             });

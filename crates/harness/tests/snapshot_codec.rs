@@ -1,13 +1,16 @@
 //! Property tests for the snapshot codec: round-tripping arbitrary
-//! programs, plus rejection of corrupted and truncated containers.
+//! programs through the mapped reader, plus rejection of corrupted and
+//! truncated containers.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tls_core::experiment::{serialize_view, BenchmarkPrograms};
 use tls_harness::codec::{
-    decode_pair_file, digest_pair, encode_pair_file, fnv1a, parse_pair_layout, program_bytes,
-    sealed_digest, PairEncoder, CHECKSUM_LEN, HEADER_LEN,
+    decode_container, digest_pair, encode_pair_file, fnv1a, parse_pair_layout, program_bytes,
+    sealed_digest, validate_bank, PairEncoder, SnapshotError, CHECKSUM_LEN, HEADER_LEN,
+    KIND_TRACE_PAIR,
 };
+use tls_harness::mapped::{MapOutcome, TraceView};
 use tls_trace::{Addr, Epoch, LatchId, OpSink, Pc, ProgramBuilder, Region, TraceOp, TraceProgram};
 
 /// A generated op: `(class, module, site, arg, addr, dep)`.
@@ -77,15 +80,38 @@ fn regions(name: &str, shapes: &[(bool, Vec<Vec<OpDesc>>)]) -> TraceProgram {
     TraceProgram::new(name, regions)
 }
 
+/// Writes `bytes` as a snapshot file under `tag` and opens it with the
+/// mapped reader. A mapped view comes back as the owned pair it serves.
+fn open_bytes(tag: &str, bytes: &[u8], key: u64) -> Result<BenchmarkPrograms, MapOutcome> {
+    let path = std::env::temp_dir().join(format!("tls-codec-{tag}-{}.trace", std::process::id()));
+    std::fs::write(&path, bytes).expect("write snapshot");
+    let outcome = TraceView::open(&path, key);
+    let _ = std::fs::remove_file(&path);
+    match outcome {
+        MapOutcome::Mapped(view) => {
+            Ok(BenchmarkPrograms { plain: view.plain().to_program(), tls: view.tls().to_program() })
+        }
+        other => Err(other),
+    }
+}
+
+/// The verify-first reference chain of checks on a snapshot, in memory:
+/// framing, seal and key, then the layout, then every record.
+fn reference_open(bytes: &[u8], key: u64) -> Result<(), SnapshotError> {
+    let payload = decode_container(bytes, KIND_TRACE_PAIR, key)?;
+    let layout = parse_pair_layout(payload)?;
+    validate_bank(layout.bank(payload))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The streaming writer's bytes decode to the pair it was given, and
+    /// The streaming writer's bytes open as the pair it was given, and
     /// the digest it returns is the one a separate walk over those bytes
     /// computes. The bytes are exactly what the writer recognizes as its
     /// own, and flipping any one of them makes them not so.
     #[test]
-    fn streamed_bytes_decode_and_digest_as_written(
+    fn streamed_bytes_open_and_digest_as_written(
         plain in vec((any::<bool>(), vec(vec(op_desc(), 0..6), 0..4)), 0..4),
         tls in vec((any::<bool>(), vec(vec(op_desc(), 0..6), 0..4)), 0..4),
         key in any::<u64>(),
@@ -97,9 +123,9 @@ proptest! {
         let mut bytes = Vec::new();
         let digest = encoder.write_to(&mut bytes).expect("a Vec takes every write");
         prop_assert_eq!(bytes.len(), encoder.file_len());
-        let decoded = decode_pair_file(&bytes, key).expect("streamed bytes decode");
-        prop_assert_eq!(program_bytes(&decoded.plain), program_bytes(&pair.plain));
-        prop_assert_eq!(program_bytes(&decoded.tls), program_bytes(&pair.tls));
+        let opened = open_bytes("streamed", &bytes, key).expect("streamed bytes open");
+        prop_assert_eq!(program_bytes(&opened.plain), program_bytes(&pair.plain));
+        prop_assert_eq!(program_bytes(&opened.tls), program_bytes(&pair.tls));
         let body = &bytes[..bytes.len() - CHECKSUM_LEN];
         let layout = parse_pair_layout(&body[HEADER_LEN..]).expect("layout");
         prop_assert_eq!(digest_pair(body, &layout), digest);
@@ -148,13 +174,14 @@ proptest! {
             tls: program("tls-prog", &prefix, &epochs, &suffix),
         };
         let bytes = encode_pair_file(key, &pair);
-        let decoded = decode_pair_file(&bytes, key).expect("round trip");
-        prop_assert_eq!(&decoded.plain.name, &pair.plain.name);
-        prop_assert_eq!(&decoded.tls.name, &pair.tls.name);
-        prop_assert_eq!(program_bytes(&decoded.plain), program_bytes(&pair.plain));
-        prop_assert_eq!(program_bytes(&decoded.tls), program_bytes(&pair.tls));
-        // Re-encoding the decode is bit-identical: the format is canonical.
-        prop_assert_eq!(encode_pair_file(key, &decoded), bytes);
+        let opened = open_bytes("round-trip", &bytes, key).expect("round trip");
+        prop_assert_eq!(&opened.plain.name, &pair.plain.name);
+        prop_assert_eq!(&opened.tls.name, &pair.tls.name);
+        prop_assert_eq!(program_bytes(&opened.plain), program_bytes(&pair.plain));
+        prop_assert_eq!(program_bytes(&opened.tls), program_bytes(&pair.tls));
+        // Re-encoding what was served is bit-identical: the format is
+        // canonical.
+        prop_assert_eq!(encode_pair_file(key, &opened), bytes);
     }
 
     #[test]
@@ -172,13 +199,14 @@ proptest! {
         let mut bad = good.clone();
         let pos = (pos_seed % bad.len() as u64) as usize;
         bad[pos] ^= mask;
-        match decode_pair_file(&bad, key) {
+        match open_bytes("corrupt", &bad, key) {
             // The expected outcome: the container is rejected.
-            Err(_) => {}
+            Err(MapOutcome::Bad(_)) => {}
+            Err(other) => prop_assert!(false, "a corrupt snapshot produced {:?}", other),
             // A checksum collision would have to reproduce the exact
             // original data to be accepted silently.
-            Ok(decoded) => {
-                prop_assert_eq!(encode_pair_file(key, &decoded), good);
+            Ok(opened) => {
+                prop_assert_eq!(encode_pair_file(key, &opened), good);
             }
         }
     }
@@ -195,7 +223,7 @@ proptest! {
         };
         let good = encode_pair_file(key, &pair);
         let cut = (len_seed % good.len() as u64) as usize;
-        prop_assert!(decode_pair_file(&good[..cut], key).is_err(), "cut at {}", cut);
+        prop_assert!(reference_open(&good[..cut], key).is_err(), "cut at {}", cut);
     }
 
     #[test]
@@ -210,7 +238,7 @@ proptest! {
         };
         let bytes = encode_pair_file(key, &pair);
         if key != other {
-            prop_assert!(decode_pair_file(&bytes, other).is_err());
+            prop_assert!(reference_open(&bytes, other).is_err());
         }
     }
 }
