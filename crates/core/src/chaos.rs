@@ -10,7 +10,7 @@
 //! hope. See `DESIGN.md` §7 for the fault model and the invariants each
 //! class is meant to stress.
 //!
-//! [`Chaos`] is the simulator's chaos component.
+//! `Chaos` is the simulator's chaos component.
 
 use crate::accounting::FaultStats;
 use serde::{Deserialize, Serialize};

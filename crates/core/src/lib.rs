@@ -71,6 +71,7 @@ mod accounting;
 pub mod chaos;
 mod checks;
 mod config;
+mod envelope;
 pub mod experiment;
 mod l2spec;
 mod latch;
@@ -92,6 +93,7 @@ pub use config::{
     CmpConfig, ExhaustionPolicy, MemoryModel, SecondaryPolicy, SpacingPolicy, SubThreadConfig,
     MAX_CPUS, MAX_SUBTHREADS,
 };
+pub use envelope::Envelope;
 pub use experiment::ExperimentKind;
 pub use l2spec::{AccessCtx, L2Outcome, PendingViolation, SpecL2, ViolationKind};
 pub use latch::{LatchError, LatchTable};
@@ -104,7 +106,7 @@ pub use vpredict::{value_model, VPredictConfig, ValuePredictor};
 
 /// The observability layer (re-exported from [`tls_obs`]): passive event
 /// sink, sampled metrics and the Perfetto exporter. Pass an
-/// [`Observer`](tls_obs::Observer) to
+/// [`Observer`] to
 /// [`CmpSimulator::run_observed`] to capture a run's timeline without
 /// perturbing it.
 pub use tls_obs as obs;

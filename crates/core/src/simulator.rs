@@ -29,6 +29,7 @@ use crate::accounting::{Breakdown, CycleCategory, FaultStats, SubThreadLedger};
 use crate::chaos::{Chaos, FaultClass, FaultEvent, RunOptions};
 use crate::checks::Checks;
 use crate::config::{CmpConfig, ExhaustionPolicy, SecondaryPolicy, MAX_CPUS, MAX_SUBTHREADS};
+use crate::envelope::Envelope;
 use crate::l2spec::{AccessCtx, L2Outcome, PendingViolation, SpecL2, ViolationKind};
 use crate::latch::{LatchError, LatchTable};
 use crate::membuf::{Dispatch, Tso};
@@ -499,7 +500,19 @@ impl CmpSimulator {
         opts: RunOptions,
         obs: Option<&mut Observer>,
     ) -> SimReport {
-        Machine::new(&self.config, view, opts, obs).run()
+        Machine::new(&self.config, view, opts, obs).run().0
+    }
+
+    /// As [`run_view`](CmpSimulator::run_view) with no observer, also
+    /// returning the run's [`Envelope`]: what it read of its sub-thread
+    /// configuration, so a caller can tell which other configurations
+    /// would produce the same report.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_with`](CmpSimulator::run_with).
+    pub fn run_envelope(&self, view: &ProgramView<'_>, opts: RunOptions) -> (SimReport, Envelope) {
+        Machine::new(&self.config, view, opts, None).run()
     }
 }
 
@@ -544,6 +557,8 @@ struct Machine<'p> {
     violations: ViolationCounts,
     subthreads_started: u64,
     subthread_merges: u64,
+    /// What the sub-thread boundary checks read of the configuration.
+    envelope: Envelope,
     profiler: DependenceProfiler,
     /// The §1.2 synchronizing dependence predictor; absent when
     /// `cfg.predictor.enabled` is off, so nothing trains a table that
@@ -621,6 +636,7 @@ impl<'p> Machine<'p> {
             violations: ViolationCounts::default(),
             subthreads_started: 0,
             subthread_merges: 0,
+            envelope: Envelope::default(),
             profiler: DependenceProfiler::new(1024),
             predictor: cfg.predictor.enabled.then(|| DependencePredictor::new(&cfg.predictor)),
             livelocks: Vec::new(),
@@ -638,7 +654,7 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn run(mut self) -> SimReport {
+    fn run(mut self) -> (SimReport, Envelope) {
         self.schedule();
         while !self.done() {
             let quiet = !self.step();
@@ -672,7 +688,9 @@ impl<'p> Machine<'p> {
         } else {
             self.end_of_run_checks();
         }
-        self.finish()
+        let envelope =
+            if self.checks.failures.is_empty() { self.envelope } else { Envelope::EXACT };
+        (self.finish(), envelope)
     }
 
     fn done(&self) -> bool {
@@ -1024,6 +1042,9 @@ impl<'p> Machine<'p> {
         let (now, sync_predictor) = (self.cycle, self.predictor.is_some());
         let contexts = self.cfg.subthreads.contexts;
         let merge = contexts >= 2 && self.cfg.subthreads.exhaustion == ExhaustionPolicy::Merge;
+        // This cycle's share of the run's envelope, folded in once at the
+        // end: what the boundary checks below read of the configuration.
+        let (mut longest_quiet, mut attempted, mut found_full) = (0u64, false, false);
 
         // Retry a latch we blocked on last cycle; while it stays taken,
         // the epoch dispatches nothing.
@@ -1056,11 +1077,21 @@ impl<'p> Machine<'p> {
             // would replay an unbalanced half of the section. The
             // boundary is simply deferred a few instructions until the
             // latches are released.
-            let boundary = speculative && run.held_latches.is_empty() && since >= run.spacing;
-            if boundary && merge && (run.checkpoints.len() as u8) == contexts {
-                // Recycle a context: merge the adjacent checkpoint pair
-                // with the smallest combined span.
-                self.merge_one_context(cpu, &mut run);
+            let eligible = speculative && run.held_latches.is_empty();
+            if eligible && since < run.spacing {
+                longest_quiet = longest_quiet.max(since);
+            }
+            let boundary = eligible && since >= run.spacing;
+            if boundary {
+                attempted = true;
+                if (run.checkpoints.len() as u8) == contexts {
+                    found_full = true;
+                    if merge {
+                        // Recycle a context: merge the adjacent checkpoint
+                        // pair with the smallest combined span.
+                        self.merge_one_context(cpu, &mut run);
+                    }
+                }
             }
             if boundary && (run.checkpoints.len() as u8) < contexts {
                 run.checkpoints.push(run.cursor);
@@ -1178,6 +1209,7 @@ impl<'p> Machine<'p> {
             }
         }
 
+        self.envelope.fold(longest_quiet, attempted, found_full);
         if run.cursor == run.ops.len() && core.is_drained() && !blocked {
             run.finished = true;
         }

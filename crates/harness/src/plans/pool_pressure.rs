@@ -24,7 +24,7 @@
 //! recordings run as jobs in the pool and results assemble
 //! positionally, so output stays byte-identical for any `--jobs`.
 //! Simulations still flow through the content-addressed report cache
-//! via [`KeyedProgram`] fingerprints.
+//! via [`KeyedProgram`](crate::store::KeyedProgram) fingerprints.
 
 use crate::plan::{to_artifact_json, Job, Plan, PlanCtx, PlanOutput};
 use crate::population::Lease;

@@ -26,7 +26,10 @@
 //!    JSON), so a warm-cache suite run replays timing results instead of
 //!    re-simulating them. The sweep
 //!    takes a cached report as its JSON bytes ([`ReportJson`]) and
-//!    decodes nothing.
+//!    decodes nothing. A request that misses by exact key may still be
+//!    answered in memory by a run of another sub-thread configuration
+//!    whose [`Envelope`] covers it (DESIGN.md §9.8); the answer is filed
+//!    on disk under the request's own key.
 //!
 //! Both layers are transparent: a cache hit returns bit-identical data to
 //! a recompute, which `tests/suite_determinism.rs` checks end to end.
@@ -47,7 +50,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use tls_core::experiment::{serialize_view, BenchmarkPrograms};
-use tls_core::{CmpConfig, CmpSimulator, RunOptions, SimReport};
+use tls_core::{CmpConfig, CmpSimulator, Envelope, RunOptions, SimReport, SubThreadConfig};
 use tls_minidb::{OptLevel, TpccConfig, Transaction};
 use tls_trace::{ProgramView, TraceProgram, TraceStats};
 
@@ -118,6 +121,9 @@ pub struct StoreStats {
     /// Cached report JSON decoded into a `SimReport`. The sweep splices
     /// cached bytes into its rows and decodes none.
     pub report_decodes: AtomicU64,
+    /// Reports answered by a run of another sub-thread configuration
+    /// whose envelope covers the request.
+    pub envelope_hits: AtomicU64,
 }
 
 impl StoreStats {
@@ -125,8 +131,8 @@ impl StoreStats {
         v.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of all thirteen counters, in declaration order.
-    pub fn snapshot(&self) -> [u64; 13] {
+    /// Snapshot of all fourteen counters, in declaration order.
+    pub fn snapshot(&self) -> [u64; 14] {
         [
             Self::get(&self.trace_mem_hits),
             Self::get(&self.trace_disk_hits),
@@ -141,6 +147,7 @@ impl StoreStats {
             Self::get(&self.pager_pages_quarantined),
             Self::get(&self.populations),
             Self::get(&self.report_decodes),
+            Self::get(&self.envelope_hits),
         ]
     }
 
@@ -318,7 +325,7 @@ impl StoredPrograms {
 /// A simulation report as the cache holds it: the report's canonical
 /// compact JSON, which is the payload of its `.rpt` container and is
 /// spliced verbatim into sweep rows, and its cycle count.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReportJson {
     /// `serde_json::to_string` of the report.
     pub json: String,
@@ -360,6 +367,18 @@ impl ReportJson {
 
 type Slot<T> = Arc<OnceLock<Arc<T>>>;
 
+/// A simulated report filed with what its run read of its sub-thread
+/// configuration.
+struct Enveloped<T> {
+    ran: SubThreadConfig,
+    envelope: Envelope,
+    report: T,
+}
+
+/// Reports by envelope class: the program and every machine parameter
+/// but the sub-thread configuration ([`class_key`]).
+type EnvelopeMemo<T> = Mutex<HashMap<u64, Vec<Enveloped<T>>>>;
+
 /// The process-wide snapshot store. Thread-safe; per-key initialization
 /// is serialized (two threads asking for the same uncached benchmark
 /// record it once), distinct keys proceed in parallel.
@@ -368,6 +387,10 @@ pub struct HarnessStore {
     sim_cache: bool,
     traces: Mutex<HashMap<u64, Slot<StoredPrograms>>>,
     reports: Mutex<HashMap<u64, Slot<SimReport>>>,
+    /// The envelope memo of [`HarnessStore::simulate_keyed`].
+    enveloped_reports: EnvelopeMemo<Arc<SimReport>>,
+    /// The envelope memo of [`HarnessStore::report_json`].
+    enveloped_json: EnvelopeMemo<ReportJson>,
     populations: Populations,
     /// Cache activity counters.
     pub stats: StoreStats,
@@ -381,14 +404,16 @@ impl HarnessStore {
             sim_cache,
             traces: Mutex::new(HashMap::new()),
             reports: Mutex::new(HashMap::new()),
+            enveloped_reports: Mutex::default(),
+            enveloped_json: Mutex::default(),
             populations: Populations::default(),
             stats: StoreStats::default(),
         }
     }
 
-    /// A store with no disk backing and no report memoization: every
-    /// request records and simulates from scratch (the reference the
-    /// determinism tests compare cached runs against).
+    /// A store with no disk backing and no report memoization, by key or
+    /// by envelope: every request records and simulates from scratch (the
+    /// reference the determinism tests compare cached runs against).
     pub fn uncached() -> Self {
         HarnessStore::new(None, false)
     }
@@ -491,10 +516,11 @@ impl HarnessStore {
 
     /// Runs `program` on the machine `cfg`, memoizing by content: the key
     /// combines the program's memoized content fingerprint with the full
-    /// machine configuration, so any change to either re-simulates.
+    /// machine configuration. A miss is answered without simulating when
+    /// a run of another sub-thread configuration covers `cfg`.
     pub fn simulate(&self, program: &KeyedProgram, cfg: &CmpConfig) -> Arc<SimReport> {
         if !self.sim_cache {
-            return Arc::new(self.run(program, cfg));
+            return Arc::new(self.run(program, cfg).0);
         }
         let mut cfg_json = String::new();
         {
@@ -516,7 +542,7 @@ impl HarnessStore {
         cfg_json: &str,
     ) -> Arc<SimReport> {
         if !self.sim_cache {
-            return Arc::new(self.run(program, cfg));
+            return Arc::new(self.run(program, cfg).0);
         }
         let hash = report_key(program, cfg_json);
         let slot = Self::slot(&self.reports, hash);
@@ -533,15 +559,24 @@ impl HarnessStore {
             if let Some(report) = path.as_deref().and_then(|p| self.read_report(p, hash, decode)) {
                 return Arc::new(report);
             }
-            let report = self.run(program, cfg);
+            let class = class_key(program, cfg);
+            let report = match self.covered(&self.enveloped_reports, class, cfg) {
+                Some(report) => report,
+                None => {
+                    let (report, envelope) = self.run(program, cfg);
+                    let report = Arc::new(report);
+                    file(&self.enveloped_reports, class, cfg, envelope, &report);
+                    report
+                }
+            };
             if let Some(path) = &path {
                 write_report(
                     path,
                     hash,
-                    &serde_json::to_string(&report).expect("serialize report"),
+                    &serde_json::to_string(&*report).expect("serialize report"),
                 );
             }
-            Arc::new(report)
+            report
         })
         .clone()
     }
@@ -550,8 +585,10 @@ impl HarnessStore {
     /// splicing into a row: a cached report is read and checked against
     /// its container's seal but never decoded, and a fresh one is
     /// serialized once, for both the cache file and the caller. Nothing
-    /// is memoized: a sweep asks for each point once and needs the bytes
-    /// only until its row is rendered.
+    /// is memoized by key: a sweep asks for each point once and needs the
+    /// bytes only until its row is rendered. A miss is answered from the
+    /// envelope memo when a run of another sub-thread configuration
+    /// covers `cfg`.
     pub fn report_json(
         &self,
         program: &KeyedProgram,
@@ -565,7 +602,17 @@ impl HarnessStore {
         {
             return report;
         }
-        let report = ReportJson::new(&self.run(program, cfg));
+        let report = if self.sim_cache {
+            let class = class_key(program, cfg);
+            self.covered(&self.enveloped_json, class, cfg).unwrap_or_else(|| {
+                let (report, envelope) = self.run(program, cfg);
+                let report = ReportJson::new(&report);
+                file(&self.enveloped_json, class, cfg, envelope, &report);
+                report
+            })
+        } else {
+            ReportJson::new(&self.run(program, cfg).0)
+        };
         if let Some(path) = &path {
             write_report(path, hash, &report.json);
         }
@@ -573,9 +620,20 @@ impl HarnessStore {
     }
 
     /// Simulates `program` on `cfg`, uncached.
-    fn run(&self, program: &KeyedProgram, cfg: &CmpConfig) -> SimReport {
+    fn run(&self, program: &KeyedProgram, cfg: &CmpConfig) -> (SimReport, Envelope) {
         self.stats.report_sims.fetch_add(1, Ordering::Relaxed);
-        CmpSimulator::new(*cfg).run_view(&program.view(), RunOptions::checked_default(), None)
+        CmpSimulator::new(*cfg).run_envelope(&program.view(), RunOptions::checked_default())
+    }
+
+    /// A report of `class` whose run's envelope covers `cfg`, if one is
+    /// filed. `cfg` is validated first, so an invalid configuration
+    /// panics here as it would in the simulator.
+    fn covered<T: Clone>(&self, memo: &EnvelopeMemo<T>, class: u64, cfg: &CmpConfig) -> Option<T> {
+        cfg.validate();
+        let memo = memo.lock().expect("envelope memo poisoned");
+        let hit = memo.get(&class)?.iter().find(|e| e.envelope.covers(&e.ran, &cfg.subthreads))?;
+        self.stats.envelope_hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit.report.clone())
     }
 
     /// Where report `hash` is cached, if the store has a directory.
@@ -624,6 +682,35 @@ fn report_key(program: &KeyedProgram, cfg_json: &str) -> u64 {
     key.update(&program.fingerprint().to_le_bytes());
     key.update(cfg_json.as_bytes());
     key.finish()
+}
+
+/// The envelope class of `program` on `cfg`: the report key of `cfg`
+/// with its sub-thread configuration replaced by one fixed value.
+fn class_key(program: &KeyedProgram, cfg: &CmpConfig) -> u64 {
+    let mut class = *cfg;
+    class.subthreads = SubThreadConfig::baseline();
+    let mut json = String::new();
+    {
+        use serde::Serialize;
+        class.serialize(&mut json);
+    }
+    report_key(program, &json)
+}
+
+/// Files `report`, simulated on `cfg`, in `memo` under `class`, unless
+/// its envelope covers only `cfg` itself, which the key layers serve.
+fn file<T: Clone>(
+    memo: &EnvelopeMemo<T>,
+    class: u64,
+    cfg: &CmpConfig,
+    envelope: Envelope,
+    report: &T,
+) {
+    if envelope.is_exact(&cfg.subthreads) {
+        return;
+    }
+    let entry = Enveloped { ran: cfg.subthreads, envelope, report: report.clone() };
+    memo.lock().expect("envelope memo poisoned").entry(class).or_default().push(entry);
 }
 
 fn write_report(path: &Path, hash: u64, json: &str) {

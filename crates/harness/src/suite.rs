@@ -175,6 +175,7 @@ struct BenchCache {
     report_mem_hits: u64,
     report_disk_hits: u64,
     report_sims: u64,
+    envelope_hits: u64,
     snapshots_quarantined: u64,
 }
 
@@ -599,6 +600,7 @@ pub fn run_suite(opts: &SuiteOptions) -> i32 {
             report_mem_hits: stats[3],
             report_disk_hits: stats[4],
             report_sims: stats[5],
+            envelope_hits: stats[13],
             snapshots_quarantined: stats[6],
         },
         pager: BenchPager {

@@ -40,6 +40,7 @@ use crate::runner::JobPool;
 use crate::store::{HarnessStore, ReportJson, StoreStats, StoredPrograms, TraceKey};
 use crate::suite::USAGE;
 use serde::{Serialize, Value};
+use std::collections::HashMap;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -622,6 +623,11 @@ struct BenchSweep {
     selected_points: usize,
     resumed_points: usize,
     executed_points: usize,
+    /// Simulations the executed points took.
+    report_sims: u64,
+    /// Executed points answered by a run of another sub-thread
+    /// configuration.
+    envelope_hits: u64,
     wall_s: f64,
     points_per_hour: f64,
     peak_rss_kb: u64,
@@ -921,6 +927,39 @@ fn measure_baseline(
     Ok((sample, wall))
 }
 
+/// The grid axes with two or more values along which no report changed:
+/// every two `selected` points that differ only in that axis have the
+/// same report bytes in `rows` (the row file, one row per point in
+/// order).
+fn idle_axes(plan: &SweepPlan, selected: &[(usize, SweepPoint)], rows: &str) -> Vec<&'static str> {
+    // Each axis with the function that blanks it out of a point.
+    type Blank = fn(&mut SweepPoint);
+    let spec = &plan.spec;
+    let axes: [(&str, usize, Blank); 6] = [
+        ("seeds", spec.seeds.len(), |p| p.seed = 0),
+        ("spacings", spec.spacings.len(), |p| p.spacing = 0),
+        ("contexts", spec.contexts.len(), |p| p.contexts = 0),
+        ("mem_latencies", spec.mem_latencies.len(), |p| p.mem_latency = 0),
+        ("vpredict_entries", spec.vpredict_entries.len(), |p| p.vpredict_entries = None),
+        ("memory_models", spec.memory_models.len(), |p| p.memory_model = None),
+    ];
+    let reports: Vec<&str> =
+        rows.lines().map(|row| row.find(",\"report\":").map_or(row, |at| &row[at..])).collect();
+    let mut idle = Vec::new();
+    for (name, _, blank) in axes.into_iter().filter(|&(_, values, _)| values >= 2) {
+        let mut seen: HashMap<String, &str> = HashMap::new();
+        let changed = selected.iter().zip(&reports).any(|((_, point), report)| {
+            let mut rest = *point;
+            blank(&mut rest);
+            *seen.entry(rest.key()).or_insert(report) != *report
+        });
+        if !changed {
+            idle.push(name);
+        }
+    }
+    idle
+}
+
 /// Merges `section` into the JSON object at `path` under the `sweep`
 /// key, preserving every other key (so a sweep after a suite run
 /// augments `BENCH_suite.json` instead of clobbering it).
@@ -1008,8 +1047,23 @@ pub fn run_sweep_verb(args: &[String]) -> i32 {
             return 1;
         }
     };
+    let stats = out.store_stats.snapshot();
     if !opts.quiet {
         print!("{}", out.summary_text);
+        println!(
+            "simulated {} of {} point(s); {} answered by a run of another sub-thread \
+             configuration, {} read from disk",
+            stats[5], out.executed_points, stats[13], stats[4]
+        );
+        match std::fs::read_to_string(&out.rows_path) {
+            Ok(rows) => {
+                let idle = idle_axes(&plan, &selected, &rows);
+                if !idle.is_empty() {
+                    println!("axes that changed no report: {}", idle.join(", "));
+                }
+            }
+            Err(e) => eprintln!("warning: read {}: {e}", out.rows_path.display()),
+        }
     }
     eprintln!(
         "sweep {}: {} point(s) ({} resumed) in {:.3}s — {:.0} points/hour, peak RSS {} kB",
@@ -1056,6 +1110,8 @@ pub fn run_sweep_verb(args: &[String]) -> i32 {
         selected_points: selected.len(),
         resumed_points: out.resumed_points,
         executed_points: out.executed_points,
+        report_sims: stats[5],
+        envelope_hits: stats[13],
         wall_s: out.wall_s,
         points_per_hour,
         peak_rss_kb: peak_rss_kb(),

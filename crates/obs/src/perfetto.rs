@@ -230,8 +230,9 @@ impl OpenEpoch {
     }
 }
 
-/// Exports `events` (emission-ordered, e.g. [`EventSink::events`]
-/// (crate::EventSink::events)) as a Chrome `trace_event` JSON document.
+/// Exports `events` (emission-ordered, e.g.
+/// [`EventSink::events`](crate::EventSink::events)) as a Chrome
+/// `trace_event` JSON document.
 pub fn export(meta: &TraceMeta, events: impl IntoIterator<Item = Event>) -> String {
     let mut w = W::new();
     metadata(&mut w, "process_name", None, &{

@@ -4,7 +4,7 @@ use crate::strategy::{Strategy, ValueTree};
 use crate::test_runner::TestRunner;
 use std::ops::{Range, RangeInclusive};
 
-/// A length constraint for [`vec`].
+/// A length constraint for [`vec()`].
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
     min: usize,
@@ -38,7 +38,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     VecStrategy { element, size: size.into() }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,
