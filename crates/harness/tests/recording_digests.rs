@@ -7,38 +7,58 @@
 //! the sweep rows' `fingerprint` field are built from. In release builds
 //! the fingerprints of the seven paper-scale Figure-5 pairs are pinned
 //! too, recorded through the store.
+//!
+//! Every pin also holds the [`seal`] of the pair's op bank: every record
+//! of the plain program, then of the TLS program, as a snapshot's bank
+//! stores them. That column depends on the recorded ops alone, not on how
+//! fingerprints or containers are defined, so it proves a recording
+//! unchanged across a change of either.
 
 use tls_core::experiment::BenchmarkPrograms;
 use tls_harness::codec::{
-    digest_pair, encode_pair_file, parse_pair_layout, sealed_digest, PairDigest, CHECKSUM_LEN,
-    HEADER_LEN,
+    digest_pair, encode_pair_file, parse_pair_layout, seal, sealed_digest, PairDigest, Seal,
+    CHECKSUM_LEN, HEADER_LEN,
 };
 use tls_harness::{
     compile, instances, HarnessStore, JobPool, MixWeights, Scale, TraceKey, WorkloadSpec,
 };
 use tls_minidb::{Tpcc, Transaction};
+use tls_trace::ProgramView;
 
-fn digest(key: &TraceKey, pair: &BenchmarkPrograms) -> [u64; 5] {
-    digest_bytes(&encode_pair_file(key.hash(), pair))
+fn digest(key: &TraceKey, pair: &BenchmarkPrograms) -> [u64; 6] {
+    let got = digest_bytes(&encode_pair_file(key.hash(), pair));
+    assert_eq!(got[5], bank_seal(&pair.plain.view(), &pair.tls.view()), "the file's bank");
+    got
+}
+
+/// The seal of the op bank of the pair `(plain, tls)`, from the programs:
+/// each record's wire bytes, plain's first, in program order.
+fn bank_seal(plain: &ProgramView<'_>, tls: &ProgramView<'_>) -> u64 {
+    let mut bank = Seal::new();
+    for op in plain.iter_ops().chain(tls.iter_ops()) {
+        bank.update(&op.to_raw());
+    }
+    bank.finish()
 }
 
 /// The digest of one snapshot file image, recomputed from its bytes.
-fn digest_bytes(bytes: &[u8]) -> [u64; 5] {
+fn digest_bytes(bytes: &[u8]) -> [u64; 6] {
     let body = &bytes[..bytes.len() - CHECKSUM_LEN];
     let layout = parse_pair_layout(&body[HEADER_LEN..]).expect("layout");
-    columns(digest_pair(body, &layout))
+    columns(digest_pair(body, &layout), layout.bank(&body[HEADER_LEN..]))
 }
 
 /// The digest one snapshot file image carries: its stored seal and the
 /// fingerprints of its trailer.
-fn sealed_bytes(bytes: &[u8]) -> [u64; 5] {
-    let layout = parse_pair_layout(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]).expect("layout");
-    columns(sealed_digest(bytes, &layout))
+fn sealed_bytes(bytes: &[u8]) -> [u64; 6] {
+    let payload = &bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN];
+    let layout = parse_pair_layout(payload).expect("layout");
+    columns(sealed_digest(bytes, &layout), layout.bank(payload))
 }
 
-fn columns(d: PairDigest) -> [u64; 5] {
+fn columns(d: PairDigest, bank: &[u8]) -> [u64; 6] {
     let PairDigest { checksum, plain, tls, plain_serialized, tls_serialized } = d;
-    [checksum, plain, tls, plain_serialized, tls_serialized]
+    [checksum, plain, tls, plain_serialized, tls_serialized, seal(bank)]
 }
 
 /// The seven Figure-5 keys at test scale, then the CI sweep grid's four
@@ -58,20 +78,21 @@ fn keys() -> Vec<TraceKey> {
 
 /// Columns 1–4 (the fingerprints) were generated by the recording path
 /// that populated a database per half and have not moved since; column 0
-/// (the container seal) by the version-3 encoder. Rows follow [`keys`].
+/// (the container seal) by the version-3 encoder; column 5 (the op-bank
+/// seal) by the copy-on-write recording path. Rows follow [`keys`].
 #[rustfmt::skip]
-const WANT: [[u64; 5]; 11] = [
-    [0x01e10deeceb9902d, 0x0c871f752229acd3, 0xd01a0ade8063a743, 0x0c871f752229acd3, 0x9c1219771771e32b],
-    [0xf8f1ac8389257c79, 0xa9e87c760f5e9b4b, 0xc333e499c386ee45, 0xa9e87c760f5e9b4b, 0x8d319db335d1bd59],
-    [0x2c530cf53350089f, 0x2bb15b606beb2367, 0xdcef6c23f10005a8, 0x2bb15b606beb2367, 0xbd7e9e84a6f8e3dd],
-    [0x70a67c8995ac5e44, 0x47e6b9f9716cce41, 0x63a4ff61dc8ed5f4, 0x47e6b9f9716cce41, 0xf33b379cff0188ce],
-    [0xe94c3b1f53c4b678, 0x6f4834856ddba639, 0x38f349ed1b0acd51, 0x6f4834856ddba639, 0x073e46a447f8bce5],
-    [0xfb8dcb487ec7273b, 0x17b11d83364a5bbc, 0xf7546bc4b55ec93e, 0x17b11d83364a5bbc, 0xdf4aa47da7749660],
-    [0x6f55b7d59d905153, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35],
-    [0x49113f48b41e0e0d, 0x5a0bfac1d6f26707, 0xe5d0db2a0480e2ef, 0x5a0bfac1d6f26707, 0xb5f12f1caef0d7c5],
-    [0x21d10ace5ca8ff99, 0x178648084cd53fbb, 0x76d3f4bf3a11c01f, 0x178648084cd53fbb, 0x76d3f4bf3a11c01f],
-    [0x18d0116c9416a847, 0xc2ff0d4d10a8d61b, 0x3b7040f6f943893d, 0xc2ff0d4d10a8d61b, 0xcbe17ada75444f4f],
-    [0x29304633b2f27e11, 0x69375a31e21c1ead, 0xa14f5ab73f495481, 0x69375a31e21c1ead, 0x0907e13ceec878ef],
+const WANT: [[u64; 6]; 11] = [
+    [0x01e10deeceb9902d, 0x0c871f752229acd3, 0xd01a0ade8063a743, 0x0c871f752229acd3, 0x9c1219771771e32b, 0xaf5115e78b56778c],
+    [0xf8f1ac8389257c79, 0xa9e87c760f5e9b4b, 0xc333e499c386ee45, 0xa9e87c760f5e9b4b, 0x8d319db335d1bd59, 0x49f15865a0add176],
+    [0x2c530cf53350089f, 0x2bb15b606beb2367, 0xdcef6c23f10005a8, 0x2bb15b606beb2367, 0xbd7e9e84a6f8e3dd, 0x9469d1c04ace025b],
+    [0x70a67c8995ac5e44, 0x47e6b9f9716cce41, 0x63a4ff61dc8ed5f4, 0x47e6b9f9716cce41, 0xf33b379cff0188ce, 0x1e1cd7592cf0222c],
+    [0xe94c3b1f53c4b678, 0x6f4834856ddba639, 0x38f349ed1b0acd51, 0x6f4834856ddba639, 0x073e46a447f8bce5, 0x9465b3d64e701dd5],
+    [0xfb8dcb487ec7273b, 0x17b11d83364a5bbc, 0xf7546bc4b55ec93e, 0x17b11d83364a5bbc, 0xdf4aa47da7749660, 0x5bed5b09e21573cd],
+    [0x6f55b7d59d905153, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x5f123b9ac85a9027],
+    [0x49113f48b41e0e0d, 0x5a0bfac1d6f26707, 0xe5d0db2a0480e2ef, 0x5a0bfac1d6f26707, 0xb5f12f1caef0d7c5, 0x92397c82b088c77d],
+    [0x21d10ace5ca8ff99, 0x178648084cd53fbb, 0x76d3f4bf3a11c01f, 0x178648084cd53fbb, 0x76d3f4bf3a11c01f, 0xe22e8556c7098307],
+    [0x18d0116c9416a847, 0xc2ff0d4d10a8d61b, 0x3b7040f6f943893d, 0xc2ff0d4d10a8d61b, 0xcbe17ada75444f4f, 0x99bdd8600606ce12],
+    [0x29304633b2f27e11, 0x69375a31e21c1ead, 0xa14f5ab73f495481, 0x69375a31e21c1ead, 0x0907e13ceec878ef, 0x2f9e02696939854f],
 ];
 
 #[test]
@@ -79,11 +100,11 @@ fn recorded_pairs_match_their_pinned_digests() {
     let keys = keys();
     let store = HarnessStore::uncached();
     let pool = JobPool::new(2);
-    let jobs: Vec<Box<dyn FnOnce() -> [u64; 5] + Send + '_>> = keys
+    let jobs: Vec<Box<dyn FnOnce() -> [u64; 6] + Send + '_>> = keys
         .iter()
         .map(|key| {
             let store = &store;
-            let job: Box<dyn FnOnce() -> [u64; 5] + Send + '_> = Box::new(move || {
+            let job: Box<dyn FnOnce() -> [u64; 6] + Send + '_> = Box::new(move || {
                 let progs = store.programs(key);
                 let pair = BenchmarkPrograms {
                     plain: progs.plain.view().to_program(),
@@ -104,20 +125,21 @@ fn recorded_pairs_match_their_pinned_digests() {
 }
 
 /// The four fingerprints (plain, TLS, serialized plain, serialized TLS)
-/// of the pair `store` serves for each key, fetched on a two-worker pool
-/// so that misses overlap.
-fn served_fingerprints(store: &HarnessStore, keys: &[TraceKey]) -> Vec<[u64; 4]> {
+/// and the op-bank seal of the pair `store` serves for each key, fetched
+/// on a two-worker pool so that misses overlap.
+fn served_fingerprints(store: &HarnessStore, keys: &[TraceKey]) -> Vec<[u64; 5]> {
     let pool = JobPool::new(2);
-    let jobs: Vec<Box<dyn FnOnce() -> [u64; 4] + Send + '_>> = keys
+    let jobs: Vec<Box<dyn FnOnce() -> [u64; 5] + Send + '_>> = keys
         .iter()
         .map(|key| {
-            let job: Box<dyn FnOnce() -> [u64; 4] + Send + '_> = Box::new(move || {
+            let job: Box<dyn FnOnce() -> [u64; 5] + Send + '_> = Box::new(move || {
                 let progs = store.programs(key);
                 [
                     progs.plain.fingerprint(),
                     progs.tls.fingerprint(),
                     progs.serialized(false).fingerprint(),
                     progs.serialized(true).fingerprint(),
+                    bank_seal(&progs.plain.view(), &progs.tls.view()),
                 ]
             });
             job
@@ -151,18 +173,19 @@ fn snapshots_the_store_writes_match_the_pinned_digests() {
 /// The fingerprints of the seven Figure-5 pairs at paper scale, in
 /// `Transaction::ALL` order: (plain, TLS, serialized plain, serialized
 /// TLS), generated by the recording path that copied the whole image
-/// per fork. Paper-scale images are ~92 MB, so a fault in how the image is
+/// per fork, then the op-bank seal, generated by the copy-on-write
+/// recording path. Paper-scale images are ~92 MB, so a fault in how the image is
 /// stored that only shows far from address 0 is caught here and not by
 /// the test-scale rows.
 #[rustfmt::skip]
-const PAPER_WANT: [[u64; 4]; 7] = [
-    [0x4466a1021a9002a2, 0x81453671eddc8a4a, 0x4466a1021a9002a2, 0x16a969a56d6600ab],
-    [0xaf7041974df16f73, 0x40200d9e29435835, 0xaf7041974df16f73, 0x1da92efe2287e589],
-    [0xf7e1ab50df20d1e8, 0x01fe09100e020a41, 0xf7e1ab50df20d1e8, 0x2051809c86958116],
-    [0xe37659e524e1d57e, 0x95738e5e9ea28c8a, 0xe37659e524e1d57e, 0x8c64610a9343fa2d],
-    [0x09377aeafcef9d81, 0xb24ce317e103ff8a, 0x09377aeafcef9d81, 0x21749a5d422f656f],
-    [0xfa0205e6ee97da40, 0x2cf338331085dc0e, 0xfa0205e6ee97da40, 0x2c6da7ebf75fe5f2],
-    [0xecee4d285d14d33a, 0x98a6738695b21a0d, 0xecee4d285d14d33a, 0x3731e132152f7620],
+const PAPER_WANT: [[u64; 5]; 7] = [
+    [0x4466a1021a9002a2, 0x81453671eddc8a4a, 0x4466a1021a9002a2, 0x16a969a56d6600ab, 0x140f8999e0a8c1fe],
+    [0xaf7041974df16f73, 0x40200d9e29435835, 0xaf7041974df16f73, 0x1da92efe2287e589, 0x2e5accd301e1ed73],
+    [0xf7e1ab50df20d1e8, 0x01fe09100e020a41, 0xf7e1ab50df20d1e8, 0x2051809c86958116, 0xe0d9b6a0072d094e],
+    [0xe37659e524e1d57e, 0x95738e5e9ea28c8a, 0xe37659e524e1d57e, 0x8c64610a9343fa2d, 0xb46865ed78b7af66],
+    [0x09377aeafcef9d81, 0xb24ce317e103ff8a, 0x09377aeafcef9d81, 0x21749a5d422f656f, 0x7f09090b970d0495],
+    [0xfa0205e6ee97da40, 0x2cf338331085dc0e, 0xfa0205e6ee97da40, 0x2c6da7ebf75fe5f2, 0xd8bcf62ab1ee1557],
+    [0xecee4d285d14d33a, 0x98a6738695b21a0d, 0xecee4d285d14d33a, 0x3731e132152f7620, 0xec7ee90b09dc5387],
 ];
 
 #[test]
@@ -191,10 +214,13 @@ fn collider_spec() -> WorkloadSpec {
 
 /// Columns 1–4 generated by the compiler that built the workload's
 /// database once per half; column 0 (the container seal) by the
-/// version-3 encoder.
+/// version-3 encoder; column 5 (the op-bank seal) by the copy-on-write
+/// compiler.
 #[rustfmt::skip]
-const COLLIDER_WANT: [u64; 5] =
-    [0xe44d4c6dd4e6a066, 0xca3f50301fce526c, 0xb20b1586b88a2f67, 0xca3f50301fce526c, 0x81a59ad5ce654021];
+const COLLIDER_WANT: [u64; 6] = [
+    0xe44d4c6dd4e6a066, 0xca3f50301fce526c, 0xb20b1586b88a2f67, 0xca3f50301fce526c,
+    0x81a59ad5ce654021, 0x79efc124bb3f6c6a,
+];
 
 #[test]
 fn compiled_collider_matches_its_pinned_digest() {
