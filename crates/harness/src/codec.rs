@@ -1,14 +1,14 @@
 //! The versioned, sealed snapshot container and the binary trace codec.
 //!
-//! Every file the harness writes under `traces/` is one *container*:
+//! Every file the harness writes under `traces/` is one *container*: a
+//! fixed 24-byte [`ContainerHeader`] (magic `TLSNAP`, payload kind, format
+//! version [`VERSION`], cache-key hash and payload length; its offset
+//! table is on the struct), the payload, and the seal of everything
+//! before it:
 //!
 //! | offset | size | field |
 //! |---|---|---|
-//! | 0  | 6 | magic `TLSNAP` |
-//! | 6  | 1 | payload kind (1 = trace pair, 2 = sim report) |
-//! | 7  | 1 | format version ([`VERSION`], 3) |
-//! | 8  | 8 | cache-key hash, little-endian (see [`crate::store`]) |
-//! | 16 | 8 | payload length in bytes, little-endian |
+//! | 0  | 24 | [`ContainerHeader`] |
 //! | 24 | n | payload |
 //! | 24 + n | 8 | seal of bytes `0 .. 24 + n`, little-endian |
 //!
@@ -32,30 +32,25 @@
 //!
 //! The write path is one walk too. [`PairEncoder`] builds the few hundred
 //! bytes before the op bank, then streams each epoch's records straight
-//! from the programs to its writer, folding each slice into the seal and
-//! its program's two fingerprint chains on the way, writes the
+//! from the programs to its writer, folding each slice into the container
+//! seal and its program's records seal on the way, writes the
 //! fingerprints as the trailer, and returns the [`PairDigest`].
 //! [`encode_pair_file`] is that walk into a buffer; the store's is into
-//! the snapshot's temp file, so no whole-container buffer exists. The
-//! framing of the fingerprint streams lives in one walker that the
-//! encoder, [`digest_pair`] and [`fingerprint_view`] share, so what a
-//! writer seals and what a check recomputes cannot drift. A file the
-//! store has just written is served after a byte comparison with what was
-//! streamed ([`PairEncoder::wrote`]), not a second hash of the file.
+//! the snapshot's temp file, so no whole-container buffer exists. A file
+//! the store has just written is served after a byte comparison with what
+//! was streamed ([`PairEncoder::wrote`]), not a second hash of the file.
 //!
-//! # Version-3 trace-pair payload: the zero-copy record bank
+//! # Version-4 trace-pair payload: the zero-copy record bank
 //!
-//! The `(plain, tls)` trace pair is a compact *structure section*, an
-//! aligned *op bank*, so the 16-byte [`TraceOp`] records can be served in
-//! place from a memory map (the `zerocopy` `FromBytes` idiom) instead of
-//! decoded into owned buffers, and a *trailer* of content fingerprints:
+//! The `(plain, tls)` trace pair is a fixed [`PairHeader`], a compact
+//! *structure section*, an aligned *op bank*, so the 16-byte [`TraceOp`]
+//! records can be served in place from a memory map (the `zerocopy`
+//! `FromBytes` idiom) instead of decoded into owned buffers, and a
+//! *trailer* of content fingerprints:
 //!
 //! | payload offset | size | field |
 //! |---|---|---|
-//! | 0 | 2 | endianness stamp [`ENDIAN_STAMP`], little-endian |
-//! | 2 | 2 | record size in bytes (16), little-endian |
-//! | 4 | 4 | op-bank offset within the payload, little-endian |
-//! | 8 | 8 | total op records in the bank, little-endian |
+//! | 0 | 16 | [`PairHeader`]: endianness stamp, record size, bank offset, total records |
 //! | 16 | — | structure section (see below) |
 //! | … | — | zero padding to the bank offset |
 //! | bank offset | 16 × total | op records, [`TraceOp::to_raw`] layout |
@@ -93,12 +88,13 @@
 //! once, at map time, so even a seal collision cannot smuggle an op the
 //! simulator would choke on.
 //!
-//! Any other version byte — the retired version 1, which stored op
-//! records inline, and version 2, which had no trailer and sealed trace
-//! pairs and reports alike with FNV-1a-64 — is a typed
-//! [`SnapshotError::VersionMismatch`]; `traces/` is a cache, so the store
+//! Any other version byte is a typed [`SnapshotError::VersionMismatch`]:
+//! the retired version 1, which stored op records inline; version 2,
+//! which had no trailer and sealed with FNV-1a-64; and version 3, whose
+//! trailer held FNV-1a fingerprints. `traces/` is a cache, so the store
 //! quarantines such a file and records the pair, or simulates the report,
-//! afresh.
+//! afresh. Cache keys moved with the fingerprints, so most older files
+//! are simply never asked for again under their old names.
 //!
 //! # The seal
 //!
@@ -118,17 +114,36 @@
 //! changes. Every single-byte flip, and every change inside one aligned
 //! 8-byte word, is caught without exception. The four lanes are
 //! independent, so four multiplies are in flight at once and the hash
-//! runs at memory speed, where FNV-1a's one dependent multiply per byte
-//! holds a walk to about four host cycles a byte.
+//! runs at memory speed, where a byte-serial hash such as FNV-1a holds a
+//! walk to one dependent multiply, about four host cycles, per byte.
 //!
-//! # Why the fingerprints are sealed, not recomputed
+//! # Program fingerprints
 //!
-//! The four content fingerprints are FNV-1a-64 over the canonical
-//! version-1 program streams ([`program_bytes`]), and every report-cache
-//! key and artifact is built from them, so their definition cannot
-//! change. Computing them costs that dependent multiply per byte, over
-//! every op. The writer already walks every op, so it folds them on the
-//! way and writes them into the trailer, inside the seal; the reader
+//! Every report-cache key and sweep row is built from a program's content
+//! fingerprint, and SEQUENTIAL and TLS-SEQ runs need the fingerprint of
+//! each program's *serialized* form, where every parallel region is one
+//! sequential run of its ops. A fingerprint is the [`Seal`] of three
+//! things, in order:
+//!
+//! ```text
+//! fingerprint = seal(name ‖ structure ‖ le64(seal(records)))
+//! ```
+//!
+//! The name and the region structure are in the structure-section
+//! encoding above; the serialized form writes each parallel region as a
+//! sequential region of all its ops. The records are every op's wire
+//! bytes in program order, sealed on their own. A program and its
+//! serialized form hold the same records in the same order, so they share
+//! that records seal, and each record is hashed once for both
+//! fingerprints. The two differ only in structure, so they are equal
+//! exactly when the program has no parallel region. A change to one word
+//! of one record changes the records seal and so the fingerprint.
+//!
+//! One function turns a program's skeleton and records seal into both of
+//! its fingerprints (`ProgramLayout::fingerprints`), and the writer,
+//! [`digest_pair`] and [`fingerprint_view`] all go through it. The writer
+//! folds each program's records seal on its walk over the bank and writes
+//! the four fingerprints as the trailer, inside the seal; the reader
 //! verifies the seal — which covers the trailer like any other byte — and
 //! serves them without a pass over the bank. A corrupt trailer is a bad
 //! seal. Debug builds recompute all four on every open and assert that
@@ -138,8 +153,10 @@
 use std::convert::Infallible;
 use std::fmt;
 use std::io::{self, Write};
+use std::mem::{align_of, offset_of, size_of};
 use tls_core::experiment::BenchmarkPrograms;
-use tls_trace::{ProgramView, RawOpError, RegionView, TraceOp, TraceProgram};
+use tls_trace::{ProgramView, RawOpError, RegionView, TraceOp};
+use zerocopy::{FromBytes, Immutable, IntoBytes, KnownLayout};
 
 /// Magic prefix of every snapshot container.
 pub const MAGIC: &[u8; 6] = b"TLSNAP";
@@ -148,16 +165,16 @@ pub const KIND_TRACE_PAIR: u8 = 1;
 /// Container payload kind: a cached simulation report (JSON payload).
 pub const KIND_SIM_REPORT: u8 = 2;
 /// Format version of every container: sealed with [`Seal`], and a trace
-/// pair carries a fingerprint trailer.
-pub const VERSION: u8 = 3;
+/// pair's trailer carries its [`Seal`]-based program fingerprints.
+pub const VERSION: u8 = 4;
 /// The byte-order stamp of a trace-pair payload. Written as a
 /// little-endian `u16`; a writer that (incorrectly) used native byte
 /// order on a big-endian machine produces the swapped pattern, which the
 /// decoder rejects as [`SnapshotError::ForeignEndian`].
 pub const ENDIAN_STAMP: u16 = 0x1EAF;
 
-/// Container header length: magic + kind + version + key hash +
-/// payload length. The payload starts at this file offset.
+/// Container header length: the size of [`ContainerHeader`]. The payload
+/// starts at this file offset.
 pub const HEADER_LEN: usize = 24;
 /// Trailing seal length.
 pub const CHECKSUM_LEN: usize = 8;
@@ -168,6 +185,75 @@ const TRAILER_LEN: usize = 32;
 /// block, so each block of the bank is exactly two records (and a
 /// multiple of `TraceOp`'s 8-byte alignment).
 pub const BANK_ALIGN: usize = SEAL_BLOCK;
+
+/// The fixed header at file offset 0 of every container. It is read and
+/// written in place through the zerocopy casts: every field is a byte
+/// array, so the struct has no padding and alignment 1 and casts from any
+/// buffer. Multi-byte fields are little-endian.
+///
+/// | offset | size | field |
+/// |---|---|---|
+/// | 0  | 6 | magic [`MAGIC`] |
+/// | 6  | 1 | payload kind ([`KIND_TRACE_PAIR`] or [`KIND_SIM_REPORT`]) |
+/// | 7  | 1 | format version ([`VERSION`]) |
+/// | 8  | 8 | cache-key hash (see [`crate::store`]) |
+/// | 16 | 8 | payload length in bytes |
+#[derive(Debug, Clone, Copy, FromBytes, IntoBytes, Immutable, KnownLayout)]
+#[repr(C)]
+pub struct ContainerHeader {
+    magic: [u8; 6],
+    kind: u8,
+    version: u8,
+    key_hash: [u8; 8],
+    payload_len: [u8; 8],
+}
+
+/// The fixed header at the front of a trace-pair payload (file offset
+/// [`HEADER_LEN`]), cast in place like [`ContainerHeader`]:
+///
+/// | payload offset | size | field |
+/// |---|---|---|
+/// | 0 | 2 | endianness stamp [`ENDIAN_STAMP`] |
+/// | 2 | 2 | record size in bytes (16) |
+/// | 4 | 4 | op-bank offset within the payload |
+/// | 8 | 8 | total op records in the bank |
+#[derive(Debug, Clone, Copy, FromBytes, IntoBytes, Immutable, KnownLayout)]
+#[repr(C)]
+pub struct PairHeader {
+    stamp: [u8; 2],
+    record_len: [u8; 2],
+    bank_offset: [u8; 4],
+    total_ops: [u8; 8],
+}
+
+// The offset tables above are what the casts read; `repr(C)` over byte
+// arrays lays the fields out in order with no padding.
+const _: () = {
+    assert!(size_of::<ContainerHeader>() == HEADER_LEN && align_of::<ContainerHeader>() == 1);
+    assert!(offset_of!(ContainerHeader, kind) == 6 && offset_of!(ContainerHeader, version) == 7);
+    assert!(offset_of!(ContainerHeader, key_hash) == 8);
+    assert!(offset_of!(ContainerHeader, payload_len) == 16);
+    assert!(size_of::<PairHeader>() == 16 && align_of::<PairHeader>() == 1);
+    assert!(offset_of!(PairHeader, record_len) == 2 && offset_of!(PairHeader, bank_offset) == 4);
+    assert!(offset_of!(PairHeader, total_ops) == 8);
+};
+
+impl ContainerHeader {
+    fn new(kind: u8, key_hash: u64, payload_len: usize) -> Self {
+        ContainerHeader {
+            magic: *MAGIC,
+            kind,
+            version: VERSION,
+            key_hash: key_hash.to_le_bytes(),
+            payload_len: (payload_len as u64).to_le_bytes(),
+        }
+    }
+
+    /// The header of a container at least [`HEADER_LEN`] bytes long.
+    fn of(bytes: &[u8]) -> &Self {
+        Self::ref_from_prefix(bytes).expect("a whole header").0
+    }
+}
 
 /// Why a snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,47 +415,11 @@ impl From<RawOpError> for SnapshotError {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A streaming FNV-1a-64 hasher: the cache-key hashes and the
-/// content-fingerprint stream, without ever materializing the hashed
-/// bytes.
-#[derive(Debug, Clone)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    /// A hasher at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    /// Folds `bytes` into the running hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
-    }
-}
-
-/// FNV-1a 64-bit over `bytes` (one-shot form of [`Fnv`]).
+/// FNV-1a 64-bit over `bytes`. No snapshot, fingerprint or cache key uses
+/// it: it stays for the small stable hashes that committed artifacts
+/// already carry (the suite's config hash) and for seeding job orders.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut f = Fnv::new();
-    f.update(bytes);
-    f.finish()
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
 }
 
 // ---------------------------------------------------------------------------
@@ -509,11 +559,7 @@ pub fn seal(bytes: &[u8]) -> u64 {
 /// Wraps `payload` in a sealed container of payload `kind`.
 pub fn encode_container(kind: u8, key_hash: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(MAGIC);
-    out.push(kind);
-    out.push(VERSION);
-    out.extend_from_slice(&key_hash.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(ContainerHeader::new(kind, key_hash, payload.len()).as_bytes());
     out.extend_from_slice(payload);
     let sum = seal(&out);
     out.extend_from_slice(&sum.to_le_bytes());
@@ -534,16 +580,17 @@ pub(crate) fn check_header(bytes: &[u8], kind: u8) -> Result<&[u8], SnapshotErro
     if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
         return Err(SnapshotError::TooShort(bytes.len()));
     }
-    if &bytes[0..6] != MAGIC {
+    let header = ContainerHeader::of(bytes);
+    if header.magic != *MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    if bytes[6] != kind {
-        return Err(SnapshotError::KindMismatch { found: bytes[6], expected: kind });
+    if header.kind != kind {
+        return Err(SnapshotError::KindMismatch { found: header.kind, expected: kind });
     }
-    if bytes[7] != VERSION {
-        return Err(SnapshotError::VersionMismatch { found: bytes[7], expected: VERSION });
+    if header.version != VERSION {
+        return Err(SnapshotError::VersionMismatch { found: header.version, expected: VERSION });
     }
-    let declared = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+    let declared = u64::from_le_bytes(header.payload_len);
     let present = (bytes.len() - HEADER_LEN - CHECKSUM_LEN) as u64;
     if declared != present {
         return Err(SnapshotError::LengthMismatch { declared, present });
@@ -562,7 +609,7 @@ pub(crate) fn verify_seal(bytes: &[u8], checksum: u64, key_hash: u64) -> Result<
     }
     // Key verified after integrity so a flipped key bit reads as
     // corruption, not as somebody else's (valid) snapshot.
-    let found_key = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    let found_key = u64::from_le_bytes(ContainerHeader::of(bytes).key_hash);
     if found_key != key_hash {
         return Err(SnapshotError::KeyMismatch { found: found_key, expected: key_hash });
     }
@@ -570,173 +617,7 @@ pub(crate) fn verify_seal(bytes: &[u8], checksum: u64, key_hash: u64) -> Result<
 }
 
 // ---------------------------------------------------------------------------
-// Canonical fingerprint encoding (version-1 program layout).
-// ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn encode_epoch_v1(out: &mut Vec<u8>, ops: &[TraceOp]) {
-    put_u32(out, ops.len() as u32);
-    for op in ops {
-        out.extend_from_slice(&op.to_raw());
-    }
-}
-
-fn encode_program_v1(out: &mut Vec<u8>, view: &ProgramView<'_>) {
-    put_u32(out, view.name.len() as u32);
-    out.extend_from_slice(view.name.as_bytes());
-    put_u32(out, view.regions.len() as u32);
-    for region in &view.regions {
-        match region {
-            RegionView::Sequential(e) => {
-                out.push(0);
-                encode_epoch_v1(out, e);
-            }
-            RegionView::Parallel(es) => {
-                out.push(1);
-                put_u32(out, es.len() as u32);
-                for e in es {
-                    encode_epoch_v1(out, e);
-                }
-            }
-        }
-    }
-}
-
-/// Serializes one program in the canonical (version-1) byte layout —
-/// the content-fingerprint stream. [`fingerprint_view`] hashes exactly
-/// these bytes without materializing them.
-pub fn program_bytes(program: &TraceProgram) -> Vec<u8> {
-    // 16 bytes per op plus a small framing overhead.
-    let mut out = Vec::with_capacity(16 * program.total_ops() + 64);
-    encode_program_v1(&mut out, &program.view());
-    out
-}
-
-/// Streams a view's canonical byte encoding through FNV-1a without
-/// allocating: `fingerprint_view(&p.view()) == fnv1a(&program_bytes(&p))`
-/// for every program, whichever read path (owned or memory-mapped)
-/// produced the view. This identity is what keeps report-cache keys and
-/// artifacts byte-identical across container versions.
-pub fn fingerprint_view(view: &ProgramView<'_>) -> u64 {
-    let walked = walk_program(
-        view.name,
-        view_shapes(view),
-        |e| e.len(),
-        |e, [fingerprint, _]| {
-            op_bytes(e, |bytes| {
-                fingerprint.update(bytes);
-                Ok::<(), Infallible>(())
-            })
-        },
-    );
-    let Ok((fingerprint, _)) = walked;
-    fingerprint
-}
-
-// ---------------------------------------------------------------------------
-// The fingerprint walk, shared by the encoder and the digest.
-// ---------------------------------------------------------------------------
-
-/// One region of a program as [`walk_program`] sees it: a reference to
-/// its epoch, or to its epochs. An epoch is whatever the caller can count
-/// and read: a borrowed op run, or an extent of a mapped bank.
-enum Shape<'r, E> {
-    Sequential(&'r E),
-    Parallel(&'r [E]),
-}
-
-fn view_shapes<'r, 'a>(
-    view: &'r ProgramView<'a>,
-) -> impl ExactSizeIterator<Item = Shape<'r, &'a [TraceOp]>> {
-    view.regions.iter().map(|r| match r {
-        RegionView::Sequential(e) => Shape::Sequential(e),
-        RegionView::Parallel(es) => Shape::Parallel(es),
-    })
-}
-
-fn layout_shapes(program: &ProgramLayout) -> impl ExactSizeIterator<Item = Shape<'_, OpRange>> {
-    program.regions.iter().map(|r| match r {
-        RegionLayout::Sequential(x) => Shape::Sequential(x),
-        RegionLayout::Parallel(es) => Shape::Parallel(es),
-    })
-}
-
-/// Walks one program in op-bank order and returns its `(fingerprint,
-/// serialized fingerprint)`. The walk feeds the framing bytes of both
-/// canonical streams (name, region tags, counts) to their chains itself,
-/// and hands each epoch to `ops` with the two chains: the program
-/// fingerprint and the serialized fingerprint, in that order. `ops` folds
-/// the epoch's op bytes into them (and, when encoding, seals and writes
-/// them out). This is the one definition of the fingerprint framing: the
-/// encoder, [`digest_pair`] and [`fingerprint_view`] all walk through it,
-/// so what is sealed and what is recomputed cannot drift.
-fn walk_program<'r, E: 'r, X>(
-    name: &str,
-    regions: impl ExactSizeIterator<Item = Shape<'r, E>>,
-    count: impl Fn(&E) -> usize,
-    mut ops: impl FnMut(&E, [&mut Fnv; 2]) -> Result<(), X>,
-) -> Result<(u64, u64), X> {
-    let (mut fp, mut ser) = (Fnv::new(), Fnv::new());
-    for f in [&mut fp, &mut ser] {
-        f.update(&(name.len() as u32).to_le_bytes());
-        f.update(name.as_bytes());
-        f.update(&(regions.len() as u32).to_le_bytes());
-    }
-    for region in regions {
-        match region {
-            Shape::Sequential(e) => {
-                for f in [&mut fp, &mut ser] {
-                    f.update(&[0]);
-                    f.update(&(count(e) as u32).to_le_bytes());
-                }
-                ops(e, [&mut fp, &mut ser])?;
-            }
-            Shape::Parallel(es) => {
-                fp.update(&[1]);
-                fp.update(&(es.len() as u32).to_le_bytes());
-                // Serialized, the region is one sequential epoch of all
-                // its ops (the count truncates as the encoder's does).
-                let total: usize = es.iter().map(&count).sum();
-                ser.update(&[0]);
-                ser.update(&(total as u32).to_le_bytes());
-                for e in es {
-                    fp.update(&(count(e) as u32).to_le_bytes());
-                    ops(e, [&mut fp, &mut ser])?;
-                }
-            }
-        }
-    }
-    Ok((fp.finish(), ser.finish()))
-}
-
-/// Hands the wire bytes of `ops` to `sink`: in one slice where the
-/// in-memory layout is the wire layout (little-endian hosts; pinned by
-/// the `repr(C)` assertions in tls-trace), record by record elsewhere.
-fn op_bytes<X>(ops: &[TraceOp], mut sink: impl FnMut(&[u8]) -> Result<(), X>) -> Result<(), X> {
-    #[cfg(target_endian = "little")]
-    let done = sink(zerocopy::slice_as_bytes(ops));
-    #[cfg(not(target_endian = "little"))]
-    let done = ops.iter().try_for_each(|op| sink(&op.to_raw()));
-    done
-}
-
-/// Folds `bytes` into two FNV-1a chains at once. The chains do not
-/// depend on one another, so their multiplies overlap in the pipeline.
-fn fnv2([a, b]: [&mut Fnv; 2], bytes: &[u8]) {
-    let (mut x, mut y) = (a.0, b.0);
-    for &byte in bytes {
-        let v = byte as u64;
-        x = (x ^ v).wrapping_mul(FNV_PRIME);
-        y = (y ^ v).wrapping_mul(FNV_PRIME);
-    }
-    (a.0, b.0) = (x, y);
-}
-
-// ---------------------------------------------------------------------------
-// Version-3 trace-pair payload.
+// Version-4 trace-pair payload.
 // ---------------------------------------------------------------------------
 
 /// A contiguous run of records in an op bank.
@@ -748,6 +629,15 @@ pub struct OpRange {
     pub count: usize,
 }
 
+impl OpRange {
+    /// The next `count` records from `*cursor` on, advancing the cursor.
+    fn next(cursor: &mut usize, count: usize) -> Self {
+        let start = *cursor;
+        *cursor += count;
+        OpRange { start, count }
+    }
+}
+
 /// One region of a [`ProgramLayout`]: epoch extents without the ops.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegionLayout {
@@ -755,6 +645,16 @@ pub enum RegionLayout {
     Sequential(OpRange),
     /// A parallel region's epochs, in iteration order.
     Parallel(Vec<OpRange>),
+}
+
+impl RegionLayout {
+    /// The region's records across all its epochs.
+    fn ops(&self) -> usize {
+        match self {
+            RegionLayout::Sequential(x) => x.count,
+            RegionLayout::Parallel(es) => es.iter().map(|x| x.count).sum(),
+        }
+    }
 }
 
 /// The structural skeleton of one program in a trace-pair payload: the
@@ -768,7 +668,67 @@ pub struct ProgramLayout {
     pub regions: Vec<RegionLayout>,
 }
 
+fn put_u32(out: &mut Vec<u8>, v: usize) {
+    out.extend_from_slice(&(v as u32).to_le_bytes());
+}
+
 impl ProgramLayout {
+    /// The skeleton of `view`, whose records sit in the bank from
+    /// `*cursor` on (the cursor is advanced past them).
+    fn of(view: &ProgramView<'_>, cursor: &mut usize) -> Self {
+        let mut regions = Vec::with_capacity(view.regions.len());
+        for region in &view.regions {
+            regions.push(match region {
+                RegionView::Sequential(e) => {
+                    RegionLayout::Sequential(OpRange::next(cursor, e.len()))
+                }
+                RegionView::Parallel(es) => RegionLayout::Parallel(
+                    es.iter().map(|e| OpRange::next(cursor, e.len())).collect(),
+                ),
+            });
+        }
+        ProgramLayout { name: view.name.to_string(), regions }
+    }
+
+    /// The program's records, all regions together.
+    fn total_ops(&self) -> usize {
+        self.regions.iter().map(RegionLayout::ops).sum()
+    }
+
+    /// Appends the program's structure-section encoding: its own, or with
+    /// `serialized`, its serialized form's (each parallel region written
+    /// as one sequential region of all its ops).
+    fn put_structure(&self, out: &mut Vec<u8>, serialized: bool) {
+        put_u32(out, self.name.len());
+        out.extend_from_slice(self.name.as_bytes());
+        put_u32(out, self.regions.len());
+        for region in &self.regions {
+            match region {
+                RegionLayout::Parallel(es) if !serialized => {
+                    out.push(1);
+                    put_u32(out, es.len());
+                    es.iter().for_each(|x| put_u32(out, x.count));
+                }
+                region => {
+                    out.push(0);
+                    put_u32(out, region.ops());
+                }
+            }
+        }
+    }
+
+    /// The program's fingerprint and its serialized form's, from the
+    /// [`Seal`] of its records: the one definition in the
+    /// [module doc](self#program-fingerprints).
+    fn fingerprints(&self, records: u64) -> [u64; 2] {
+        [false, true].map(|serialized| {
+            let mut bytes = Vec::new();
+            self.put_structure(&mut bytes, serialized);
+            bytes.extend_from_slice(&records.to_le_bytes());
+            seal(&bytes)
+        })
+    }
+
     /// Builds a borrowed [`ProgramView`] over a casted op bank.
     pub fn view<'a>(&'a self, bank: &'a [TraceOp]) -> ProgramView<'a> {
         ProgramView {
@@ -815,6 +775,45 @@ impl ProgramLayout {
                 .collect(),
         }
     }
+}
+
+/// The epochs of `view` in program order, which is the order of their
+/// records in an op bank.
+fn epochs_of<'v, 'a>(view: &'v ProgramView<'a>) -> impl Iterator<Item = &'a [TraceOp]> + 'v {
+    view.regions
+        .iter()
+        .flat_map(|r| match r {
+            RegionView::Sequential(e) => std::slice::from_ref(e),
+            RegionView::Parallel(es) => es.as_slice(),
+        })
+        .copied()
+}
+
+/// Hands the wire bytes of `ops` to `sink`: in one slice where the
+/// in-memory layout is the wire layout (little-endian hosts; pinned by
+/// the `repr(C)` assertions in tls-trace), record by record elsewhere.
+fn op_bytes<X>(ops: &[TraceOp], mut sink: impl FnMut(&[u8]) -> Result<(), X>) -> Result<(), X> {
+    #[cfg(target_endian = "little")]
+    let done = sink(zerocopy::slice_as_bytes(ops));
+    #[cfg(not(target_endian = "little"))]
+    let done = ops.iter().try_for_each(|op| sink(&op.to_raw()));
+    done
+}
+
+/// A program's content fingerprint (the
+/// [module doc's definition](self#program-fingerprints)), computed from
+/// the view, whichever read path (owned or memory-mapped) produced it.
+/// The fingerprint of a serialized form is this function of the
+/// serialized view.
+pub fn fingerprint_view(view: &ProgramView<'_>) -> u64 {
+    let mut records = Seal::new();
+    for ops in epochs_of(view) {
+        let Ok(()) = op_bytes(ops, |bytes| {
+            records.update(bytes);
+            Ok::<(), Infallible>(())
+        });
+    }
+    ProgramLayout::of(view, &mut 0).fingerprints(records.finish())[0]
 }
 
 /// The parsed skeleton of a trace-pair payload: both program layouts
@@ -870,16 +869,8 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, SnapshotError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
     fn u32(&mut self) -> Result<u32, SnapshotError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
     fn name(&mut self) -> Result<String, SnapshotError> {
@@ -899,27 +890,6 @@ fn bank_offset_for(min: usize) -> usize {
     off
 }
 
-fn encode_structure(out: &mut Vec<u8>, view: &ProgramView<'_>) {
-    put_u32(out, view.name.len() as u32);
-    out.extend_from_slice(view.name.as_bytes());
-    put_u32(out, view.regions.len() as u32);
-    for region in &view.regions {
-        match region {
-            RegionView::Sequential(e) => {
-                out.push(0);
-                put_u32(out, e.len() as u32);
-            }
-            RegionView::Parallel(es) => {
-                out.push(1);
-                put_u32(out, es.len() as u32);
-                for e in es {
-                    put_u32(out, e.len() as u32);
-                }
-            }
-        }
-    }
-}
-
 /// The size of the slices the encoder hashes and writes in one go: small
 /// enough to stay in cache between the two, large enough that a
 /// buffered writer passes them straight through.
@@ -932,13 +902,15 @@ pub(crate) const WRITE_CHUNK: usize = 1 << 16;
 /// header, the structure section and the padding — is a few hundred
 /// bytes built up front. [`PairEncoder::write_to`] then streams each
 /// epoch's records straight from the programs, folding each slice into
-/// the seal and both fingerprint chains of its program as it goes, writes
+/// the container seal and its program's records seal as it goes, writes
 /// the four fingerprints as the trailer, and returns the [`PairDigest`]
 /// it sealed. No whole-container buffer exists unless the writer is one.
 #[derive(Debug)]
 pub struct PairEncoder<'a> {
     plain: ProgramView<'a>,
     tls: ProgramView<'a>,
+    /// The skeletons of `plain` and `tls`, for their fingerprints.
+    layouts: [ProgramLayout; 2],
     /// Every byte before the op bank.
     prefix: Vec<u8>,
     /// The op bank's length in bytes.
@@ -948,25 +920,23 @@ pub struct PairEncoder<'a> {
 impl<'a> PairEncoder<'a> {
     /// The encoder of `plain` and `tls` under the cache key `key_hash`.
     pub fn new(key_hash: u64, plain: ProgramView<'a>, tls: ProgramView<'a>) -> Self {
+        let mut total_ops = 0;
+        let layouts = [&plain, &tls].map(|view| ProgramLayout::of(view, &mut total_ops));
         let mut structure = Vec::new();
-        encode_structure(&mut structure, &plain);
-        encode_structure(&mut structure, &tls);
-        let total_ops = plain.total_ops() + tls.total_ops();
-        let bank_offset = bank_offset_for(16 + structure.len());
+        layouts.iter().for_each(|l| l.put_structure(&mut structure, false));
+        let bank_offset = bank_offset_for(size_of::<PairHeader>() + structure.len());
         let bank_len = RECORD_LEN * total_ops;
-        let mut prefix = Vec::with_capacity(HEADER_LEN + bank_offset);
-        prefix.extend_from_slice(MAGIC);
-        prefix.push(KIND_TRACE_PAIR);
-        prefix.push(VERSION);
-        prefix.extend_from_slice(&key_hash.to_le_bytes());
-        prefix.extend_from_slice(&((bank_offset + bank_len + TRAILER_LEN) as u64).to_le_bytes());
-        prefix.extend_from_slice(&ENDIAN_STAMP.to_le_bytes());
-        prefix.extend_from_slice(&(RECORD_LEN as u16).to_le_bytes());
-        prefix.extend_from_slice(&(bank_offset as u32).to_le_bytes());
-        prefix.extend_from_slice(&(total_ops as u64).to_le_bytes());
-        prefix.extend_from_slice(&structure);
+        let container =
+            ContainerHeader::new(KIND_TRACE_PAIR, key_hash, bank_offset + bank_len + TRAILER_LEN);
+        let payload = PairHeader {
+            stamp: ENDIAN_STAMP.to_le_bytes(),
+            record_len: (RECORD_LEN as u16).to_le_bytes(),
+            bank_offset: (bank_offset as u32).to_le_bytes(),
+            total_ops: (total_ops as u64).to_le_bytes(),
+        };
+        let mut prefix = [container.as_bytes(), payload.as_bytes(), &structure].concat();
         prefix.resize(HEADER_LEN + bank_offset, 0);
-        PairEncoder { plain, tls, prefix, bank_len }
+        PairEncoder { plain, tls, layouts, prefix, bank_len }
     }
 
     /// The container's length in bytes.
@@ -981,24 +951,23 @@ impl<'a> PairEncoder<'a> {
         let mut seal = Seal::new();
         seal.update(&self.prefix);
         out.write_all(&self.prefix)?;
-        let mut program = |view: &ProgramView<'_>| {
-            walk_program(
-                view.name,
-                view_shapes(view),
-                |e| e.len(),
-                |e, [fp, ser]| {
-                    op_bytes(e, |bytes| {
-                        bytes.chunks(WRITE_CHUNK).try_for_each(|chunk| {
-                            fnv2([&mut *fp, &mut *ser], chunk);
-                            seal.update(chunk);
-                            out.write_all(chunk)
-                        })
+        let mut fingerprints = [[0; 2]; 2];
+        for ((view, layout), fps) in
+            [&self.plain, &self.tls].into_iter().zip(&self.layouts).zip(&mut fingerprints)
+        {
+            let mut records = Seal::new();
+            for ops in epochs_of(view) {
+                op_bytes(ops, |bytes| {
+                    bytes.chunks(WRITE_CHUNK).try_for_each(|chunk| {
+                        records.update(chunk);
+                        seal.update(chunk);
+                        out.write_all(chunk)
                     })
-                },
-            )
-        };
-        let (plain, plain_serialized) = program(&self.plain)?;
-        let (tls, tls_serialized) = program(&self.tls)?;
+                })?;
+            }
+            *fps = layout.fingerprints(records.finish());
+        }
+        let [[plain, plain_serialized], [tls, tls_serialized]] = fingerprints;
         let mut digest = PairDigest { checksum: 0, plain, tls, plain_serialized, tls_serialized };
         let trailer = digest.trailer();
         seal.update(&trailer);
@@ -1018,12 +987,6 @@ impl<'a> PairEncoder<'a> {
             return false;
         }
         let (mut bank, sealed) = file[self.prefix.len()..].split_at(self.bank_len);
-        let mut epochs = [&self.plain, &self.tls].into_iter().flat_map(|view| {
-            view.regions.iter().flat_map(|r| match r {
-                RegionView::Sequential(e) => std::slice::from_ref(e),
-                RegionView::Parallel(es) => es.as_slice(),
-            })
-        });
         let mut same = |bytes: &[u8]| match bank.strip_prefix(bytes) {
             Some(rest) => {
                 bank = rest;
@@ -1034,7 +997,10 @@ impl<'a> PairEncoder<'a> {
         let (trailer, checksum) = sealed.split_at(TRAILER_LEN);
         trailer == digest.trailer()
             && checksum == digest.checksum.to_le_bytes()
-            && epochs.all(|ops| op_bytes(ops, &mut same).is_ok())
+            && [&self.plain, &self.tls]
+                .into_iter()
+                .flat_map(epochs_of)
+                .all(|ops| op_bytes(ops, &mut same).is_ok())
             && bank.is_empty()
     }
 }
@@ -1048,14 +1014,9 @@ fn parse_structure(r: &mut Reader<'_>, cursor: &mut usize) -> Result<ProgramLayo
         return Err(SnapshotError::Truncated);
     }
     let mut regions = Vec::with_capacity(region_count);
-    let range = |cursor: &mut usize, count: usize| {
-        let start = *cursor;
-        *cursor += count;
-        OpRange { start, count }
-    };
     for _ in 0..region_count {
         regions.push(match r.u8()? {
-            0 => RegionLayout::Sequential(range(cursor, r.u32()? as usize)),
+            0 => RegionLayout::Sequential(OpRange::next(cursor, r.u32()? as usize)),
             1 => {
                 let n = r.u32()? as usize;
                 if n > (r.bytes.len() - r.pos) / 4 + 1 {
@@ -1063,7 +1024,7 @@ fn parse_structure(r: &mut Reader<'_>, cursor: &mut usize) -> Result<ProgramLayo
                 }
                 let mut epochs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    epochs.push(range(cursor, r.u32()? as usize));
+                    epochs.push(OpRange::next(cursor, r.u32()? as usize));
                 }
                 RegionLayout::Parallel(epochs)
             }
@@ -1079,19 +1040,19 @@ fn parse_structure(r: &mut Reader<'_>, cursor: &mut usize) -> Result<ProgramLayo
 /// records — the map path does, once per map, while it seals
 /// (`Seal::update_records`).
 pub fn parse_pair_layout(payload: &[u8]) -> Result<PairLayout, SnapshotError> {
-    let mut r = Reader { bytes: payload, pos: 0 };
-    let stamp = r.u16()?;
+    let (header, _) = PairHeader::ref_from_prefix(payload).map_err(|_| SnapshotError::Truncated)?;
+    let stamp = u16::from_le_bytes(header.stamp);
     // A byte-swapped stamp and an unrecognizable one are both rejected
     // as foreign-endian: neither payload can be read in place.
     if stamp != ENDIAN_STAMP {
         return Err(SnapshotError::ForeignEndian { stamp });
     }
-    let record = r.u16()?;
+    let record = u16::from_le_bytes(header.record_len);
     if record as usize != RECORD_LEN {
         return Err(SnapshotError::BadRecordSize(record));
     }
-    let bank_offset = r.u32()? as usize;
-    let declared_ops = r.u64()?;
+    let bank_offset = u32::from_le_bytes(header.bank_offset) as usize;
+    let declared_ops = u64::from_le_bytes(header.total_ops);
     if bank_offset > payload.len() {
         return Err(SnapshotError::Truncated);
     }
@@ -1100,7 +1061,7 @@ pub fn parse_pair_layout(payload: &[u8]) -> Result<PairLayout, SnapshotError> {
     }
     let mut cursor = 0usize;
     let structure = &payload[..bank_offset];
-    let mut sr = Reader { bytes: structure, pos: r.pos };
+    let mut sr = Reader { bytes: structure, pos: size_of::<PairHeader>() };
     let plain = parse_structure(&mut sr, &mut cursor)?;
     let tls = parse_structure(&mut sr, &mut cursor)?;
     if structure[sr.pos..].iter().any(|&b| b != 0) {
@@ -1187,9 +1148,9 @@ pub fn sealed_digest(file: &[u8], layout: &PairLayout) -> PairDigest {
 
 /// Recomputes all five [`PairDigest`] values from a container `body`
 /// (header + payload: the file without its trailing seal) whose payload
-/// parsed as `layout`: the [`seal`] of the body, and each fingerprint by
-/// an FNV-1a walk over the bank, through the same framing walk the
-/// encoder takes. It ignores the trailer's contents, so it is the
+/// parsed as `layout`: the [`seal`] of the body, and each program's two
+/// fingerprints from the seal of its records, which lie together in the
+/// bank (plain's first). It ignores the trailer's contents, so it is the
 /// independent check of what the encoder sealed.
 ///
 /// # Panics
@@ -1198,21 +1159,9 @@ pub fn sealed_digest(file: &[u8], layout: &PairLayout) -> PairDigest {
 /// not be where, or as long as, the layout says).
 pub fn digest_pair(body: &[u8], layout: &PairLayout) -> PairDigest {
     let bank = layout.bank(&body[HEADER_LEN..]);
-    let program = |p: &ProgramLayout| {
-        let walked = walk_program(
-            &p.name,
-            layout_shapes(p),
-            |x| x.count,
-            |x, chains| {
-                fnv2(chains, &bank[RECORD_LEN * x.start..RECORD_LEN * (x.start + x.count)]);
-                Ok::<(), Infallible>(())
-            },
-        );
-        let Ok(fingerprints) = walked;
-        fingerprints
-    };
-    let (plain, plain_serialized) = program(&layout.plain);
-    let (tls, tls_serialized) = program(&layout.tls);
+    let (plain_records, tls_records) = bank.split_at(RECORD_LEN * layout.plain.total_ops());
+    let [plain, plain_serialized] = layout.plain.fingerprints(seal(plain_records));
+    let [tls, tls_serialized] = layout.tls.fingerprints(seal(tls_records));
     PairDigest { checksum: seal(body), plain, tls, plain_serialized, tls_serialized }
 }
 
@@ -1243,7 +1192,8 @@ pub fn encode_pair_file(key_hash: u64, pair: &BenchmarkPrograms) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tls_trace::{Addr, LatchId, OpSink, Pc, ProgramBuilder};
+    use tls_core::experiment::serialize_view;
+    use tls_trace::{Addr, Epoch, LatchId, OpSink, Pc, ProgramBuilder, Region, TraceProgram};
 
     fn sample_pair() -> BenchmarkPrograms {
         let mut plain = ProgramBuilder::new("plain");
@@ -1293,11 +1243,48 @@ mod tests {
         assert_eq!(layout.tls.name, "tls");
     }
 
+    /// Fingerprints match an independent implementation of their
+    /// definition (the module doc's), `tests/fingerprint_vectors.py`, on
+    /// programs of every region shape, and the writer seals the same
+    /// values. The `par` program moved by one epoch boundary changes only
+    /// its own fingerprint, not its serialized one.
     #[test]
-    fn fingerprints_agree_between_owned_and_view_paths() {
-        let pair = sample_pair();
-        for p in [&pair.plain, &pair.tls] {
-            assert_eq!(fingerprint_view(&p.view()), fnv1a(&program_bytes(p)));
+    fn fingerprints_match_reference_vectors() {
+        // A load: pc `i`, 8 bytes, no dependence, address 0x1000 + 8i.
+        let op = |i: u32| {
+            let mut raw = [0u8; 16];
+            raw[0..4].copy_from_slice(&i.to_le_bytes());
+            raw[4..6].copy_from_slice(&[2, 8]);
+            raw[8..].copy_from_slice(&(0x1000 + 8 * i as u64).to_le_bytes());
+            TraceOp::from_raw(raw).expect("a valid load")
+        };
+        let epoch = |ops: std::ops::Range<u32>| Epoch::new(ops.map(op).collect());
+        let par = |epochs: [std::ops::Range<u32>; 3]| {
+            let parallel = Region::Parallel(epochs.map(epoch).to_vec());
+            let regions =
+                vec![Region::Sequential(epoch(0..1)), parallel, Region::Sequential(epoch(0..0))];
+            TraceProgram::new("par", regions)
+        };
+        let cases = [
+            (TraceProgram::new("", vec![]), 0x9766_a181_0542_e294, 0x9766_a181_0542_e294),
+            (
+                TraceProgram::new("seq", vec![Region::Sequential(epoch(0..3))]),
+                0x5ab0_44db_184b_b2aa,
+                0x5ab0_44db_184b_b2aa,
+            ),
+            (par([1..3, 3..3, 3..4]), 0x1dbd_abe6_5001_260b, 0xd929_9ed8_1154_1257),
+            (par([1..2, 2..3, 3..4]), 0xc91e_e183_7176_884a, 0xd929_9ed8_1154_1257),
+        ];
+        for (program, want, want_serialized) in cases {
+            let serialized = serialize_view(&program.view());
+            let got = [fingerprint_view(&program.view()), fingerprint_view(&serialized.view())];
+            assert_eq!(got, [want, want_serialized], "{:?}", program.name);
+            let pair = BenchmarkPrograms { plain: serialized, tls: program };
+            let digest = PairEncoder::new(0, pair.plain.view(), pair.tls.view())
+                .write_to(&mut io::sink())
+                .expect("a sink takes every write");
+            let sealed = [digest.tls, digest.tls_serialized, digest.plain, digest.plain_serialized];
+            assert_eq!(sealed, [want, want_serialized, want_serialized, want_serialized]);
         }
     }
 
@@ -1370,10 +1357,10 @@ mod tests {
             reference_open(&file, 8),
             Err(SnapshotError::KeyMismatch { found: 7, expected: 8 })
         ));
-        // Version is checked before the seal, so a retired (1, 2) or
+        // Version is checked before the seal, so a retired (1 to 3) or
         // future-format file reads as a version mismatch (then gets
         // re-recorded), not as corruption.
-        for version in [1, 2, VERSION + 1] {
+        for version in [1, 2, 3, VERSION + 1] {
             let mut wrong_version = file.clone();
             wrong_version[7] = version;
             assert_eq!(
@@ -1388,30 +1375,34 @@ mod tests {
         ));
     }
 
-    /// Report containers are version 3 and sealed with [`Seal`]: the
-    /// exact bytes of one small report. A version-2 report, as older
-    /// builds wrote it (sealed with FNV-1a), reads as a version mismatch.
+    /// Report containers are version 4 and sealed with [`Seal`]: the
+    /// exact bytes of one small report (the seal is
+    /// `tests/fingerprint_vectors.py`'s). A version-2 report, as older
+    /// builds wrote it (sealed with FNV-1a), and a version-3 one (sealed
+    /// as today) read as version mismatches.
     #[test]
     fn report_container_bytes_are_pinned() {
         let payload = br#"{"total_cycles":42}"#;
         let key = 0x0123_4567_89AB_CDEF;
-        let mut want = b"TLSNAP\x02\x03".to_vec();
+        let mut want = b"TLSNAP\x02\x04".to_vec();
         want.extend_from_slice(&[0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01]);
         want.extend_from_slice(&[19, 0, 0, 0, 0, 0, 0, 0]);
         want.extend_from_slice(payload);
-        want.extend_from_slice(&0x098f_3eb9_1dd8_7145u64.to_le_bytes());
+        want.extend_from_slice(&0x6bae_4f7c_aa8e_fba2u64.to_le_bytes());
         let container = encode_container(KIND_SIM_REPORT, key, payload);
         assert_eq!(container, want);
         assert_eq!(decode_container(&container, KIND_SIM_REPORT, key), Ok(&payload[..]));
-        let mut v2 = container.clone();
-        v2[7] = 2;
-        let body_end = v2.len() - CHECKSUM_LEN;
-        let sum = fnv1a(&v2[..body_end]);
-        v2[body_end..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            decode_container(&v2, KIND_SIM_REPORT, key),
-            Err(SnapshotError::VersionMismatch { found: 2, expected: VERSION })
-        );
+        for (version, sealed_with) in [(2, fnv1a as fn(&[u8]) -> u64), (3, seal)] {
+            let mut retired = container.clone();
+            retired[7] = version;
+            let body_end = retired.len() - CHECKSUM_LEN;
+            let sum = sealed_with(&retired[..body_end]);
+            retired[body_end..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                decode_container(&retired, KIND_SIM_REPORT, key),
+                Err(SnapshotError::VersionMismatch { found: version, expected: VERSION })
+            );
+        }
     }
 
     /// The seal matches an independent implementation of its definition
@@ -1469,7 +1460,7 @@ mod tests {
         let file = encode_pair_file(5, &pair);
         let payload = decode_container(&file, KIND_TRACE_PAIR, 5).expect("framing");
         let layout = parse_pair_layout(payload).expect("layout");
-        let fps = [&pair.plain, &pair.tls].map(|p| fnv1a(&program_bytes(p)));
+        let fps = [&pair.plain, &pair.tls].map(|p| fingerprint_view(&p.view()));
         assert_eq!(&layout.trailer(payload)[..2], &fps);
         let body = &file[..file.len() - CHECKSUM_LEN];
         assert_eq!(sealed_digest(&file, &layout), digest_pair(body, &layout));
@@ -1482,9 +1473,5 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-        let mut streaming = Fnv::new();
-        streaming.update(b"foo");
-        streaming.update(b"bar");
-        assert_eq!(streaming.finish(), 0x85944171f73967e8);
     }
 }

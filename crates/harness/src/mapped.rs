@@ -390,7 +390,7 @@ pub enum MapOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{encode_pair_file, fnv1a, program_bytes};
+    use crate::codec::encode_pair_file;
     use tls_core::experiment::BenchmarkPrograms;
     use tls_trace::{Addr, OpSink, Pc, ProgramBuilder};
 
@@ -438,10 +438,9 @@ mod tests {
         let owned_plain = view.plain().to_program();
         let owned_tls = view.tls().to_program();
         assert_eq!((view.plain_name(), view.tls_name()), ("plain", "tls"));
-        assert_eq!(program_bytes(&owned_plain), program_bytes(&pair.plain));
-        assert_eq!(program_bytes(&owned_tls), program_bytes(&pair.tls));
-        assert_eq!(view.digest.plain, fnv1a(&program_bytes(&pair.plain)));
-        assert_eq!(view.digest.tls, fnv1a(&program_bytes(&pair.tls)));
+        assert!(owned_plain == pair.plain && owned_tls == pair.tls, "the mapped pair");
+        assert_eq!(view.digest.plain, fingerprint_view(&pair.plain.view()));
+        assert_eq!(view.digest.tls, fingerprint_view(&pair.tls.view()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

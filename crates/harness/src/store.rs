@@ -38,8 +38,8 @@
 //! TLSNAP in place of a good one.
 
 use crate::codec::{
-    self, decode_container, encode_container, fingerprint_view, fnv1a, Fnv, PairDigest,
-    PairEncoder, SnapshotError, KIND_SIM_REPORT,
+    self, decode_container, encode_container, fingerprint_view, PairDigest, PairEncoder, Seal,
+    SnapshotError, KIND_SIM_REPORT,
 };
 use crate::mapped::{MapOutcome, TraceView};
 use crate::population::{Lease, Populations};
@@ -67,9 +67,9 @@ pub struct TraceKey {
 }
 
 impl TraceKey {
-    /// The cache-key fingerprint: FNV-1a over the canonical JSON of every
-    /// field (the JSON encoding is deterministic, so the hash is stable
-    /// across runs and platforms).
+    /// The cache-key fingerprint: the [`codec::seal`] of the canonical
+    /// JSON of every field (the JSON encoding is deterministic, so the
+    /// hash is stable across runs and platforms).
     pub fn hash(&self) -> u64 {
         let mut s = String::new();
         use serde::Serialize;
@@ -78,7 +78,7 @@ impl TraceKey {
         s.push_str(self.txn.trace_name());
         s.push('|');
         s.push_str(&self.count.to_string());
-        fnv1a(s.as_bytes())
+        codec::seal(s.as_bytes())
     }
 
     /// The snapshot file name: human-greppable benchmark name plus the
@@ -178,8 +178,8 @@ enum ProgramRepr {
     },
 }
 
-/// A trace program bundled with the FNV-1a fingerprint of its canonical
-/// [`codec`] encoding — backed either by an owned program or by a
+/// A trace program bundled with its content fingerprint (the
+/// [`codec`] module doc defines it) — backed either by an owned program or by a
 /// memory-mapped snapshot (the representations are interchangeable;
 /// every consumer goes through [`KeyedProgram::view`]).
 ///
@@ -187,10 +187,10 @@ enum ProgramRepr {
 /// it happens exactly once — when the program enters the store or is
 /// wrapped by a plan — instead of on every report-cache lookup, which
 /// previously re-encoded the full trace per [`HarnessStore::simulate`]
-/// call just to derive its key. (It no longer materializes the encoded
-/// bytes either: [`fingerprint_view`] hashes the canonical stream with
-/// zero allocation.) Cloning is cheap (both representations are behind
-/// `Arc`s).
+/// call just to derive its key. A mapped program's fingerprint is read
+/// from its snapshot's sealed trailer; an owned one's is computed by
+/// [`fingerprint_view`]. Cloning is cheap (both representations are
+/// behind `Arc`s).
 #[derive(Debug, Clone)]
 pub struct KeyedProgram {
     repr: ProgramRepr,
@@ -210,8 +210,8 @@ impl KeyedProgram {
     }
 
     /// Wraps one side of a mapped snapshot, or (`serialized`) that
-    /// side's serialized form. The fingerprints were computed at map
-    /// time, in the same pass over the mapped bytes as the checksum.
+    /// side's serialized form. The fingerprints come from the snapshot's
+    /// sealed trailer.
     fn from_mapped(view: Arc<TraceView>, tls: bool, serialized: bool) -> Self {
         let d = &view.digest;
         let fingerprint = match (tls, serialized) {
@@ -223,7 +223,7 @@ impl KeyedProgram {
         KeyedProgram { repr: ProgramRepr::Mapped { view, tls, serialized }, fingerprint }
     }
 
-    /// The FNV-1a hash of the program's canonical byte encoding.
+    /// The program's content fingerprint ([`fingerprint_view`]).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -534,7 +534,7 @@ impl HarnessStore {
     /// canonical JSON supplied by the caller — the sweep engine interns
     /// each grid point's JSON once and reuses it across every seed,
     /// instead of re-serializing the config per simulation. The cache key
-    /// streams through FNV (no intermediate key buffer).
+    /// streams through the [`Seal`] (no intermediate key buffer).
     pub fn simulate_keyed(
         &self,
         program: &KeyedProgram,
@@ -677,7 +677,7 @@ const REPORT_SCHEMA: u32 = 1;
 /// The report-cache key: the report schema, the program's content
 /// fingerprint and the machine configuration's canonical JSON.
 fn report_key(program: &KeyedProgram, cfg_json: &str) -> u64 {
-    let mut key = Fnv::new();
+    let mut key = Seal::new();
     key.update(&REPORT_SCHEMA.to_le_bytes());
     key.update(&program.fingerprint().to_le_bytes());
     key.update(cfg_json.as_bytes());
@@ -845,9 +845,8 @@ mod tests {
         assert_eq!(warm.stats.snapshot()[2], 0, "no re-record");
         assert_eq!(a.tls.total_ops(), b.tls.total_ops());
         assert_eq!(a.tls.fingerprint(), b.tls.fingerprint(), "same content fingerprint");
-        assert_eq!(
-            crate::codec::program_bytes(&a.tls.view().to_program()),
-            crate::codec::program_bytes(&b.tls.view().to_program()),
+        assert!(
+            a.tls.view().to_program() == b.tls.view().to_program(),
             "decoded trace is bit-identical"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -889,14 +888,17 @@ mod tests {
         assert_eq!(again.stats.snapshot()[6], 0, "nothing left to quarantine");
 
         // A container stamped with a retired version, sealed as that
-        // version sealed it (FNV-1a, as versions 1 and 2 did), is not
-        // decoded: it is quarantined as a version mismatch and recorded
-        // afresh, and the rewritten snapshot maps in place.
-        for retired in [1, 2] {
+        // version sealed it (FNV-1a for versions 1 and 2, the seal of
+        // today for version 3, whose trailer held FNV-1a fingerprints), is
+        // not decoded: it is quarantined as a version mismatch and
+        // recorded afresh, and the rewritten snapshot maps in place.
+        for (retired, sealed_with) in
+            [(1, codec::fnv1a as fn(&[u8]) -> u64), (2, codec::fnv1a), (3, codec::seal)]
+        {
             let mut old = healed.clone();
             old[7] = retired;
             let body_end = old.len() - codec::CHECKSUM_LEN;
-            let sum = codec::fnv1a(&old[..body_end]);
+            let sum = sealed_with(&old[..body_end]);
             old[body_end..].copy_from_slice(&sum.to_le_bytes());
             std::fs::write(&path, &old).expect("rewrite");
             let upgraded = HarnessStore::new(Some(dir.clone()), true);
@@ -1061,12 +1063,13 @@ mod tests {
         let mut torn = good.clone();
         torn[30] ^= 0x20;
         let unsplicable = encode_container(KIND_SIM_REPORT, hash, br#"{"total_cycles":1}"#);
-        // The good report as builds before version 3 wrote it: stamped
-        // version 2 and sealed with FNV-1a.
+        // The good report as builds before version 4 wrote it: stamped
+        // version 3 and sealed as today (under a key built from FNV-1a
+        // fingerprints, which this file's name stands in for).
         let mut retired = good.clone();
-        retired[7] = 2;
+        retired[7] = 3;
         let body_end = retired.len() - codec::CHECKSUM_LEN;
-        let sum = fnv1a(&retired[..body_end]);
+        let sum = codec::seal(&retired[..body_end]);
         retired[body_end..].copy_from_slice(&sum.to_le_bytes());
         for (bytes, code) in
             [(torn, "checksum-mismatch"), (unsplicable, "bad-json"), (retired, "version-mismatch")]

@@ -234,7 +234,8 @@ struct ManifestEntry {
 }
 
 /// Content-address of the suite configuration a manifest entry is valid
-/// for (the same FNV-1a the snapshot store keys caches with).
+/// for: FNV-1a over its JSON, the value `results-test/.run_manifest.jsonl`
+/// commits.
 fn config_hash(machine: &tls_core::CmpConfig) -> String {
     let json = serde_json::to_string(machine).expect("config serializes");
     format!("{:016x}", crate::codec::fnv1a(json.as_bytes()))

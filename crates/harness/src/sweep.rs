@@ -7,9 +7,11 @@
 //! restructures that into the shape the zero-copy store is built for:
 //!
 //! 1. **One map per seed.** Points are grouped by workload seed (the
-//!    only axis that changes the trace). Each group opens its snapshot
-//!    once — served in place via [`crate::mapped::TraceView`] — and
-//!    every simulation in the group borrows the same mapped records.
+//!    only axis that changes the trace). Every seed's snapshot is opened
+//!    (or recorded) once, before any point runs, with the seeds side by
+//!    side on the pool — served in place via
+//!    [`crate::mapped::TraceView`] — and every simulation of a seed
+//!    borrows the same mapped records.
 //! 2. **Interned machine configs.** The (spacing × contexts ×
 //!    mem-latency) grid is materialized once as `(CmpConfig, canonical
 //!    JSON)` pairs; every seed reuses them, and the report-cache key is
@@ -768,8 +770,24 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepOutcome, 
     let start = Instant::now();
     let mut executed = 0usize;
     let mut total_sim_cycles = 0u64;
-    // Seed-major batching: each contiguous run of same-seed points maps
-    // its trace once and fans its configs across the pool.
+    // Every seed's trace pair, mapped or recorded side by side on the
+    // pool before any point runs, so no worker idles while a seed records.
+    let mut seeds: Vec<u64> = todo.iter().map(|(_, point)| point.seed).collect();
+    seeds.sort_unstable();
+    seeds.dedup();
+    let jobs: Vec<Box<dyn FnOnce() -> Arc<StoredPrograms> + Send + '_>> = seeds
+        .iter()
+        .map(|&seed| {
+            let store = &store;
+            let job: Box<dyn FnOnce() -> Arc<StoredPrograms> + Send + '_> =
+                Box::new(move || store.programs(&plan.trace_key(seed)));
+            job
+        })
+        .collect();
+    let recorded: HashMap<u64, Arc<StoredPrograms>> =
+        seeds.into_iter().zip(pool.run(jobs)).collect();
+    // Seed-major batching: each contiguous run of same-seed points fans
+    // its configs across the pool.
     let mut i = 0;
     while i < todo.len() {
         let seed = todo[i].1.seed;
@@ -778,7 +796,7 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepOutcome, 
             j += 1;
         }
         let group = &todo[i..j];
-        let programs = store.programs(&plan.trace_key(seed));
+        let programs = &recorded[&seed];
         // Each job renders its own row; this thread only concatenates.
         let jobs: Vec<Box<dyn FnOnce() -> (String, u64) + Send + '_>> = group
             .iter()

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use tls_core::experiment::{serialize_view, BenchmarkPrograms};
 use tls_harness::codec::{
-    self, digest_pair, encode_pair_file, fingerprint_view, fnv1a, program_bytes, PairDigest,
-    SnapshotError, CHECKSUM_LEN, HEADER_LEN, KIND_TRACE_PAIR,
+    self, digest_pair, encode_pair_file, fingerprint_view, PairDigest, SnapshotError, CHECKSUM_LEN,
+    HEADER_LEN, KIND_TRACE_PAIR,
 };
 use tls_harness::mapped::{MapOutcome, TraceView};
 use tls_trace::{
@@ -177,7 +177,7 @@ proptest! {
     }
 
     /// The mapped view and the pair the snapshot was written from agree
-    /// on every observable: canonical bytes, fingerprints, op counts.
+    /// on every observable: programs, fingerprints, op counts.
     #[test]
     fn mapped_view_equals_the_source_pair(
         prefix in vec((any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>(), any::<u64>(), any::<u16>()), 0..10),
@@ -192,16 +192,13 @@ proptest! {
         let MapOutcome::Mapped(view) = open_bytes("eq", &bytes, key) else {
             panic!("fresh snapshot must map");
         };
-        prop_assert_eq!(
-            program_bytes(&view.plain().to_program()),
-            program_bytes(&pair.plain)
-        );
-        prop_assert_eq!(program_bytes(&view.tls().to_program()), program_bytes(&pair.tls));
+        prop_assert!(view.plain().to_program() == pair.plain);
+        prop_assert!(view.tls().to_program() == pair.tls);
         prop_assert_eq!(view.plain().total_ops(), pair.plain.view().total_ops());
         prop_assert_eq!(view.tls().total_ops(), pair.tls.view().total_ops());
-        // The map-time fingerprints are the canonical content hashes.
-        prop_assert_eq!(view.digest.plain, fnv1a(&program_bytes(&pair.plain)));
-        prop_assert_eq!(view.digest.tls, fnv1a(&program_bytes(&pair.tls)));
+        // The sealed fingerprints are the source programs' own.
+        prop_assert_eq!(view.digest.plain, fingerprint_view(&pair.plain.view()));
+        prop_assert_eq!(view.digest.tls, fingerprint_view(&pair.tls.view()));
         prop_assert_eq!(view.digest.plain, fingerprint_view(&view.plain()));
     }
 

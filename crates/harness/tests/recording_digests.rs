@@ -76,23 +76,24 @@ fn keys() -> Vec<TraceKey> {
     keys
 }
 
-/// Columns 1–4 (the fingerprints) were generated by the recording path
-/// that populated a database per half and have not moved since; column 0
-/// (the container seal) by the version-3 encoder; column 5 (the op-bank
-/// seal) by the copy-on-write recording path. Rows follow [`keys`].
+/// Column 5 (the op-bank seal) was generated by the copy-on-write
+/// recording path before fingerprints moved onto the seal; columns 0–4
+/// (the container seal and the four fingerprints) by the version-4
+/// encoder, once column 5 passed unchanged under it. Rows follow
+/// [`keys`].
 #[rustfmt::skip]
 const WANT: [[u64; 6]; 11] = [
-    [0x01e10deeceb9902d, 0x0c871f752229acd3, 0xd01a0ade8063a743, 0x0c871f752229acd3, 0x9c1219771771e32b, 0xaf5115e78b56778c],
-    [0xf8f1ac8389257c79, 0xa9e87c760f5e9b4b, 0xc333e499c386ee45, 0xa9e87c760f5e9b4b, 0x8d319db335d1bd59, 0x49f15865a0add176],
-    [0x2c530cf53350089f, 0x2bb15b606beb2367, 0xdcef6c23f10005a8, 0x2bb15b606beb2367, 0xbd7e9e84a6f8e3dd, 0x9469d1c04ace025b],
-    [0x70a67c8995ac5e44, 0x47e6b9f9716cce41, 0x63a4ff61dc8ed5f4, 0x47e6b9f9716cce41, 0xf33b379cff0188ce, 0x1e1cd7592cf0222c],
-    [0xe94c3b1f53c4b678, 0x6f4834856ddba639, 0x38f349ed1b0acd51, 0x6f4834856ddba639, 0x073e46a447f8bce5, 0x9465b3d64e701dd5],
-    [0xfb8dcb487ec7273b, 0x17b11d83364a5bbc, 0xf7546bc4b55ec93e, 0x17b11d83364a5bbc, 0xdf4aa47da7749660, 0x5bed5b09e21573cd],
-    [0x6f55b7d59d905153, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x745af7a42d8a8c35, 0x5f123b9ac85a9027],
-    [0x49113f48b41e0e0d, 0x5a0bfac1d6f26707, 0xe5d0db2a0480e2ef, 0x5a0bfac1d6f26707, 0xb5f12f1caef0d7c5, 0x92397c82b088c77d],
-    [0x21d10ace5ca8ff99, 0x178648084cd53fbb, 0x76d3f4bf3a11c01f, 0x178648084cd53fbb, 0x76d3f4bf3a11c01f, 0xe22e8556c7098307],
-    [0x18d0116c9416a847, 0xc2ff0d4d10a8d61b, 0x3b7040f6f943893d, 0xc2ff0d4d10a8d61b, 0xcbe17ada75444f4f, 0x99bdd8600606ce12],
-    [0x29304633b2f27e11, 0x69375a31e21c1ead, 0xa14f5ab73f495481, 0x69375a31e21c1ead, 0x0907e13ceec878ef, 0x2f9e02696939854f],
+    [0xc4da36973f10392b, 0xe5cce3bee44b7592, 0x035d655635178c4f, 0xe5cce3bee44b7592, 0x838ecc325ae4dfdb, 0xaf5115e78b56778c],
+    [0xfb1e53a08a0fc716, 0xc9c83fa417bdadce, 0xa06217fb89792dcc, 0xc9c83fa417bdadce, 0xdbe52ed790603328, 0x49f15865a0add176],
+    [0x30b4f336202db5d4, 0x85f15909f91cb0f5, 0x47381efe6b6f9ca1, 0x85f15909f91cb0f5, 0xc69961996e2a4053, 0x9469d1c04ace025b],
+    [0x849fe614a3113664, 0x7d3673f4cb3f4259, 0x5f87f65e833944c1, 0x7d3673f4cb3f4259, 0x35f6cac6095b4439, 0x1e1cd7592cf0222c],
+    [0xcf137f87c53a4e1e, 0xe1e57230df0b0e3d, 0xbd059b4361b620ea, 0xe1e57230df0b0e3d, 0x8670d0cbd2bd1346, 0x9465b3d64e701dd5],
+    [0xdc556d45c3874527, 0xbd7bb62b56e4594f, 0x98d802e2f53eef78, 0xbd7bb62b56e4594f, 0x17895ae3ea501eeb, 0x5bed5b09e21573cd],
+    [0x83e8429a003a744c, 0xe4383bd681223014, 0xe4383bd681223014, 0xe4383bd681223014, 0xe4383bd681223014, 0x5f123b9ac85a9027],
+    [0x27f91913aec33263, 0x765a87e58965897b, 0x07c9ac64206567da, 0x765a87e58965897b, 0x6e85e55c5274103b, 0x92397c82b088c77d],
+    [0x50f5019070003701, 0xa8e5373ee631e93d, 0x2ffb3ea96261628c, 0xa8e5373ee631e93d, 0x2ffb3ea96261628c, 0xe22e8556c7098307],
+    [0xbc39970b65a49697, 0x2706805bf0b6c07c, 0x9696aa94de96dc6b, 0x2706805bf0b6c07c, 0x74b680ebadd22c81, 0x99bdd8600606ce12],
+    [0xa7d871e30529b06d, 0x0261c00d292e8051, 0x67301cf5a51e89c9, 0x0261c00d292e8051, 0x6270f82a1cafabc8, 0x2f9e02696939854f],
 ];
 
 #[test]
@@ -172,20 +173,20 @@ fn snapshots_the_store_writes_match_the_pinned_digests() {
 
 /// The fingerprints of the seven Figure-5 pairs at paper scale, in
 /// `Transaction::ALL` order: (plain, TLS, serialized plain, serialized
-/// TLS), generated by the recording path that copied the whole image
-/// per fork, then the op-bank seal, generated by the copy-on-write
-/// recording path. Paper-scale images are ~92 MB, so a fault in how the image is
+/// TLS), then the op-bank seal. The op-bank seals were generated by the
+/// copy-on-write recording path before fingerprints moved onto the
+/// seal, the fingerprints by the version-4 encoder. Paper-scale images are ~92 MB, so a fault in how the image is
 /// stored that only shows far from address 0 is caught here and not by
 /// the test-scale rows.
 #[rustfmt::skip]
 const PAPER_WANT: [[u64; 5]; 7] = [
-    [0x4466a1021a9002a2, 0x81453671eddc8a4a, 0x4466a1021a9002a2, 0x16a969a56d6600ab, 0x140f8999e0a8c1fe],
-    [0xaf7041974df16f73, 0x40200d9e29435835, 0xaf7041974df16f73, 0x1da92efe2287e589, 0x2e5accd301e1ed73],
-    [0xf7e1ab50df20d1e8, 0x01fe09100e020a41, 0xf7e1ab50df20d1e8, 0x2051809c86958116, 0xe0d9b6a0072d094e],
-    [0xe37659e524e1d57e, 0x95738e5e9ea28c8a, 0xe37659e524e1d57e, 0x8c64610a9343fa2d, 0xb46865ed78b7af66],
-    [0x09377aeafcef9d81, 0xb24ce317e103ff8a, 0x09377aeafcef9d81, 0x21749a5d422f656f, 0x7f09090b970d0495],
-    [0xfa0205e6ee97da40, 0x2cf338331085dc0e, 0xfa0205e6ee97da40, 0x2c6da7ebf75fe5f2, 0xd8bcf62ab1ee1557],
-    [0xecee4d285d14d33a, 0x98a6738695b21a0d, 0xecee4d285d14d33a, 0x3731e132152f7620, 0xec7ee90b09dc5387],
+    [0x5f8182075de3481d, 0x20d734b8b37b3321, 0x5f8182075de3481d, 0xa12a3f71e03b9e46, 0x140f8999e0a8c1fe],
+    [0xbfce1482f9a5cf6c, 0x724d6d97cc3c658c, 0xbfce1482f9a5cf6c, 0x0a14f90b6f01b504, 0x2e5accd301e1ed73],
+    [0x280a3a404a2b6875, 0x99aedd9a7b4de904, 0x280a3a404a2b6875, 0xe8bf55fe79683ccf, 0xe0d9b6a0072d094e],
+    [0xc779e737c40b6bf5, 0x3f61dbde3a125c83, 0xc779e737c40b6bf5, 0x2147c9c489122785, 0xb46865ed78b7af66],
+    [0x1f6b894edb740058, 0x3401ec5de7993e97, 0x1f6b894edb740058, 0xb9ab6d98ab02340d, 0x7f09090b970d0495],
+    [0x850852ad42bcc89f, 0xdc1841ccd1562043, 0x850852ad42bcc89f, 0x3d9c14ce533e6619, 0xd8bcf62ab1ee1557],
+    [0x301e33f00c0fdffe, 0xe9d5339156fca233, 0x301e33f00c0fdffe, 0x4a31194e598448f0, 0xec7ee90b09dc5387],
 ];
 
 #[test]
@@ -212,14 +213,13 @@ fn collider_spec() -> WorkloadSpec {
     spec
 }
 
-/// Columns 1–4 generated by the compiler that built the workload's
-/// database once per half; column 0 (the container seal) by the
-/// version-3 encoder; column 5 (the op-bank seal) by the copy-on-write
-/// compiler.
+/// Column 5 (the op-bank seal) generated by the copy-on-write compiler
+/// before fingerprints moved onto the seal; columns 0–4 by the version-4
+/// encoder.
 #[rustfmt::skip]
 const COLLIDER_WANT: [u64; 6] = [
-    0xe44d4c6dd4e6a066, 0xca3f50301fce526c, 0xb20b1586b88a2f67, 0xca3f50301fce526c,
-    0x81a59ad5ce654021, 0x79efc124bb3f6c6a,
+    0xd4704b1ef8bf292f, 0xdf4315fed812ffb0, 0x0c73fbd6e863d1b2, 0xdf4315fed812ffb0,
+    0xb36538d0ac28d771, 0x79efc124bb3f6c6a,
 ];
 
 #[test]

@@ -1,12 +1,12 @@
 //! Property tests for the snapshot codec: round-tripping arbitrary
-//! programs through the mapped reader, plus rejection of corrupted and
-//! truncated containers.
+//! programs through the mapped reader, the definition of program
+//! fingerprints, plus rejection of corrupted and truncated containers.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tls_core::experiment::{serialize_view, BenchmarkPrograms};
 use tls_harness::codec::{
-    decode_container, digest_pair, encode_pair_file, fnv1a, parse_pair_layout, program_bytes,
+    decode_container, digest_pair, encode_pair_file, fingerprint_view, parse_pair_layout,
     sealed_digest, validate_bank, PairEncoder, SnapshotError, CHECKSUM_LEN, HEADER_LEN,
     KIND_TRACE_PAIR,
 };
@@ -124,8 +124,7 @@ proptest! {
         let digest = encoder.write_to(&mut bytes).expect("a Vec takes every write");
         prop_assert_eq!(bytes.len(), encoder.file_len());
         let opened = open_bytes("streamed", &bytes, key).expect("streamed bytes open");
-        prop_assert_eq!(program_bytes(&opened.plain), program_bytes(&pair.plain));
-        prop_assert_eq!(program_bytes(&opened.tls), program_bytes(&pair.tls));
+        prop_assert!(opened.plain == pair.plain && opened.tls == pair.tls);
         let body = &bytes[..bytes.len() - CHECKSUM_LEN];
         let layout = parse_pair_layout(&body[HEADER_LEN..]).expect("layout");
         prop_assert_eq!(digest_pair(body, &layout), digest);
@@ -136,30 +135,97 @@ proptest! {
         prop_assert!(!encoder.wrote(&bytes[..bytes.len() - 1], &digest));
     }
 
-    /// The trailer the writer seals holds each program's and each
-    /// serialized program's canonical content hash, the values report
-    /// keys are built from, whatever the pair's shape.
+    /// Fingerprints follow their definition on programs of any shape.
+    /// Changing one word of any record, moving an epoch boundary by one
+    /// op, making a parallel region sequential and renaming the program
+    /// each change the fingerprint; a program's fingerprint equals its
+    /// serialized form's exactly when it has no parallel region; and the
+    /// trailer the writer seals, `fingerprint_view` and `digest_pair`
+    /// agree on all four fingerprints of the pair.
     #[test]
-    fn sealed_trailer_holds_the_canonical_fingerprints(
-        plain in vec((any::<bool>(), vec(vec(op_desc(), 0..6), 0..4)), 0..4),
-        tls in vec((any::<bool>(), vec(vec(op_desc(), 0..6), 0..4)), 0..4),
+    fn fingerprints_follow_their_definition(
+        shapes in vec((any::<bool>(), vec(vec(op_desc(), 1..6), 1..4)), 1..5),
+        pick in any::<u64>(),
+        word in 0usize..2,
+        bit in 0u32..64,
+        suffix in any::<u8>(),
         key in any::<u64>(),
     ) {
-        let pair = BenchmarkPrograms { plain: regions("plain-prog", &plain), tls: regions("t", &tls) };
-        let bytes = encode_pair_file(key, &pair);
-        let layout = parse_pair_layout(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]).expect("layout");
+        let program = regions("prog", &shapes);
+        let fp = |p: &TraceProgram| fingerprint_view(&p.view());
+        let serialized = |p: &TraceProgram| serialize_view(&p.view());
+        let want = fp(&program);
+        let parallel = program.regions.iter().position(|r| matches!(r, Region::Parallel(_)));
+
+        // One word of one record: the address word where the record stays
+        // valid, else a bit of its pc.
+        let mut changed = program.clone();
+        let ops: Vec<&mut TraceOp> = changed
+            .regions
+            .iter_mut()
+            .flat_map(|r| match r {
+                Region::Sequential(e) => std::slice::from_mut(e),
+                Region::Parallel(es) => es.as_mut_slice(),
+            })
+            .flat_map(|e| e.ops.iter_mut())
+            .collect();
+        let n = ops.len() as u64;
+        let op = ops.into_iter().nth((pick % n) as usize).expect("a record");
+        let mut raw = op.to_raw();
+        let at = 8 * word + (bit / 8) as usize;
+        raw[at] ^= 1 << (bit % 8);
+        *op = TraceOp::from_raw(raw).unwrap_or_else(|_| {
+            let mut raw = op.to_raw();
+            raw[(bit / 8 % 4) as usize] ^= 1 << (bit % 8);
+            TraceOp::from_raw(raw).expect("any pc is valid")
+        });
+        prop_assert_ne!(fp(&changed), want, "a changed record");
+
+        // An epoch boundary moved by one op: the first op of a parallel
+        // region's second epoch joins its first.
+        let mut moved = program.clone();
+        let boundary = moved.regions.iter_mut().find_map(|r| match r {
+            Region::Parallel(es) if es.len() > 1 => Some(es),
+            _ => None,
+        });
+        if let Some(es) = boundary {
+            let first = es[1].ops.remove(0);
+            es[0].ops.push(first);
+            prop_assert_ne!(fp(&moved), want, "a moved epoch boundary");
+        }
+
+        // A parallel region made sequential; every other region kept.
+        if let Some(at) = parallel {
+            let mut sequential = program.clone();
+            sequential.regions[at] = serialized(&program).regions[at].clone();
+            prop_assert_ne!(fp(&sequential), want, "a parallel region made sequential");
+        }
+
+        let mut renamed = program.clone();
+        renamed.name = format!("prog{suffix}");
+        prop_assert_ne!(fp(&renamed), want, "a renamed program");
+
+        prop_assert_eq!(fp(&serialized(&program)) == want, parallel.is_none());
+
+        let pair = BenchmarkPrograms { plain: program, tls: changed };
+        let encoder = PairEncoder::new(key, pair.plain.view(), pair.tls.view());
+        let mut bytes = Vec::new();
+        let written = encoder.write_to(&mut bytes).expect("a Vec takes every write");
+        let body = &bytes[..bytes.len() - CHECKSUM_LEN];
+        let layout = parse_pair_layout(&body[HEADER_LEN..]).expect("layout");
         let sealed = sealed_digest(&bytes, &layout);
-        let canonical = |p: &TraceProgram| fnv1a(&program_bytes(p));
-        let serialized = |p: &TraceProgram| canonical(&serialize_view(&p.view()));
+        let viewed = [
+            fp(&pair.plain),
+            fp(&pair.tls),
+            fp(&serialized(&pair.plain)),
+            fp(&serialized(&pair.tls)),
+        ];
         prop_assert_eq!(
             [sealed.plain, sealed.tls, sealed.plain_serialized, sealed.tls_serialized],
-            [
-                canonical(&pair.plain),
-                canonical(&pair.tls),
-                serialized(&pair.plain),
-                serialized(&pair.tls),
-            ]
+            viewed
         );
+        prop_assert_eq!(sealed, written);
+        prop_assert_eq!(digest_pair(body, &layout), written);
     }
 
     #[test]
@@ -177,8 +243,7 @@ proptest! {
         let opened = open_bytes("round-trip", &bytes, key).expect("round trip");
         prop_assert_eq!(&opened.plain.name, &pair.plain.name);
         prop_assert_eq!(&opened.tls.name, &pair.tls.name);
-        prop_assert_eq!(program_bytes(&opened.plain), program_bytes(&pair.plain));
-        prop_assert_eq!(program_bytes(&opened.tls), program_bytes(&pair.tls));
+        prop_assert!(opened.plain == pair.plain && opened.tls == pair.tls);
         // Re-encoding what was served is bit-identical: the format is
         // canonical.
         prop_assert_eq!(encode_pair_file(key, &opened), bytes);

@@ -24,7 +24,7 @@ impl fmt::Display for EpochId {
 
 /// One speculative thread: the dynamic instructions of one iteration of a
 /// parallelized loop.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Epoch {
     /// The recorded dynamic instructions, in program order.
     pub ops: Vec<TraceOp>,
@@ -48,7 +48,7 @@ impl Epoch {
 }
 
 /// A maximal single-mode section of the program.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Region {
     /// Code outside any parallelized loop; runs non-speculatively on one
     /// CPU while the others idle (this is where TLS coverage is lost).
@@ -86,7 +86,7 @@ impl Region {
 /// assert_eq!(p.name, "tiny");
 /// assert_eq!(p.total_ops(), 3);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceProgram {
     /// Human-readable benchmark name (e.g. `"new_order"`).
     pub name: String,

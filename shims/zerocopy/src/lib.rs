@@ -4,8 +4,10 @@
 //! implements exactly the API surface the workspace uses: the
 //! [`FromBytes`] / [`IntoBytes`] / [`Immutable`] / [`KnownLayout`] marker
 //! traits, their derives (re-exported from `zerocopy_derive`), and the
-//! checked slice-casting entry points the snapshot store's mmap read path
-//! is built on.
+//! checked casting entry points the snapshot store's mmap read path and
+//! its fixed headers are built on: slices of records, and one value read
+//! from the front of a buffer ([`FromBytes::ref_from_prefix`]) or viewed
+//! as bytes ([`IntoBytes::as_bytes`]).
 //!
 //! # Safety contract
 //!
@@ -25,12 +27,35 @@ pub use zerocopy_derive::{FromBytes, Immutable, IntoBytes, KnownLayout};
 
 /// Marker: every bit pattern of `size_of::<Self>()` bytes is a valid
 /// value of `Self` (all-integer field types, no padding, no niches).
-pub trait FromBytes: Sized {}
+pub trait FromBytes: Sized {
+    /// Reads one `Self` in place from the front of `bytes`, returning it
+    /// and the bytes after it. Fails if `bytes` is shorter than `Self` or
+    /// misaligned for it.
+    fn ref_from_prefix(bytes: &[u8]) -> Result<(&Self, &[u8]), CastError>
+    where
+        Self: Immutable,
+    {
+        let size = core::mem::size_of::<Self>();
+        if bytes.len() < size {
+            return Err(CastError::SizeMismatch { record: size, len: bytes.len() });
+        }
+        let (head, rest) = bytes.split_at(size);
+        Ok((&slice_from_bytes::<Self>(head)?[0], rest))
+    }
+}
 
 /// Marker: the bytes of `Self` fully determine its value — no padding
 /// bytes, so viewing a value as `&[u8]` never exposes uninitialized
 /// memory.
-pub trait IntoBytes: Sized {}
+pub trait IntoBytes: Sized {
+    /// Views `self` as its raw bytes, without copying.
+    fn as_bytes(&self) -> &[u8]
+    where
+        Self: Immutable,
+    {
+        slice_as_bytes(core::slice::from_ref(self))
+    }
+}
 
 /// Marker: `Self` contains no interior mutability (`UnsafeCell`), so a
 /// shared reference really is read-only.
@@ -130,6 +155,18 @@ mod tests {
         assert_eq!(bytes.len(), 16);
         let back: &[Rec] = slice_from_bytes(bytes).expect("aligned");
         assert_eq!(back, &recs);
+    }
+
+    #[test]
+    fn reads_a_prefix_in_place() {
+        let recs = [Rec { a: 1, b: 2 }, Rec { a: 3, b: 4 }];
+        let bytes = slice_as_bytes(&recs);
+        let (first, rest) = Rec::ref_from_prefix(bytes).expect("aligned and long enough");
+        assert_eq!((first, rest), (&recs[0], recs[1].as_bytes()));
+        assert_eq!(
+            Rec::ref_from_prefix(&bytes[..7]),
+            Err(CastError::SizeMismatch { record: 8, len: 7 })
+        );
     }
 
     #[test]
