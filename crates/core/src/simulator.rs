@@ -17,6 +17,10 @@
 //! 4. **Schedule** — free CPUs pick up the next epochs of the current
 //!    region; a region barrier separates regions.
 //!
+//! While exactly one epoch runs, one step covers a stretch of cycles:
+//! its CPU executes them back to back and the other phases run once, at
+//! the stretch's last cycle (see `Machine::stretch_end`).
+//!
 //! [`Machine`] is the paper's protocol core: epochs and their sub-thread
 //! checkpoints, the memory system, start tables, latches, violations,
 //! commit and scheduling. Every other mechanism is an owned component
@@ -39,7 +43,7 @@ use crate::report::{LivelockReport, SimReport, ViolationCounts};
 use crate::vpredict::{VLoad, ValueSpec};
 use std::collections::VecDeque;
 use tls_cache::{CacheStats, L1Data, MshrFile};
-use tls_cpu::{Core, CoreStats, HeadStall, MemKind};
+use tls_cpu::{Core, CoreStats, HeadStall};
 use tls_obs::{CycleClass, Event, EventKind, Observer};
 use tls_trace::{Addr, LatchId, OpKind, Pc, ProgramView, RegionView, TraceOp, TraceProgram};
 
@@ -276,49 +280,39 @@ struct MemSystem {
 }
 
 impl MemSystem {
-    /// Services one access; returns its completion cycle. Violations and
+    /// Services one load of `size` bytes at `addr` (from the op at `pc`)
+    /// executing at `start`; returns its completion cycle. Violations and
     /// overflow events are queued on `pending`.
-    fn access(
+    fn load(
         &mut self,
-        op: &TraceOp,
+        addr: Addr,
+        size: u8,
+        pc: Pc,
         ctx: AccessCtx,
         orders: &[Option<u32>],
         start: u64,
-        kind: MemKind,
     ) -> u64 {
-        let (addr, size) = match op.kind() {
-            OpKind::Load { addr, size } | OpKind::Store { addr, size } => (addr, size),
-            _ => unreachable!("memory callback on a non-memory op"),
-        };
         self.last_exposed = false;
-        match kind {
-            MemKind::Load => {
-                let l1 = self.l1s[ctx.cpu].read_sub(addr, ctx.speculative, ctx.sub);
-                if l1.hit {
-                    if l1.newly_spec_loaded && self.l2.note_l1_load(addr, size, ctx) {
-                        self.exposed[ctx.cpu].record(addr, op.pc());
-                        self.last_exposed = true;
-                    }
-                    return start + 1;
-                }
-                let mut out = std::mem::take(&mut self.scratch);
-                self.l2.read_into(start + 1, addr, size, ctx, &mut out);
-                if ctx.speculative && out.exposed {
-                    self.exposed[ctx.cpu].record(addr, op.pc());
-                    self.last_exposed = true;
-                }
-                self.queue_overflow(&out.overflow_victims, addr, orders);
-                self.l1s[ctx.cpu].fill_sub(addr, ctx.speculative, ctx.sub);
-                self.mshrs[ctx.cpu].add(out.completion);
-                let completion = out.completion;
-                self.scratch = out;
-                completion
+        let l1 = self.l1s[ctx.cpu].read_sub(addr, ctx.speculative, ctx.sub);
+        if l1.hit {
+            if l1.newly_spec_loaded && self.l2.note_l1_load(addr, size, ctx) {
+                self.exposed[ctx.cpu].record(addr, pc);
+                self.last_exposed = true;
             }
-            MemKind::Store => {
-                self.write(addr, size, op.pc(), ctx, orders, start);
-                start + 1
-            }
+            return start + 1;
         }
+        let mut out = std::mem::take(&mut self.scratch);
+        self.l2.read_into(start + 1, addr, size, ctx, &mut out);
+        if ctx.speculative && out.exposed {
+            self.exposed[ctx.cpu].record(addr, pc);
+            self.last_exposed = true;
+        }
+        self.queue_overflow(&out.overflow_victims, addr, orders);
+        self.l1s[ctx.cpu].fill_sub(addr, ctx.speculative, ctx.sub);
+        self.mshrs[ctx.cpu].add(out.completion);
+        let completion = out.completion;
+        self.scratch = out;
+        completion
     }
 
     /// Applies one store to the hierarchy at cycle `now`: a dispatched
@@ -471,7 +465,9 @@ impl CmpSimulator {
     /// `tests/observation_neutrality.rs`), idle-cycle fast-forward stays
     /// effective (each skipped span is recorded as one synthetic
     /// [`tls_obs::EventKind::IdleSpan`] event), and passing `None` costs
-    /// a single predictable branch per hook.
+    /// a single predictable branch per hook. An observed run samples
+    /// every cycle, so it steps a lone epoch cycle by cycle rather than
+    /// in stretches; that costs host time only.
     ///
     /// # Panics
     ///
@@ -699,32 +695,90 @@ impl<'p> Machine<'p> {
             && self.slots.iter().all(|s| matches!(s, Slot::Free))
     }
 
-    /// One simulated cycle. Returns whether anything *happened*: a fault
-    /// touched the machine, a CPU retired/dispatched/advanced, a
-    /// violation was pending, an epoch committed, or the scheduler placed
-    /// work. A `false` return certifies the machine is quiescent — every
-    /// subsequent cycle will be identical until the next timed event — so
-    /// the caller may [`fast_forward`](Machine::fast_forward).
+    /// One simulated cycle — or, for a lone epoch, a stretch of them (see
+    /// [`stretch_end`](Machine::stretch_end)); `self.cycle` is left at
+    /// the last cycle stepped. Returns whether anything *happened* in that
+    /// cycle: a fault touched the machine, a CPU retired/dispatched/
+    /// advanced, a violation was pending, an epoch committed, or the
+    /// scheduler placed work. A `false` return certifies the machine is
+    /// quiescent — every subsequent cycle will be identical until the
+    /// next timed event — so the caller may
+    /// [`fast_forward`](Machine::fast_forward).
     fn step(&mut self) -> bool {
         let mut active = self.apply_due_faults();
+        let first = self.cycle;
+        // A fault that acted this cycle may have changed what a stretch
+        // assumes, so that cycle is stepped alone.
+        let last = if active { first } else { self.stretch_end() };
         let orders = self.orders_snapshot();
         // Each core is borrowed across its CPU's dispatch loop, which calls
         // machine methods: measurably faster than re-indexing `self.cores`.
         let mut cores = std::mem::take(&mut self.cores);
+        let mut free = 0u64;
         for (cpu, core) in cores.iter_mut().enumerate() {
-            active |= self.execute_cpu(cpu, core, &orders);
+            if matches!(self.slots[cpu], Slot::Free) {
+                free += 1;
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.metrics.tick(cpu, CycleClass::Idle);
+                }
+            } else {
+                active |= if last > first {
+                    self.execute_cpu::<true>(cpu, core, &orders, last)
+                } else {
+                    self.execute_cpu::<false>(cpu, core, &orders, last)
+                };
+            }
             if self.obs.is_some() {
                 self.note_victim_spills(cpu, &orders);
             }
         }
         self.cores = cores;
+        // Free CPUs idle through every cycle the step covered.
+        if free > 0 {
+            self.acct.add(CycleCategory::Idle, free * (self.cycle - first + 1));
+        }
         active |= !self.mem.pending.is_empty();
         self.apply_violations();
         let committed = self.next_commit;
-        self.commit_ready();
-        let scheduled = (self.next_order, self.region_index);
-        self.schedule();
-        active || self.next_commit != committed || (self.next_order, self.region_index) != scheduled
+        if self.slots.iter().any(|s| matches!(s, Slot::Running(r) if r.finished)) {
+            self.commit_ready();
+        }
+        // Only a commit frees a slot, and `schedule` left the machine at
+        // its fixed point last time it ran: without a commit it would
+        // place nothing and open no region.
+        if self.next_commit != committed {
+            self.schedule();
+        }
+        active || self.next_commit != committed
+    }
+
+    /// The last cycle the step starting at `self.cycle` may cover. That is
+    /// this cycle, except when exactly one epoch is running and per-cycle
+    /// stepping shows nothing the stretch would not. The lone epoch holds
+    /// the homefree token (every older epoch committed), nothing can be
+    /// scheduled before it commits (`schedule` filled every free CPU it
+    /// could), and the free CPUs only idle. So its CPU may run on
+    /// through consecutive cycles in one
+    /// [`execute_cpu`](Machine::execute_cpu) call, which stops at the
+    /// first cycle whose violation, commit, schedule or fast-forward
+    /// phase has work. The stretch also ends before the chaos injector's
+    /// next wake-up (armed faults probe every cycle, so none may be
+    /// pending) and at `max_cycles`, so the overrun fires at the same
+    /// cycle. An attached observer samples per cycle and TSO drains are
+    /// per-cycle events, so both keep per-cycle stepping.
+    fn stretch_end(&self) -> u64 {
+        let now = self.cycle;
+        if self.obs.is_some() || self.tso.is_some() || self.chaos.has_armed() {
+            return now;
+        }
+        if self.slots.iter().filter(|s| matches!(s, Slot::Running(_))).count() != 1 {
+            return now;
+        }
+        let mut last = if self.cfg.max_cycles > 0 { self.cfg.max_cycles } else { u64::MAX };
+        for at in self.chaos.wakeups().filter(|&at| at > now) {
+            last = last.min(at - 1);
+        }
+        last.max(now)
     }
 
     /// Emits a victim-spill event when `cpu`'s just-executed accesses
@@ -1002,271 +1056,308 @@ impl<'p> Machine<'p> {
         emit!(self, EventKind::SerializabilityBreach, cpu, epoch, 0, 0, n);
     }
 
-    /// One CPU's execute phase. Returns whether the epoch made progress
-    /// — retired, dispatched, moved its cursor, started or merged a
-    /// sub-thread, finished, or hit a latch error. A no-progress cycle
-    /// recomputes exactly the state it inherited, which is what licenses
-    /// fast-forwarding streaks of them.
-    fn execute_cpu(&mut self, cpu: usize, core: &mut Core, orders: &[Option<u32>]) -> bool {
-        let mut run = match std::mem::replace(&mut self.slots[cpu], Slot::Free) {
-            Slot::Free => {
-                self.acct.add(CycleCategory::Idle, 1);
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.metrics.tick(cpu, CycleClass::Idle);
-                }
-                return false;
-            }
-            Slot::Running(r) => r,
+    /// One running CPU's execute phase, for the cycles from `self.cycle`
+    /// up to `last`. Returns whether the epoch made progress in the last
+    /// cycle it ran — retired, dispatched, moved its cursor, started or
+    /// merged a sub-thread, finished, or hit a latch error. A no-progress
+    /// cycle recomputes exactly the state it inherited, which is what
+    /// licenses fast-forwarding streaks of them.
+    ///
+    /// `last` is `self.cycle` except for a lone epoch (see
+    /// [`stretch_end`](Machine::stretch_end)), which `step` runs as
+    /// `LONE`: then the CPU steps on through consecutive cycles, advancing
+    /// `self.cycle`, and stops after the cycle that finishes the epoch,
+    /// queues a violation, hits a latch error or makes no progress — the
+    /// cycles whose commit, schedule and fast-forward phases have work —
+    /// or after `last`. Every cycle before that one would have found those
+    /// phases idle, so skipping them is exact. A lone epoch holds the
+    /// homefree token and runs with no store buffers and no observer, so
+    /// under `LONE` the speculative, TSO, predictor and observer branches
+    /// fold away at compile time: the same loop, without their tests.
+    fn execute_cpu<const LONE: bool>(
+        &mut self,
+        cpu: usize,
+        core: &mut Core,
+        orders: &[Option<u32>],
+        last: u64,
+    ) -> bool {
+        let Slot::Running(mut run) = std::mem::replace(&mut self.slots[cpu], Slot::Free) else {
+            unreachable!("free CPUs are charged Idle by the caller")
         };
-        let cursor_in = run.cursor;
-        let checkpoints_in = run.checkpoints.len();
-        let finished_in = run.finished;
-        let started_in = self.subthreads_started;
-        let merges_in = self.subthread_merges;
-        core.begin_cycle(self.cycle);
-        let retired = core.retire();
-        let speculative = run.order > self.next_commit;
-        let mut dispatched = 0usize;
-        let mut examined = 0usize;
-        let mut latch_errors: Vec<LatchError> = Vec::new();
-        run.waiting_sync = false;
-        // TSO bookkeeping for this cycle. `drain_stall` carries the
-        // cause code when the CPU hit an explicit ordering point (1 =
-        // full buffer, 2 = forwarding conflict, 3 = ordering-point
-        // flush).
-        let mut drain_stall: Option<u64> = None;
         // What the dispatch loop reads on every op is read once, here:
         // the loop calls `&mut self` methods, after which the compiler
         // must reload any field of `self` it reads again.
-        let (tso, vp, log_stores) = (self.tso.is_some(), self.vp.is_some(), self.log_stores);
-        let (now, sync_predictor) = (self.cycle, self.predictor.is_some());
+        let tso = !LONE && self.tso.is_some();
+        let (vp, log_stores) = (!LONE && self.vp.is_some(), self.log_stores);
+        let sync_predictor = !LONE && self.predictor.is_some();
         let contexts = self.cfg.subthreads.contexts;
         let merge = contexts >= 2 && self.cfg.subthreads.exhaustion == ExhaustionPolicy::Merge;
-        // This cycle's share of the run's envelope, folded in once at the
-        // end: what the boundary checks below read of the configuration.
-        let (mut longest_quiet, mut attempted, mut found_full) = (0u64, false, false);
+        let mut latch_errors: Vec<LatchError> = Vec::new();
+        let progress = loop {
+            let now = self.cycle;
+            let cursor_in = run.cursor;
+            let checkpoints_in = run.checkpoints.len();
+            let finished_in = run.finished;
+            let started_in = self.subthreads_started;
+            let merges_in = self.subthread_merges;
+            core.begin_cycle(now);
+            let retired = core.retire();
+            debug_assert!(!LONE || run.order == self.next_commit, "a lone epoch holds the token");
+            let speculative = !LONE && run.order > self.next_commit;
+            let mut dispatched = 0usize;
+            let mut examined = 0usize;
+            run.waiting_sync = false;
+            // TSO bookkeeping for this cycle. `drain_stall` carries the
+            // cause code when the CPU hit an explicit ordering point (1 =
+            // full buffer, 2 = forwarding conflict, 3 = ordering-point
+            // flush).
+            let mut drain_stall: Option<u64> = None;
+            // This cycle's share of the run's envelope, folded in once at the
+            // end: what the boundary checks below read of the configuration.
+            let (mut longest_quiet, mut attempted, mut found_full) = (0u64, false, false);
 
-        // Retry a latch we blocked on last cycle; while it stays taken,
-        // the epoch dispatches nothing.
-        if let Some(latch) = run.latch_retry {
-            if self.latches.try_acquire(cpu, latch) {
-                run.latch_retry = None;
-                run.held_latches.push((latch, run.cursor));
-                run.cursor += 1;
-            }
-        }
-        let mut blocked = run.latch_retry.is_some();
-
-        while !blocked && run.cursor < run.ops.len() && examined < OPS_PER_CYCLE_CAP {
-            examined += 1;
-            // Progress fallback: a serialized (livelock-degraded) epoch
-            // dispatches nothing while speculative — it waits, as Sync,
-            // for the homefree token, then runs non-speculatively so no
-            // further violation can touch it. Inside an escaped critical
-            // section it keeps running: stalling while holding a latch an
-            // older epoch needs would deadlock the machine.
-            if run.serialized && speculative && run.held_latches.is_empty() {
-                run.waiting_sync = true;
-                break;
-            }
-            // Sub-thread boundary: checkpoint and broadcast.
-            let since = (run.cursor - *run.checkpoints.last().expect("nonempty")) as u64;
-            // Checkpoints are never placed inside an escaped critical
-            // section: escaped operations are not rolled back, so a
-            // rewind target between a latch acquire and its release
-            // would replay an unbalanced half of the section. The
-            // boundary is simply deferred a few instructions until the
-            // latches are released.
-            let eligible = speculative && run.held_latches.is_empty();
-            if eligible && since < run.spacing {
-                longest_quiet = longest_quiet.max(since);
-            }
-            let boundary = eligible && since >= run.spacing;
-            if boundary {
-                attempted = true;
-                if (run.checkpoints.len() as u8) == contexts {
-                    found_full = true;
-                    if merge {
-                        // Recycle a context: merge the adjacent checkpoint
-                        // pair with the smallest combined span.
-                        self.merge_one_context(cpu, &mut run);
-                    }
-                }
-            }
-            if boundary && (run.checkpoints.len() as u8) < contexts {
-                run.checkpoints.push(run.cursor);
-                run.ledger.push_subthread();
-                self.subthreads_started += 1;
-                let new_sub = run.cur_sub();
-                emit!(self, EventKind::SubThreadStart, cpu, run, run.cursor as u64, 0);
-                for (other, order) in orders.iter().enumerate() {
-                    if other != cpu && order.is_some_and(|o| o > run.order) {
-                        if let Slot::Running(o) = &mut self.slots[other] {
-                            let local = o.cur_sub();
-                            o.start_table.record(cpu, new_sub, local);
-                        }
-                    }
-                }
-                continue;
-            }
-            let op = &run.ops[run.cursor];
-            match op.kind() {
-                OpKind::LatchAcquire(latch) => {
-                    // TSO ordering point: older stores must be visible
-                    // before the critical section opens, so the buffer
-                    // drains fully before the acquire is attempted.
-                    if tso && self.tso.as_ref().is_some_and(|t| t.holds_stores(cpu)) {
-                        drain_stall = Some(3);
-                        break;
-                    }
-                    if self.latches.try_acquire(cpu, latch) {
-                        run.held_latches.push((latch, run.cursor));
-                        run.cursor += 1;
-                    } else {
-                        run.latch_retry = Some(latch);
-                        blocked = true;
-                        emit!(self, EventKind::LatchStall, cpu, run, latch.0 as u64, 0);
-                    }
-                }
-                OpKind::LatchRelease(latch) => {
-                    if let Err(e) = self.latches.release(cpu, latch) {
-                        latch_errors.push(e);
-                    }
-                    if let Some(i) = run.held_latches.iter().rposition(|(l, _)| *l == latch) {
-                        run.held_latches.remove(i);
-                    }
+            // Retry a latch we blocked on last cycle; while it stays taken,
+            // the epoch dispatches nothing.
+            if let Some(latch) = run.latch_retry {
+                if self.latches.try_acquire(cpu, latch) {
+                    run.latch_retry = None;
+                    run.held_latches.push((latch, run.cursor));
                     run.cursor += 1;
                 }
-                kind => {
-                    if !core.can_dispatch() {
-                        break;
-                    }
-                    // TSO: a store enters this CPU's bounded buffer
-                    // (reaching the caches only when it drains) and a
-                    // load probes the buffer youngest-first for
-                    // same-address forwarding. Either bypass completes
-                    // locally in one cycle — exactly a store's SC
-                    // latency — so TSO's timing delta comes entirely
-                    // from drain stalls, never from the bypass itself.
-                    let ctx = AccessCtx { cpu, sub: run.cur_sub(), speculative };
-                    let mut bypass = false;
-                    if tso && matches!(kind, OpKind::Load { .. } | OpKind::Store { .. }) {
-                        let t = self.tso.as_mut().expect("TSO machine");
-                        match t.dispatch(kind, op.pc(), run.cursor, ctx) {
-                            Dispatch::Stall(cause) => {
-                                drain_stall = Some(cause);
-                                break;
-                            }
-                            gate => bypass = gate == Dispatch::Bypass,
+            }
+            let mut blocked = run.latch_retry.is_some();
+
+            while !blocked && run.cursor < run.ops.len() && examined < OPS_PER_CYCLE_CAP {
+                examined += 1;
+                // Progress fallback: a serialized (livelock-degraded) epoch
+                // dispatches nothing while speculative — it waits, as Sync,
+                // for the homefree token, then runs non-speculatively so no
+                // further violation can touch it. Inside an escaped critical
+                // section it keeps running: stalling while holding a latch an
+                // older epoch needs would deadlock the machine.
+                if run.serialized && speculative && run.held_latches.is_empty() {
+                    run.waiting_sync = true;
+                    break;
+                }
+                // Sub-thread boundary: checkpoint and broadcast.
+                let since = (run.cursor - *run.checkpoints.last().expect("nonempty")) as u64;
+                // Checkpoints are never placed inside an escaped critical
+                // section: escaped operations are not rolled back, so a
+                // rewind target between a latch acquire and its release
+                // would replay an unbalanced half of the section. The
+                // boundary is simply deferred a few instructions until the
+                // latches are released.
+                let eligible = speculative && run.held_latches.is_empty();
+                if eligible && since < run.spacing {
+                    longest_quiet = longest_quiet.max(since);
+                }
+                let boundary = eligible && since >= run.spacing;
+                if boundary {
+                    attempted = true;
+                    if (run.checkpoints.len() as u8) == contexts {
+                        found_full = true;
+                        if merge {
+                            // Recycle a context: merge the adjacent checkpoint
+                            // pair with the smallest combined span.
+                            self.merge_one_context(cpu, &mut run);
                         }
                     }
-                    if !bypass && matches!(kind, OpKind::Load { .. }) {
-                        if !self.mem.mshrs[cpu].can_accept(now) {
+                }
+                if boundary && (run.checkpoints.len() as u8) < contexts {
+                    run.checkpoints.push(run.cursor);
+                    run.ledger.push_subthread();
+                    self.subthreads_started += 1;
+                    let new_sub = run.cur_sub();
+                    emit!(self, EventKind::SubThreadStart, cpu, run, run.cursor as u64, 0);
+                    for (other, order) in orders.iter().enumerate() {
+                        if other != cpu && order.is_some_and(|o| o > run.order) {
+                            if let Slot::Running(o) = &mut self.slots[other] {
+                                let local = o.cur_sub();
+                                o.start_table.record(cpu, new_sub, local);
+                            }
+                        }
+                    }
+                    continue;
+                }
+                let op = &run.ops[run.cursor];
+                match op.kind() {
+                    OpKind::LatchAcquire(latch) => {
+                        // TSO ordering point: older stores must be visible
+                        // before the critical section opens, so the buffer
+                        // drains fully before the acquire is attempted.
+                        if tso && self.tso.as_ref().is_some_and(|t| t.holds_stores(cpu)) {
+                            drain_stall = Some(3);
                             break;
                         }
-                        // §1.2 alternative: synchronize predicted-violating
-                        // loads until this thread is the oldest. Never
-                        // inside an escaped critical section: the thread
-                        // holds a latch the older threads may need, and
-                        // escaped operations are not speculative anyway.
-                        if sync_predictor && speculative && run.held_latches.is_empty() {
-                            let predictor = self.predictor.as_mut();
-                            if let Some(p) = predictor.filter(|p| p.predicts_violation(op.pc())) {
-                                if run.last_sync_cursor != Some(run.cursor) {
-                                    run.last_sync_cursor = Some(run.cursor);
-                                    p.note_synchronization();
+                        if self.latches.try_acquire(cpu, latch) {
+                            run.held_latches.push((latch, run.cursor));
+                            run.cursor += 1;
+                        } else {
+                            run.latch_retry = Some(latch);
+                            blocked = true;
+                            emit!(self, EventKind::LatchStall, cpu, run, latch.0 as u64, 0);
+                        }
+                    }
+                    OpKind::LatchRelease(latch) => {
+                        if let Err(e) = self.latches.release(cpu, latch) {
+                            latch_errors.push(e);
+                        }
+                        if let Some(i) = run.held_latches.iter().rposition(|(l, _)| *l == latch) {
+                            run.held_latches.remove(i);
+                        }
+                        run.cursor += 1;
+                    }
+                    kind => {
+                        if !core.can_dispatch() {
+                            break;
+                        }
+                        // TSO: a store enters this CPU's bounded buffer
+                        // (reaching the caches only when it drains) and a
+                        // load probes the buffer youngest-first for
+                        // same-address forwarding. Either bypass completes
+                        // locally in one cycle — exactly a store's SC
+                        // latency — so TSO's timing delta comes entirely
+                        // from drain stalls, never from the bypass itself.
+                        let ctx = AccessCtx { cpu, sub: run.cur_sub(), speculative };
+                        let mut bypass = false;
+                        if tso && matches!(kind, OpKind::Load { .. } | OpKind::Store { .. }) {
+                            let t = self.tso.as_mut().expect("TSO machine");
+                            match t.dispatch(kind, op.pc(), run.cursor, ctx) {
+                                Dispatch::Stall(cause) => {
+                                    drain_stall = Some(cause);
+                                    break;
                                 }
-                                run.waiting_sync = true;
+                                gate => bypass = gate == Dispatch::Bypass,
+                            }
+                        }
+                        if !bypass && matches!(kind, OpKind::Load { .. }) {
+                            if !self.mem.mshrs[cpu].can_accept(now) {
                                 break;
                             }
-                        }
-                    }
-                    if log_stores {
-                        if let OpKind::Store { addr, size } = kind {
-                            run.stores.push((run.cursor, addr, size));
-                        }
-                    }
-                    if bypass {
-                        core.dispatch(op, |start, _, _| start + 1);
-                    } else {
-                        let mem = &mut self.mem;
-                        core.dispatch(op, |start, _, mk| mem.access(op, ctx, orders, start, mk));
-                        // Value prediction covers exposed speculative loads:
-                        // the access callback (synchronous) just flagged
-                        // whether this load recorded an exposure. (A
-                        // forwarded load consumes this CPU's own buffered
-                        // value: no exposure, no prediction to track.)
-                        if vp && speculative && self.mem.last_exposed {
-                            if let OpKind::Load { addr, .. } = kind {
-                                let v = self.vp.as_mut().expect("value-prediction machine");
-                                v.track(&mut run.vloads, run.cursor, addr, op.pc());
+                            // §1.2 alternative: synchronize predicted-violating
+                            // loads until this thread is the oldest. Never
+                            // inside an escaped critical section: the thread
+                            // holds a latch the older threads may need, and
+                            // escaped operations are not speculative anyway.
+                            if sync_predictor && speculative && run.held_latches.is_empty() {
+                                let predictor = self.predictor.as_mut();
+                                if let Some(p) = predictor.filter(|p| p.predicts_violation(op.pc()))
+                                {
+                                    if run.last_sync_cursor != Some(run.cursor) {
+                                        run.last_sync_cursor = Some(run.cursor);
+                                        p.note_synchronization();
+                                    }
+                                    run.waiting_sync = true;
+                                    break;
+                                }
                             }
                         }
+                        if log_stores {
+                            if let OpKind::Store { addr, size } = kind {
+                                run.stores.push((run.cursor, addr, size));
+                            }
+                        }
+                        if bypass {
+                            core.dispatch(op, kind, |start, _, _| start + 1);
+                        } else {
+                            let (mem, pc) = (&mut self.mem, op.pc());
+                            core.dispatch(op, kind, |start, _, _| match kind {
+                                OpKind::Load { addr, size } => {
+                                    mem.load(addr, size, pc, ctx, orders, start)
+                                }
+                                OpKind::Store { addr, size } => {
+                                    mem.write(addr, size, pc, ctx, orders, start);
+                                    start + 1
+                                }
+                                _ => unreachable!("memory callback on a non-memory op"),
+                            });
+                            // Value prediction covers exposed speculative loads:
+                            // the access callback (synchronous) just flagged
+                            // whether this load recorded an exposure. (A
+                            // forwarded load consumes this CPU's own buffered
+                            // value: no exposure, no prediction to track.)
+                            if vp && speculative && self.mem.last_exposed {
+                                if let OpKind::Load { addr, .. } = kind {
+                                    let v = self.vp.as_mut().expect("value-prediction machine");
+                                    v.track(&mut run.vloads, run.cursor, addr, pc);
+                                }
+                            }
+                        }
+                        run.cursor += 1;
+                        dispatched += 1;
                     }
-                    run.cursor += 1;
-                    dispatched += 1;
                 }
             }
-        }
 
-        self.envelope.fold(longest_quiet, attempted, found_full);
-        if run.cursor == run.ops.len() && core.is_drained() && !blocked {
-            run.finished = true;
-        }
-
-        // TSO drain engine: one entry per cycle leaves the buffer
-        // whenever the CPU is stalled — at an explicit ordering point
-        // (full buffer, forwarding conflict, latch acquire, the
-        // pre-commit flush of a finished epoch) or opportunistically
-        // while it waits on anything else. The drained store reaches the
-        // memory system with the context it dispatched under.
-        let mut drained_one = false;
-        if tso {
-            let t = self.tso.as_mut().expect("TSO machine");
-            let idle = dispatched == 0 && retired.retired == 0;
-            if let Some(e) = t.drain(cpu, self.cycle, run.finished, idle, &mut drain_stall) {
-                let ctx = AccessCtx { cpu, sub: e.sub, speculative: e.speculative };
-                self.mem.write(e.addr, e.size, e.pc, ctx, orders, self.cycle);
-                if log_stores {
-                    run.drained.push((e.cursor, e.addr, e.size));
-                }
-                drained_one = true;
+            self.envelope.fold(longest_quiet, attempted, found_full);
+            if run.cursor == run.ops.len() && core.is_drained() && !blocked {
+                run.finished = true;
             }
-        }
 
-        let category = if retired.retired > 0 || dispatched > 0 {
-            CycleCategory::Busy
-        } else if drain_stall.is_some() {
-            CycleCategory::DrainStall
-        } else if blocked {
-            CycleCategory::Latch
-        } else if run.waiting_sync || run.finished {
-            CycleCategory::Sync
-        } else if retired.head_stall == HeadStall::Memory {
-            CycleCategory::CacheMiss
-        } else {
-            CycleCategory::Busy
+            // TSO drain engine: one entry per cycle leaves the buffer
+            // whenever the CPU is stalled — at an explicit ordering point
+            // (full buffer, forwarding conflict, latch acquire, the
+            // pre-commit flush of a finished epoch) or opportunistically
+            // while it waits on anything else. The drained store reaches the
+            // memory system with the context it dispatched under.
+            let mut drained_one = false;
+            if tso {
+                let t = self.tso.as_mut().expect("TSO machine");
+                let idle = dispatched == 0 && retired.retired == 0;
+                if let Some(e) = t.drain(cpu, now, run.finished, idle, &mut drain_stall) {
+                    let ctx = AccessCtx { cpu, sub: e.sub, speculative: e.speculative };
+                    self.mem.write(e.addr, e.size, e.pc, ctx, orders, now);
+                    if log_stores {
+                        run.drained.push((e.cursor, e.addr, e.size));
+                    }
+                    drained_one = true;
+                }
+            }
+
+            let category = if retired.retired > 0 || dispatched > 0 {
+                CycleCategory::Busy
+            } else if drain_stall.is_some() {
+                CycleCategory::DrainStall
+            } else if blocked {
+                CycleCategory::Latch
+            } else if run.waiting_sync || run.finished {
+                CycleCategory::Sync
+            } else if retired.head_stall == HeadStall::Memory {
+                CycleCategory::CacheMiss
+            } else {
+                CycleCategory::Busy
+            };
+            run.ledger.record(category);
+            run.last_category = category;
+            // One drain-stall event per stall episode, at its start.
+            let stalled = category == CycleCategory::DrainStall;
+            let episode = if tso { self.tso.as_mut() } else { None };
+            if let Some(buffered) = episode.and_then(|t| t.episode_start(cpu, stalled)) {
+                let buffered = buffered + drained_one as u64;
+                emit!(self, EventKind::DrainStall, cpu, run, buffered, drain_stall.unwrap_or(0));
+            }
+            if let Some(o) = self.obs.as_deref_mut().filter(|_| !LONE) {
+                o.metrics.tick(cpu, cycle_class(category));
+            }
+            let progress = retired.retired > 0
+                || dispatched > 0
+                || drained_one
+                || run.cursor != cursor_in
+                || run.checkpoints.len() != checkpoints_in
+                || run.finished != finished_in
+                || self.subthreads_started != started_in
+                || self.subthread_merges != merges_in
+                || !latch_errors.is_empty();
+            if now == last
+                || !progress
+                || run.finished
+                || !latch_errors.is_empty()
+                || !self.mem.pending.is_empty()
+            {
+                break progress;
+            }
+            self.cycle += 1;
         };
-        run.ledger.record(category);
-        run.last_category = category;
-        // One drain-stall event per stall episode, at its start.
-        let stalled = category == CycleCategory::DrainStall;
-        if let Some(buffered) = self.tso.as_mut().and_then(|t| t.episode_start(cpu, stalled)) {
-            let buffered = buffered + drained_one as u64;
-            emit!(self, EventKind::DrainStall, cpu, run, buffered, drain_stall.unwrap_or(0));
-        }
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.metrics.tick(cpu, cycle_class(category));
-        }
-        let progress = retired.retired > 0
-            || dispatched > 0
-            || drained_one
-            || run.cursor != cursor_in
-            || run.checkpoints.len() != checkpoints_in
-            || run.finished != finished_in
-            || self.subthreads_started != started_in
-            || self.subthread_merges != merges_in
-            || !latch_errors.is_empty();
         self.slots[cpu] = Slot::Running(run);
         for e in latch_errors {
             self.checks.latch_error(self.cycle, self.chaos.latch_hazard, e);

@@ -153,6 +153,53 @@ pub fn latched_rmw(threads: usize, ops: usize, rmw_at: Position) -> TraceProgram
     b.finish()
 }
 
+/// Builds a mostly sequential program: a sequential region of `4 * ops`
+/// instructions, a parallel region of one epoch, another sequential
+/// region, `threads` parallel epochs of `ops` instructions with a shared
+/// read-modify-write, and a sequential tail with a latched critical
+/// section. Loads stride over a footprint larger than a test-sized L1,
+/// so misses stall the lone thread. Everything but the wide region runs
+/// one epoch at a time — the regime of serialized runs and of the tails
+/// of parallel regions.
+pub fn sequential_heavy(threads: usize, ops: usize) -> TraceProgram {
+    fn serial(b: &mut ProgramBuilder, module: u16, ops: usize) {
+        for i in 0..ops {
+            let pc = Pc::new(module, (i % 64) as u16);
+            match i % 7 {
+                0 => b.load(pc, Addr(0xC_0000 + (i as u64 * 40) % 0x4000), 8),
+                3 => b.store(pc, Addr(0xD_0000 + (i as u64 % 256) * 8), 8),
+                5 => b.branch(pc, i % 3 == 0),
+                _ => b.int_alu(pc),
+            }
+        }
+    }
+    let mut b = ProgramBuilder::new("synthetic-sequential-heavy");
+    serial(&mut b, 0x100, 4 * ops);
+    b.begin_parallel();
+    b.begin_epoch();
+    serial(&mut b, 0x101, ops);
+    b.end_epoch();
+    b.end_parallel();
+    serial(&mut b, 0x102, ops);
+    b.begin_parallel();
+    for t in 0..threads {
+        b.begin_epoch();
+        serial(&mut b, t as u16, ops / 2);
+        b.load(Pc::new(0x103, 0), Addr(0xE_0000), 8);
+        b.store(Pc::new(0x103, 1), Addr(0xE_0000), 8);
+        serial(&mut b, t as u16, ops / 2);
+        b.end_epoch();
+    }
+    b.end_parallel();
+    serial(&mut b, 0x104, ops / 2);
+    b.latch_acquire(Pc::new(0x104, 100), LatchId(3));
+    b.load(Pc::new(0x104, 101), Addr(0xE_0000), 8);
+    b.store(Pc::new(0x104, 102), Addr(0xE_0000), 8);
+    b.latch_release(Pc::new(0x104, 103), LatchId(3));
+    serial(&mut b, 0x104, ops / 2);
+    b.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -140,17 +140,25 @@ impl Core {
             && self.cur_cycle >= self.fetch_stall_until
     }
 
-    /// Dispatches one instruction. For loads and stores, `mem` is invoked
-    /// with `(execute_cycle, address, kind)` and must return the access
-    /// completion cycle (`>= execute_cycle`). Returns the instruction's
-    /// completion cycle.
+    /// Dispatches one instruction. `kind` is `op.kind()`, decoded once by
+    /// the caller (which has already dispatched on it). For loads and
+    /// stores, `mem` is invoked with `(execute_cycle, address, kind)` and
+    /// must return the access completion cycle (`>= execute_cycle`).
+    /// Returns the instruction's completion cycle.
     ///
     /// # Panics
     ///
     /// Panics if called while [`can_dispatch`](Core::can_dispatch) is
     /// false, or on a latch op (those never reach the core).
-    pub fn dispatch(&mut self, op: &TraceOp, mem: impl FnOnce(u64, Addr, MemKind) -> u64) -> u64 {
+    #[inline]
+    pub fn dispatch(
+        &mut self,
+        op: &TraceOp,
+        kind: OpKind,
+        mem: impl FnOnce(u64, Addr, MemKind) -> u64,
+    ) -> u64 {
         assert!(self.can_dispatch(), "dispatch while the core is stalled");
+        debug_assert_eq!(kind, op.kind(), "kind is the op's own decoding");
         // Instruction fetch: a miss stalls the front end for the L2
         // round trip (the op itself still dispatches this cycle — it was
         // already in the fetch buffer; its successors pay the stall).
@@ -166,7 +174,7 @@ impl Core {
         if dep > 0 && dep <= self.recent.len() {
             ready = ready.max(self.recent[self.recent.len() - dep]);
         }
-        let (completion, is_load) = match op.kind() {
+        let (completion, is_load) = match kind {
             OpKind::IntAlu { latency } => {
                 let occ = Self::occupancy(latency);
                 let start = self.int_ports.book(ready, occ);
@@ -316,6 +324,11 @@ mod tests {
         unreachable!("no memory op expected")
     }
 
+    /// Dispatches `op` with its own decoding, as the simulator does.
+    fn dispatch(core: &mut Core, op: &TraceOp, mem: impl FnOnce(u64, Addr, MemKind) -> u64) {
+        core.dispatch(op, op.kind(), mem);
+    }
+
     /// Runs `ops` to completion on a paper-default core with `mem_latency`
     /// for every memory access; returns total cycles.
     fn run(cfg: CpuConfig, ops: &[TraceOp], mem_latency: u64) -> u64 {
@@ -329,7 +342,7 @@ mod tests {
                 return cycle;
             }
             while next < ops.len() && core.can_dispatch() {
-                core.dispatch(&ops[next], |start, _, _| start + mem_latency);
+                dispatch(&mut core, &ops[next], |start, _, _| start + mem_latency);
                 next += 1;
             }
             cycle += 1;
@@ -409,7 +422,7 @@ mod tests {
                 break;
             }
             while next < ops.len() && core.can_dispatch() {
-                core.dispatch(&ops[next], no_mem);
+                dispatch(&mut core, &ops[next], no_mem);
                 next += 1;
             }
             cycle += 1;
@@ -438,7 +451,7 @@ mod tests {
                 saw_full_rob = true;
             }
             while next < ops.len() && core.can_dispatch() {
-                core.dispatch(&ops[next], |start, _, _| start + 500);
+                dispatch(&mut core, &ops[next], |start, _, _| start + 500);
                 next += 1;
             }
             if next == ops.len() && core.is_drained() {
@@ -453,7 +466,7 @@ mod tests {
     fn flush_clears_inflight_work() {
         let mut core = Core::new(CpuConfig::paper_default());
         core.begin_cycle(0);
-        core.dispatch(&TraceOp::load(Pc::new(0, 8), Addr(0), 8), |s, _, _| s + 1000);
+        dispatch(&mut core, &TraceOp::load(Pc::new(0, 8), Addr(0), 8), |s, _, _| s + 1000);
         assert!(!core.is_drained());
         core.flush();
         assert!(core.is_drained());
@@ -466,7 +479,7 @@ mod tests {
     fn latch_op_panics() {
         let mut core = Core::new(CpuConfig::paper_default());
         core.begin_cycle(0);
-        core.dispatch(&TraceOp::latch_acquire(Pc::new(0, 9), tls_trace::LatchId(0)), no_mem);
+        dispatch(&mut core, &TraceOp::latch_acquire(Pc::new(0, 9), tls_trace::LatchId(0)), no_mem);
     }
 
     #[test]
@@ -474,9 +487,9 @@ mod tests {
     fn overdispatch_panics() {
         let mut core = Core::new(CpuConfig::scalar_test());
         core.begin_cycle(0);
-        core.dispatch(&TraceOp::int_alu(Pc::new(0, 0), 1), no_mem);
+        dispatch(&mut core, &TraceOp::int_alu(Pc::new(0, 0), 1), no_mem);
         // width 1: second dispatch in the same cycle must panic
-        core.dispatch(&TraceOp::int_alu(Pc::new(0, 0), 1), no_mem);
+        dispatch(&mut core, &TraceOp::int_alu(Pc::new(0, 0), 1), no_mem);
     }
 
     #[test]
@@ -488,11 +501,11 @@ mod tests {
         let mut core = Core::new(cfg);
         core.begin_cycle(0);
         for _ in 0..4 {
-            core.dispatch(&TraceOp::int_alu(Pc::new(0, 0), 1), no_mem);
+            dispatch(&mut core, &TraceOp::int_alu(Pc::new(0, 0), 1), no_mem);
         }
         core.begin_cycle(1);
         for _ in 0..4 {
-            core.dispatch(&TraceOp::int_alu(Pc::new(0, 0), 1), no_mem);
+            dispatch(&mut core, &TraceOp::int_alu(Pc::new(0, 0), 1), no_mem);
         }
         core.begin_cycle(2);
         let r = core.retire();
@@ -504,13 +517,13 @@ mod tests {
     fn cold_icache_miss_stalls_the_front_end() {
         let mut core = Core::new(CpuConfig::paper_default());
         core.begin_cycle(0);
-        core.dispatch(&TraceOp::int_alu(Pc::new(7, 0), 1), no_mem);
+        dispatch(&mut core, &TraceOp::int_alu(Pc::new(7, 0), 1), no_mem);
         assert_eq!(core.stats().icache_misses, 1);
         assert!(!core.can_dispatch(), "fetch refill in progress");
         core.begin_cycle(core.config().icache_miss_penalty);
         assert!(core.can_dispatch());
         // Same line again: warm.
-        core.dispatch(&TraceOp::int_alu(Pc::new(7, 0), 1), no_mem);
+        dispatch(&mut core, &TraceOp::int_alu(Pc::new(7, 0), 1), no_mem);
         assert_eq!(core.stats().icache_misses, 1);
     }
 }

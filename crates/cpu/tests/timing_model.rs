@@ -52,7 +52,7 @@ fn run(cfg: CpuConfig, ops: &[TraceOp], mem_latency: u64) -> u64 {
             return cycle;
         }
         while next < ops.len() && core.can_dispatch() {
-            core.dispatch(&ops[next], |start, _, _| start + mem_latency);
+            core.dispatch(&ops[next], ops[next].kind(), |start, _, _| start + mem_latency);
             next += 1;
         }
         cycle += 1;
@@ -127,7 +127,7 @@ proptest! {
                 break;
             }
             while next < trace.len() && core.can_dispatch() {
-                core.dispatch(&trace[next], |s, _, _| s + 5);
+                core.dispatch(&trace[next], trace[next].kind(), |s, _, _| s + 5);
                 next += 1;
             }
             cycle += 1;

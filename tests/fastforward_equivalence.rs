@@ -1,20 +1,21 @@
 //! Idle-cycle fast-forward is a pure host-time optimization: for any
 //! program, machine configuration, and fault plan, the full
 //! [`SimReport`] must be byte-identical with `fast_forward` on and off.
-//! A deterministic 80-combination grid pins the shapes that exercise
+//! A deterministic 100-combination grid pins the shapes that exercise
 //! every skip source (ROB drain, MSHR fills, homefree-token release,
 //! chaos-injector due times), and a property test extends the grid with
 //! randomly generated programs.
 
 use proptest::prelude::*;
+use std::panic::AssertUnwindSafe;
 use subthreads::core::synthetic::{
-    independent, latched_rmw, pipeline, shared_dependences, Dependence,
+    independent, latched_rmw, pipeline, sequential_heavy, shared_dependences, Dependence,
 };
 use subthreads::core::{
-    CmpConfig, CmpSimulator, ExhaustionPolicy, FaultPlan, RunOptions, SecondaryPolicy,
+    CmpConfig, CmpSimulator, ExhaustionPolicy, FaultPlan, Observer, RunOptions, SecondaryPolicy,
     SpacingPolicy, SubThreadConfig, ALL_FAULT_CLASSES,
 };
-use subthreads::trace::{Addr, OpSink, Pc, ProgramBuilder, TraceProgram};
+use subthreads::trace::{Addr, Epoch, OpSink, Pc, ProgramBuilder, Region, TraceOp, TraceProgram};
 
 /// Runs `program` under `cfg` twice — fast-forward on and off — and
 /// asserts the serialized reports are identical.
@@ -68,6 +69,8 @@ fn programs() -> Vec<(&'static str, TraceProgram)> {
             "shared_deps",
             shared_dependences(4, 600, &[Dependence::new(0.3, 0.4), Dependence::new(0.7, 0.6)]),
         ),
+        // One epoch at a time for most of the run: lone-epoch stretches.
+        ("sequential_heavy", sequential_heavy(4, 300)),
     ]
 }
 
@@ -81,7 +84,7 @@ fn plans() -> Vec<(&'static str, Option<FaultPlan>)> {
     v
 }
 
-/// The pinned grid: 4 programs x 5 machines x 4 fault plans = 80
+/// The pinned grid: 5 programs x 5 machines x 4 fault plans = 100
 /// combinations, every one compared as a full serialized report.
 #[test]
 fn fastforward_equivalence_grid() {
@@ -94,36 +97,59 @@ fn fastforward_equivalence_grid() {
             }
         }
     }
-    assert!(combos >= 80, "grid shrank to {combos} combinations");
+    assert!(combos >= 100, "grid shrank to {combos} combinations");
 }
 
 /// The panic message of a run of `program` that must overrun
-/// `max_cycles`.
-fn overrun_message(cfg: CmpConfig, program: &TraceProgram, fast_forward: bool) -> String {
+/// `max_cycles`; `observed` attaches an observer, which steps every
+/// cycle on its own.
+fn overrun_message(
+    cfg: CmpConfig,
+    program: &TraceProgram,
+    fast_forward: bool,
+    observed: bool,
+) -> String {
     let opts = RunOptions { fast_forward, ..RunOptions::default() };
     let sim = CmpSimulator::new(cfg);
-    let payload = std::panic::catch_unwind(|| sim.run_with(program, opts))
-        .expect_err("the run must overrun max_cycles");
+    let mut obs = Observer::new(cfg.cpus, 64, 1024);
+    let run = AssertUnwindSafe(|| sim.run_observed(program, opts, observed.then_some(&mut obs)));
+    let payload = std::panic::catch_unwind(run).expect_err("the run must overrun max_cycles");
     match payload.downcast::<String>() {
         Ok(message) => *message,
         Err(payload) => payload.downcast::<&str>().map(|m| m.to_string()).expect("text panic"),
     }
 }
 
+/// Twelve sequential regions of 200 single-cycle ALU ops over the same
+/// PCs: after the first region warms the instruction cache no cycle is
+/// quiet, so a lone-epoch stretch would run to the end of its region
+/// (and commit it) if it did not stop at the bound.
+fn sequential_regions() -> TraceProgram {
+    let ops: Vec<TraceOp> = (0..200).map(|i| TraceOp::int_alu(Pc::new(0, i % 32), 1)).collect();
+    let regions = (0..12).map(|_| Region::Sequential(Epoch::new(ops.clone()))).collect();
+    TraceProgram::new("sequential-regions", regions)
+}
+
 /// A run past `max_cycles` panics with the same message whether or not
-/// quiet cycles are skipped: fast-forward clamps its jump to the bound.
-/// The bounds sweep a miss-bound program, so some fall inside skipped
-/// spans.
+/// quiet cycles are skipped and whether a lone epoch runs in stretches or
+/// (observed) cycle by cycle: fast-forward and stretches both clamp to the
+/// bound. The bounds sweep a miss-bound program, so some fall inside
+/// skipped spans, and a program of sequential regions, so most fall
+/// inside stretches.
 #[test]
 fn max_cycles_overrun_panics_identically_with_and_without_fast_forward() {
-    let program = independent(4, 400);
-    for bound in (20..400).step_by(13) {
-        let mut cfg = CmpConfig::test_small();
-        cfg.max_cycles = bound;
-        let on = overrun_message(cfg, &program, true);
-        let off = overrun_message(cfg, &program, false);
-        assert!(on.contains(&format!("exceeded {bound} cycles")), "unexpected panic: {on}");
-        assert_eq!(on, off, "max_cycles = {bound}");
+    let cases = [(independent(4, 400), 20..400), (sequential_regions(), 20..700)];
+    for (program, bounds) in &cases {
+        for bound in bounds.clone().step_by(13) {
+            let mut cfg = CmpConfig::test_small();
+            cfg.max_cycles = bound;
+            let on = overrun_message(cfg, program, true, false);
+            let off = overrun_message(cfg, program, false, false);
+            let per_cycle = overrun_message(cfg, program, true, true);
+            assert!(on.contains(&format!("exceeded {bound} cycles")), "unexpected panic: {on}");
+            assert_eq!(on, off, "{}: max_cycles = {bound}", program.name);
+            assert_eq!(on, per_cycle, "{}: max_cycles = {bound}", program.name);
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! inside its epoch's span on the same track.
 
 use subthreads::core::synthetic::{
-    independent, latched_rmw, pipeline, shared_dependences, Dependence,
+    independent, latched_rmw, pipeline, sequential_heavy, shared_dependences, Dependence,
 };
 use subthreads::core::{
     CmpConfig, CmpSimulator, ExhaustionPolicy, Observer, RunOptions, SecondaryPolicy,
@@ -54,6 +54,9 @@ fn programs() -> Vec<(&'static str, TraceProgram)> {
             "shared_deps",
             shared_dependences(4, 600, &[Dependence::new(0.3, 0.4), Dependence::new(0.7, 0.6)]),
         ),
+        // Mostly one epoch at a time: unobserved runs step it in
+        // stretches, observed ones cycle by cycle.
+        ("sequential_heavy", sequential_heavy(4, 300)),
     ]
 }
 
